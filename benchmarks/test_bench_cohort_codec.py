@@ -20,6 +20,7 @@ import math
 import resource
 import time
 
+import numpy as np
 from conftest import emit
 
 from repro.cohort import (
@@ -30,6 +31,7 @@ from repro.cohort import (
     encode_shard,
     read_summary,
 )
+from repro.cohort.aggregate import MemberColumns
 
 MEMBERS_100K = 100_000
 
@@ -55,6 +57,32 @@ def synthetic_member(index: int) -> MemberMetrics:
         hub_energy_joules=6e-2 * (1.0 + phase),
         alive_fraction=1.0,
         first_death_seconds=math.inf,
+    )
+
+
+def synthetic_columns(start: int, stop: int) -> MemberColumns:
+    """:func:`synthetic_member` rows ``[start, stop)`` as columns."""
+    index = np.arange(start, stop)
+    phase = (index % 997) / 997.0
+    size = len(index)
+    return MemberColumns(
+        index=index,
+        scenario=np.array(["office", "gym", "commute"])[index % 3],
+        source=np.where(index % 7 != 0, "analytic", "des"),
+        arbitration=np.array(["fifo", "tdma", "polling"])[index % 3],
+        node_count=3 + index % 5,
+        duration_seconds=np.full(size, 60.0),
+        delivered_packets=500 + index % 211,
+        delivered_fraction=0.9 + 0.1 * phase,
+        mean_latency_seconds=1e-3 * (1.0 + phase),
+        p99_latency_seconds=5e-3 * (1.0 + phase),
+        bus_utilization=0.05 + 0.4 * phase,
+        leaf_power_watts=1e-4 * (1.0 + 9.0 * phase),
+        hub_power_watts=1e-3 * (1.0 + phase),
+        leaf_energy_joules=6e-3 * (1.0 + 9.0 * phase),
+        hub_energy_joules=6e-2 * (1.0 + phase),
+        alive_fraction=np.ones(size),
+        first_death_seconds=np.full(size, math.inf),
     )
 
 
@@ -159,8 +187,9 @@ def test_bench_codec_100k_streaming_merge(benchmark):
 def test_bench_codec_1m_flat_memory(benchmark):
     """Peak RSS stays flat while a ~1M-member cohort streams through.
 
-    Members are generated, folded shard-by-shard into encoded frames and
-    merged immediately — the exact shape of ``run_cohort`` — so the only
+    Members are generated as column blocks, folded shard-by-shard into
+    encoded frames with ``add_columns`` and merged immediately — the
+    exact shape of the analytic ``run_cohort`` path — so the only
     retained state is sketches plus counters.  The assertion bounds the
     RSS growth of the aggregation phase to far below what materialising
     one million member rows (~200 MB) would cost.
@@ -168,6 +197,9 @@ def test_bench_codec_1m_flat_memory(benchmark):
     population = 1_000_000
     shards = 20
     per_shard = population // shards
+    block = 8192
+    assert synthetic_columns(0, 10).rows() == \
+        [synthetic_member(index) for index in range(10)]
 
     def stream_cohort():
         merged = CohortAccumulator()
@@ -175,8 +207,9 @@ def test_bench_codec_1m_flat_memory(benchmark):
         for shard in range(shards):
             accumulator = CohortAccumulator()
             start = shard * per_shard
-            for index in range(start, start + per_shard):
-                accumulator.add(synthetic_member(index))
+            for first in range(start, start + per_shard, block):
+                accumulator.add_columns(synthetic_columns(
+                    first, min(first + block, start + per_shard)))
             blob = encode_shard(ShardFrame(
                 shard_index=shard, start=start, stop=start + per_shard,
                 accumulator=accumulator))

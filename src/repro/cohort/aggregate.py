@@ -16,8 +16,13 @@ grows).  ``keep_members=True`` additionally retains the raw
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..errors import ScenarioError
 from ..netsim.simulator import SimulationResult
@@ -94,6 +99,68 @@ class MemberMetrics:
             alive_fraction=result.alive_fraction,
             first_death_seconds=result.first_death_seconds,
         )
+
+
+@dataclass(frozen=True)
+class MemberColumns:
+    """A batch of members as columns, one per :class:`MemberMetrics` field.
+
+    What the analytic kernel returns and
+    :meth:`CohortAccumulator.add_columns` consumes; columns are lists or
+    numpy arrays, all as long as the batch.
+    """
+
+    index: Sequence[int]
+    scenario: Sequence[str]
+    source: Sequence[str]
+    arbitration: Sequence[str]
+    node_count: Sequence[int]
+    duration_seconds: Sequence[float]
+    delivered_packets: Sequence[int]
+    delivered_fraction: Sequence[float]
+    mean_latency_seconds: Sequence[float]
+    p99_latency_seconds: Sequence[float]
+    bus_utilization: Sequence[float]
+    leaf_power_watts: Sequence[float]
+    hub_power_watts: Sequence[float]
+    leaf_energy_joules: Sequence[float]
+    hub_energy_joules: Sequence[float]
+    alive_fraction: Sequence[float]
+    first_death_seconds: Sequence[float]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def column(self, name: str) -> list:
+        """One column as a list of Python scalars."""
+        values = getattr(self, name)
+        return values.tolist() if isinstance(values, np.ndarray) \
+            else list(values)
+
+    def row(self, position: int) -> MemberMetrics:
+        """The member at *position* as a row."""
+        return MemberMetrics(**{
+            name: _scalar(getattr(self, name)[position])
+            for name in _MEMBER_FIELDS})
+
+    def rows(self) -> list[MemberMetrics]:
+        """Every member as a row, in batch order."""
+        columns = [self.column(name) for name in _MEMBER_FIELDS]
+        return [MemberMetrics(*values) for values in zip(*columns)]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[MemberMetrics]) -> "MemberColumns":
+        return cls(**{name: [getattr(row, name) for row in rows]
+                      for name in _MEMBER_FIELDS})
+
+
+#: Field order shared by :class:`MemberMetrics` and :class:`MemberColumns`.
+_MEMBER_FIELDS = tuple(field.name for field in dataclasses.fields(MemberMetrics))
+
+
+def _scalar(value):
+    """A numpy scalar as the equal Python scalar (others unchanged)."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
@@ -224,6 +291,33 @@ class CohortAccumulator:
             self.by_source.get(metrics.source, 0) + 1)
         for name in MEMBER_METRIC_FIELDS:
             self.metrics[name].add(getattr(metrics, name))
+
+    def add_columns(self, columns: MemberColumns) -> None:
+        """Fold a batch of members in, in batch order.
+
+        Leaves the accumulator — counters, retained members and every
+        metric's exact window or sketch — exactly as the equivalent run
+        of :meth:`add` calls would.
+        """
+        if not len(columns):
+            return
+        if self.keep_members:
+            self.members.extend(columns.rows())
+        self.population += len(columns)
+        self.node_count += sum(columns.column("node_count"))
+        self.delivered_packets += sum(columns.column("delivered_packets"))
+        deaths = [seconds for seconds in columns.column("first_death_seconds")
+                  if seconds < math.inf]
+        if deaths:
+            self.dead_members += len(deaths)
+            self.first_death_seconds = min(self.first_death_seconds,
+                                           min(deaths))
+        for counts, name in ((self.by_policy, "arbitration"),
+                             (self.by_source, "source")):
+            for key, value in Counter(columns.column(name)).items():
+                counts[key] = counts.get(key, 0) + value
+        for name in MEMBER_METRIC_FIELDS:
+            self.metrics[name].add_many(columns.column(name))
 
     def merge(self, other: "CohortAccumulator") -> None:
         """Fold another (later-member-range) accumulator into this one."""

@@ -51,17 +51,26 @@ cross-checks and by the gallery tolerance tests:
   operation, keeping their results bit-identical to the pre-coding
   fast path.
 
+Evaluation is two steps: a reduction to an :class:`AnalyticRows` table
+(one row per concrete leaf, contiguous per member, plus per-member
+columns) and :func:`evaluate_rows`, the one numpy kernel that turns any
+such table into :class:`~repro.cohort.aggregate.MemberColumns`.  Two
+reductions feed it: :func:`scenario_rows` from arbitrary scenario specs
+(what :func:`evaluate_members` uses) and :func:`draw_rows` straight from
+a cohort's columnar draws, without building a scenario per member.
+
 Per-member reductions use ``np.bincount``/``np.maximum.at`` over rows
-that are contiguous per member, so a member's arithmetic involves only
-its own rows in a fixed order — the result for member *i* is bit-identical
-whether the batch holds the whole cohort or just one shard.
+that are contiguous per member, and the within-member slot cursor is
+accumulated row by row, so a member's arithmetic involves only its own
+rows in a fixed order — the result for member *i* is bit-identical
+whether the batch holds the whole cohort, one shard or one block.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -80,7 +89,14 @@ from ..scenarios.spec import (
     harvester_for,
     technology_for,
 )
-from .aggregate import MemberMetrics
+from .aggregate import MemberColumns, MemberMetrics
+
+if TYPE_CHECKING:
+    from .spec import MemberDraws
+
+#: Harvesting environment of a sampled cohort member (the scenario
+#: default).
+DEFAULT_ENVIRONMENT = "indoor_office"
 
 #: Utilisation above which the latency estimate is saturation signalling
 #: only (the documented validity envelope of the fast path).
@@ -120,6 +136,15 @@ def _harvest_power(key: str, environment: str) -> float:
     return harvester_for(key).power_watts(environment_for(environment))
 
 
+@functools.lru_cache(maxsize=None)
+def _poll_cost(hub_technology: str) -> float:
+    """Medium time of one poll exchange on the hub link."""
+    mac = PollingMAC(link_rate_bps=tech_profile(hub_technology).rate_bps,
+                     poll_overhead_bits=POLL_OVERHEAD_BITS,
+                     turnaround_seconds=POLL_TURNAROUND_SECONDS)
+    return mac.cycle_time_seconds(1, 0.0)
+
+
 def active_fractions(spec: ScenarioSpec) -> dict[str, float]:
     """Fraction of the run each concrete node generates traffic.
 
@@ -136,82 +161,65 @@ def active_fractions(spec: ScenarioSpec) -> dict[str, float]:
     }
 
 
-def evaluate_members(specs: Sequence[ScenarioSpec],
-                     indices: Sequence[int] | None = None,
-                     interference: Sequence[tuple[float, float] | None]
-                     | None = None) -> list[MemberMetrics]:
-    """Steady-state metrics for a batch of member scenarios.
+@dataclass(frozen=True)
+class AnalyticRows:
+    """Input of :func:`evaluate_rows`: leaf rows plus per-member columns.
 
-    *indices* labels the returned metrics (member indices within the
-    cohort); it defaults to the batch positions.
-
-    *interference* is the multi-body correction: one
-    ``(rf_interference_dbm, eqs_interference_volts)`` pair per member —
-    the aggregate co-channel power and coupled voltage the member's
-    body receives from the rest of its room — or ``None`` for a member
-    alone in its room.  A member's reliability profile is then derived
-    through :meth:`~repro.scenarios.spec.ScenarioSpec.
-    reliability_profile_adjusted`, which feeds interference-raised
-    erasure rates into the same vectorised attempt/delivery columns
-    below; every other float is untouched.  ``interference=None`` (the
-    default, and any all-``None`` sequence) is exactly the standalone
-    evaluation — bit-identical, the cohort side of the one-body
-    neutrality contract.
+    Leaf rows are contiguous per member (``member_of`` is non-decreasing
+    and every member has at least one row).  Everything derived from
+    more than one row — utilisation, slot offsets, burst sizes — is left
+    to the kernel, so every reduction shares that arithmetic.
     """
-    indices = list(indices) if indices is not None else list(range(len(specs)))
-    if len(indices) != len(specs):
-        raise ScenarioError("indices must match the batch length")
-    if interference is not None and len(interference) != len(specs):
-        raise ScenarioError("interference must match the batch length")
-    if not specs:
-        return []
 
-    # Flat node table: one row per concrete leaf, contiguous per member.
-    member_of: list[int] = []
-    packet_rate: list[float] = []     # active-weighted packets/second
-    bits: list[float] = []
-    service: list[float] = []         # seconds to serialise one packet
-    tx_epb: list[float] = []
-    rx_epb: list[float] = []
-    sleep_power: list[float] = []
-    link_rate: list[float] = []
-    static_power: list[float] = []    # sensing + ISA, always on
-    slot_seconds: list[float] = []    # TDMA slot width (schedule math)
-    slot_offset: list[float] = []     # slot start within the superframe
-    phase_locked: list[bool] = []     # periodic period ≡ 0 (mod superframe)
-    batch_size: list[float] = []      # same-period periodic peers (bursts)
-    is_periodic: list[bool] = []
-    period_seconds: list[float] = []
-    initial_energy: list[float] = []  # usable battery joules (inf = mains)
-    leak_w: list[float] = []          # battery self-discharge power
-    harvest_w: list[float] = []       # harvested power in the environment
-    delivery_prob: list[float] = []   # ARQ delivery probability (1 = lossless)
-    attempts: list[float] = []        # expected attempts/packet (1 = lossless)
+    # -- per member
+    index: Sequence[int]
+    scenario: Sequence[str]
+    arbitration: Sequence[str]
+    duration: np.ndarray
+    node_count: np.ndarray
+    policy_tdma: np.ndarray
+    policy_polling: np.ndarray
+    poll_cost: np.ndarray           # medium time per poll (polling only)
+    hub_rate: np.ndarray
+    hub_sleep: np.ndarray
+    hub_tx_epb: np.ndarray
+    overhead: np.ndarray            # MAC overhead per packet
+    ack_time: np.ndarray            # medium time per ack (ARQ only)
+    ack_bits: np.ndarray            # ack length (ARQ only)
+    # -- per leaf row
+    member_of: np.ndarray
+    rate: np.ndarray                # offered source rate
+    awake: np.ndarray               # fraction of the run generating
+    source_bits: np.ndarray         # source bits per packet
+    air_bits: np.ndarray            # on-air bits per packet (coded)
+    air_rate: np.ndarray            # on-air average rate (slot sizing)
+    periodic: np.ndarray
+    link_rate: np.ndarray
+    tx_epb: np.ndarray
+    rx_epb: np.ndarray
+    sleep_power: np.ndarray
+    static_power: np.ndarray        # sensing + ISA (+ coder), always on
+    initial_energy: np.ndarray      # usable battery joules (inf = mains)
+    leak_w: np.ndarray              # battery self-discharge power
+    harvest_w: np.ndarray           # harvested power in the environment
+    delivery_prob: np.ndarray       # ARQ delivery probability (1 = lossless)
+    attempts: np.ndarray            # expected attempts/packet (1 = lossless)
 
+
+def scenario_rows(specs: Sequence[ScenarioSpec], indices: Sequence[int],
+                  interference: Sequence[tuple[float, float] | None]
+                  | None = None) -> AnalyticRows:
+    """Reduce scenario specs to the kernel's row table."""
+    rows: dict[str, list] = {name: [] for name in (
+        "member_of", "rate", "awake", "source_bits", "air_bits", "air_rate",
+        "periodic", "link_rate", "tx_epb", "rx_epb", "sleep_power",
+        "static_power", "initial_energy", "leak_w", "harvest_w",
+        "delivery_prob", "attempts")}
     count = len(specs)
-    duration = np.empty(count)
-    node_count = np.empty(count)
-    policy_tdma = np.zeros(count, dtype=bool)
-    policy_polling = np.zeros(count, dtype=bool)
-    poll_cost = np.zeros(count)
-    hub_sleep = np.empty(count)
-    hub_tx_epb = np.empty(count)
-    ack_time = np.zeros(count)        # medium time per ack (ARQ only)
-    ack_bits = np.zeros(count)        # ack length (ARQ only)
-
+    ack_time = np.zeros(count)
+    ack_bits = np.zeros(count)
     for position, spec in enumerate(specs):
-        duration[position] = spec.duration_seconds
-        node_count[position] = spec.leaf_count
-        policy_tdma[position] = spec.arbitration == "tdma"
-        policy_polling[position] = spec.arbitration == "polling"
         hub = tech_profile(spec.hub_technology)
-        hub_sleep[position] = hub.sleep_power_watts
-        hub_tx_epb[position] = hub.tx_energy_per_bit
-        if spec.arbitration == "polling":
-            mac = PollingMAC(link_rate_bps=hub.rate_bps,
-                             poll_overhead_bits=POLL_OVERHEAD_BITS,
-                             turnaround_seconds=POLL_TURNAROUND_SECONDS)
-            poll_cost[position] = mac.cycle_time_seconds(1, 0.0)
         reliability_profile = None
         if spec.reliability is not None:
             ambient = (interference[position]
@@ -231,113 +239,232 @@ def evaluate_members(specs: Sequence[ScenarioSpec],
                                       + arq.ack_turnaround_seconds)
                 ack_bits[position] = arq.ack_bits
         fractions = active_fractions(spec)
-        # Periodic sources all emit their first packet one period after
-        # t=0, so equal-period nodes arrive *simultaneously*, every time:
-        # a burst that must serialise.  Count each period's peers.
-        period_peers: dict[float, int] = {}
-        for node in spec.nodes:
-            if node.traffic == "periodic":
-                period = node.bits_per_packet / node.resolved_rate_bps()
-                period_peers[period] = period_peers.get(period, 0) + node.count
-        # Within-member slot cursor, accumulated here (not with a global
-        # cumsum) so a member's offsets are bit-identical in any batch.
-        slot_cursor = 0.0
         for node in spec.nodes:
             profile = tech_profile(node.technology)
-            rate = node.resolved_rate_bps()
-            period = node.bits_per_packet / rate
-            # A periodic source whose period is an exact multiple of the
-            # superframe arrives at a constant slot phase: its access
-            # delay is its slot offset, not a uniform draw over the frame.
-            cycles = period / TDMA_SUPERFRAME_SECONDS
-            locked = (node.traffic == "periodic"
-                      and abs(cycles - round(cycles)) < 1e-9)
             # A coded node keeps its generation cadence but puts shorter
             # packets on the air: on-air payload, per-packet service,
             # slot sizing (registration-time rate) and the coded PER the
             # reliability profile already folded in all use the coded
             # numbers.  Every accessor returns the plain attribute when
             # ``coding is None``, so uncoded members stay bit-identical.
-            air_bits = node.coded_bits_per_packet()
-            air_rate = node.air_rate_bps()
+            power = node.sensing_power_watts + node.isa_power_watts
             coding_power = node.coding_power_watts()
+            if coding_power > 0.0:
+                # Added only when a coder runs: uncoded members see the
+                # historical sum with no extra float operation.
+                power += coding_power
+            if node.battery is not None:
+                usable, leakage = _battery_profile(node.battery,
+                                                   node.battery_scale)
+                energy = usable * node.initial_charge_fraction
+            else:
+                energy, leakage = np.inf, 0.0
+            harvest = (_harvest_power(node.harvester, spec.environment)
+                       if node.harvester is not None else 0.0)
             for concrete in node.expanded_names():
-                member_of.append(position)
-                active = fractions[concrete]
-                packet_rate.append(active * rate / node.bits_per_packet)
-                bits.append(air_bits)
                 if reliability_profile is None:
                     delivered_share, mean_attempts = 1.0, 1.0
                 else:
                     delivered_share, mean_attempts = \
                         reliability_profile[concrete]
-                delivery_prob.append(delivered_share)
-                attempts.append(mean_attempts)
-                # Effective airtime per offered packet: every attempt
-                # re-serialises the frame, pays the MAC overhead and —
-                # under ARQ — the ack exchange.  ``x * 1.0 + 0.0`` is an
-                # exact identity, so lossless rows keep the historical
-                # service value bit-for-bit.
-                service.append(mean_attempts
-                               * (air_bits / profile.rate_bps
-                                  + spec.per_packet_overhead_seconds
-                                  + ack_time[position]))
-                tx_epb.append(profile.tx_energy_per_bit)
-                rx_epb.append(profile.rx_energy_per_bit)
-                sleep_power.append(profile.sleep_power_watts)
-                link_rate.append(profile.rate_bps)
-                power = node.sensing_power_watts + node.isa_power_watts
-                if coding_power > 0.0:
-                    # Added only when a coder runs: uncoded members see
-                    # the historical sum with no extra float operation.
-                    power += coding_power
-                static_power.append(power)
-                # Slot widths mirror TDMASchedule.build: payload time at
-                # the medium rate plus the guard, sized from the full
-                # (registration-time) offered rate.
-                width = (air_rate * TDMA_SUPERFRAME_SECONDS / hub.rate_bps
-                         + TDMA_GUARD_SECONDS)
-                slot_seconds.append(width)
-                slot_offset.append(slot_cursor)
-                slot_cursor += width
-                phase_locked.append(locked)
-                batch_size.append(float(period_peers.get(period, 1))
-                                  if node.traffic == "periodic" else 1.0)
-                is_periodic.append(node.traffic == "periodic")
-                period_seconds.append(period)
-                if node.battery is not None:
-                    usable, leakage = _battery_profile(node.battery,
-                                                       node.battery_scale)
-                    initial_energy.append(usable
-                                          * node.initial_charge_fraction)
-                    leak_w.append(leakage)
-                else:
-                    initial_energy.append(np.inf)
-                    leak_w.append(0.0)
-                harvest_w.append(
-                    _harvest_power(node.harvester, spec.environment)
-                    if node.harvester is not None else 0.0)
+                for name, value in (
+                        ("member_of", position),
+                        ("rate", node.resolved_rate_bps()),
+                        ("awake", fractions[concrete]),
+                        ("source_bits", node.bits_per_packet),
+                        ("air_bits", node.coded_bits_per_packet()),
+                        ("air_rate", node.air_rate_bps()),
+                        ("periodic", node.traffic == "periodic"),
+                        ("link_rate", profile.rate_bps),
+                        ("tx_epb", profile.tx_energy_per_bit),
+                        ("rx_epb", profile.rx_energy_per_bit),
+                        ("sleep_power", profile.sleep_power_watts),
+                        ("static_power", power),
+                        ("initial_energy", energy),
+                        ("leak_w", leakage),
+                        ("harvest_w", harvest),
+                        ("delivery_prob", delivered_share),
+                        ("attempts", mean_attempts)):
+                    rows[name].append(value)
+    hubs = [tech_profile(spec.hub_technology) for spec in specs]
+    policy_polling = np.array([spec.arbitration == "polling"
+                               for spec in specs], dtype=bool)
+    return AnalyticRows(
+        index=list(indices),
+        scenario=[spec.name for spec in specs],
+        arbitration=[spec.arbitration for spec in specs],
+        duration=np.array([spec.duration_seconds for spec in specs],
+                          dtype=float),
+        node_count=np.array([spec.leaf_count for spec in specs],
+                            dtype=float),
+        policy_tdma=np.array([spec.arbitration == "tdma" for spec in specs],
+                             dtype=bool),
+        policy_polling=policy_polling,
+        poll_cost=np.array([_poll_cost(spec.hub_technology) if polling
+                            else 0.0 for spec, polling
+                            in zip(specs, policy_polling)]),
+        hub_rate=np.array([hub.rate_bps for hub in hubs]),
+        hub_sleep=np.array([hub.sleep_power_watts for hub in hubs]),
+        hub_tx_epb=np.array([hub.tx_energy_per_bit for hub in hubs]),
+        overhead=np.array([spec.per_packet_overhead_seconds
+                           for spec in specs], dtype=float),
+        ack_time=ack_time,
+        ack_bits=ack_bits,
+        **{name: np.asarray(values, dtype=np.int64 if name == "member_of"
+                            else bool if name == "periodic" else float)
+           for name, values in rows.items()},
+    )
 
-    member_of = np.asarray(member_of)
-    packet_rate = np.asarray(packet_rate)
-    bits = np.asarray(bits)
-    service = np.asarray(service)
-    tx_epb = np.asarray(tx_epb)
-    rx_epb = np.asarray(rx_epb)
-    sleep_power = np.asarray(sleep_power)
-    link_rate = np.asarray(link_rate)
-    static_power = np.asarray(static_power)
-    slot_seconds = np.asarray(slot_seconds)
-    slot_offset = np.asarray(slot_offset)
-    phase_locked = np.asarray(phase_locked)
-    batch_size = np.asarray(batch_size)
-    is_periodic = np.asarray(is_periodic)
-    period_seconds = np.asarray(period_seconds)
-    initial_energy = np.asarray(initial_energy)
-    leak_w = np.asarray(leak_w)
-    harvest_w = np.asarray(harvest_w)
-    delivery_prob = np.asarray(delivery_prob)
-    attempts = np.asarray(attempts)
+
+def draw_rows(draws: "MemberDraws") -> AnalyticRows:
+    """The kernel's row table straight from a cohort's columnar draws.
+
+    Equal, column for column, to :func:`scenario_rows` of the members'
+    scenarios (sampled members carry no reliability or coding spec and
+    run in the default environment), without building them.
+    """
+    cohort = draws.cohort
+    count = len(draws)
+    kinds = draws.kinds
+    kind = draws.kind
+    rate = np.array([leaf.resolved_rate_bps() for leaf in kinds])[kind]
+    static = np.array([leaf.sensing_power_watts + leaf.isa_power_watts
+                       for leaf in kinds])[kind]
+    periodic = np.array([leaf.traffic == "periodic" for leaf in kinds])[kind]
+    profiles = [tech_profile(key) for key in draws.technologies]
+    technology = draws.technology
+
+    def per_link(attribute: str) -> np.ndarray:
+        return np.array([getattr(profile, attribute)
+                         for profile in profiles])[technology]
+
+    rows = len(kind)
+    battery = draws.battery[draws.member]
+    initial_energy = np.full(rows, np.inf)
+    leak_w = np.zeros(rows)
+    for key_index, key in enumerate(draws.batteries):
+        usable, leakage = _battery_profile(key, cohort.battery_scale)
+        worn = battery == key_index
+        initial_energy[worn] = usable * 1.0  # full initial charge
+        leak_w[worn] = leakage
+    harvester = draws.harvester[draws.member]
+    harvest_w = np.zeros(rows)
+    for key_index, key in enumerate(draws.harvesters):
+        harvest_w[harvester == key_index] = _harvest_power(
+            key, DEFAULT_ENVIRONMENT)
+
+    hub = tech_profile(cohort.hub_technology)
+    policies = cohort.mac_policies.choices
+    arbitration = [policies[choice] for choice in draws.arbitration.tolist()]
+    policy = np.asarray(draws.arbitration)
+    policy_polling = np.array([choice == "polling"
+                               for choice in policies])[policy]
+    bits = draws.bits_per_packet
+    return AnalyticRows(
+        index=list(range(draws.start, draws.stop)),
+        scenario=[draws.member_name(position) for position in range(count)],
+        arbitration=arbitration,
+        duration=np.full(count, float(cohort.member_duration_seconds)),
+        node_count=np.bincount(draws.member, minlength=count).astype(float),
+        policy_tdma=np.array([choice == "tdma" for choice in policies])[policy],
+        policy_polling=policy_polling,
+        poll_cost=np.where(policy_polling,
+                           _poll_cost(cohort.hub_technology), 0.0),
+        hub_rate=np.full(count, hub.rate_bps),
+        hub_sleep=np.full(count, hub.sleep_power_watts),
+        hub_tx_epb=np.full(count, hub.tx_energy_per_bit),
+        overhead=draws.overhead_seconds,
+        ack_time=np.zeros(count),
+        ack_bits=np.zeros(count),
+        member_of=draws.member,
+        rate=rate,
+        awake=draws.awake,
+        source_bits=bits,
+        air_bits=bits,
+        air_rate=rate,
+        periodic=periodic,
+        link_rate=per_link("rate_bps"),
+        tx_epb=per_link("tx_energy_per_bit"),
+        rx_epb=per_link("rx_energy_per_bit"),
+        sleep_power=per_link("sleep_power_watts"),
+        static_power=static,
+        initial_energy=initial_energy,
+        leak_w=leak_w,
+        harvest_w=harvest_w,
+        delivery_prob=np.ones(rows),
+        attempts=np.ones(rows),
+    )
+
+
+def _slot_offsets(member_of: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each row's slot start: its member's earlier slot widths, summed in
+    row order from 0.0 (a per-member running cursor, never a global
+    cumulative sum, so an offset does not depend on the batch)."""
+    rows = len(member_of)
+    first = np.flatnonzero(np.r_[True, member_of[1:] != member_of[:-1]])
+    step = np.arange(rows) - np.repeat(first, np.diff(np.r_[first, rows]))
+    offset = np.zeros(rows)
+    for depth in range(1, int(step.max(initial=0)) + 1):
+        at = np.flatnonzero(step == depth)
+        offset[at] = offset[at - 1] + width[at - 1]
+    return offset
+
+
+def _burst_sizes(member_of: np.ndarray, period: np.ndarray,
+                 periodic: np.ndarray) -> np.ndarray:
+    """Periodic rows: how many of the member's periodic rows share the
+    exact period (they fire together); 1.0 for everything else."""
+    sizes = np.ones(len(member_of))
+    rows = np.flatnonzero(periodic)
+    if not len(rows):
+        return sizes
+    order = rows[np.lexsort((period[rows], member_of[rows]))]
+    boundary = np.r_[True, (member_of[order][1:] != member_of[order][:-1])
+                     | (period[order][1:] != period[order][:-1])]
+    group = np.cumsum(boundary) - 1
+    sizes[order] = np.bincount(group)[group].astype(float)
+    return sizes
+
+
+def evaluate_rows(table: AnalyticRows) -> MemberColumns:
+    """The analytic kernel: steady-state metrics of every member in *table*."""
+    member_of, duration, node_count = (table.member_of, table.duration,
+                                       table.node_count)
+    policy_tdma, policy_polling = table.policy_tdma, table.policy_polling
+    poll_cost, ack_bits = table.poll_cost, table.ack_bits
+    hub_sleep, hub_tx_epb = table.hub_sleep, table.hub_tx_epb
+    bits, link_rate = table.air_bits, table.link_rate
+    tx_epb, rx_epb, sleep_power = table.tx_epb, table.rx_epb, table.sleep_power
+    static_power = table.static_power
+    initial_energy, leak_w, harvest_w = (table.initial_energy, table.leak_w,
+                                         table.harvest_w)
+    attempts, delivery_prob = table.attempts, table.delivery_prob
+    count = len(duration)
+
+    packet_rate = table.awake * table.rate / table.source_bits
+    period_seconds = table.source_bits / table.rate
+    is_periodic = table.periodic
+    # Effective airtime per offered packet: every attempt re-serialises
+    # the frame, pays the MAC overhead and — under ARQ — the ack
+    # exchange.  ``x * 1.0 + 0.0`` is an exact identity, so lossless
+    # rows keep the historical service value bit-for-bit.
+    service = attempts * (bits / link_rate + table.overhead[member_of]
+                          + table.ack_time[member_of])
+    # Slot widths mirror TDMASchedule.build: payload time at the medium
+    # rate plus the guard, sized from the full (registration-time)
+    # offered rate.
+    slot_seconds = (table.air_rate * TDMA_SUPERFRAME_SECONDS
+                    / table.hub_rate[member_of] + TDMA_GUARD_SECONDS)
+    slot_offset = _slot_offsets(member_of, slot_seconds)
+    # A periodic source whose period is an exact multiple of the
+    # superframe arrives at a constant slot phase: its access delay is
+    # its slot offset, not a uniform draw over the frame.
+    cycles = period_seconds / TDMA_SUPERFRAME_SECONDS
+    phase_locked = is_periodic & (np.abs(cycles - np.rint(cycles)) < 1e-9)
+    # Periodic sources all emit their first packet one period after
+    # t=0, so equal-period nodes arrive *simultaneously*, every time: a
+    # burst that must serialise.
+    batch_size = _burst_sizes(member_of, period_seconds, is_periodic)
 
     def per_member(weights: np.ndarray) -> np.ndarray:
         return np.bincount(member_of, weights=weights, minlength=count)
@@ -543,28 +670,62 @@ def evaluate_members(specs: Sequence[ScenarioSpec],
         duration - np.minimum(busy, duration), 0.0)
     hub_power = hub_energy / duration
 
-    results: list[MemberMetrics] = []
-    for position, spec in enumerate(specs):
-        results.append(MemberMetrics(
-            index=indices[position],
-            scenario=spec.name,
-            source="analytic",
-            arbitration=spec.arbitration,
-            node_count=spec.leaf_count,
-            duration_seconds=float(duration[position]),
-            delivered_packets=int(delivered_packets[position]),
-            delivered_fraction=float(delivered_fraction[position]),
-            mean_latency_seconds=float(mean_latency[position]),
-            p99_latency_seconds=float(p99_latency[position]),
-            bus_utilization=float(utilization[position]),
-            leaf_power_watts=float(leaf_power[position]),
-            hub_power_watts=float(hub_power[position]),
-            leaf_energy_joules=float(leaf_energy[position]),
-            hub_energy_joules=float(hub_energy[position]),
-            alive_fraction=float(alive_fraction[position]),
-            first_death_seconds=float(member_death[position]),
-        ))
-    return results
+    return MemberColumns(
+        index=table.index,
+        scenario=table.scenario,
+        source=["analytic"] * count,
+        arbitration=table.arbitration,
+        node_count=node_count.astype(np.int64),
+        duration_seconds=duration,
+        delivered_packets=delivered_packets,
+        delivered_fraction=delivered_fraction,
+        mean_latency_seconds=mean_latency,
+        p99_latency_seconds=p99_latency,
+        bus_utilization=utilization,
+        leaf_power_watts=leaf_power,
+        hub_power_watts=hub_power,
+        leaf_energy_joules=leaf_energy,
+        hub_energy_joules=hub_energy,
+        alive_fraction=alive_fraction,
+        first_death_seconds=member_death,
+    )
+
+
+def evaluate_draws(draws: "MemberDraws") -> MemberColumns:
+    """Steady-state metrics of a cohort's columnar draws."""
+    return evaluate_rows(draw_rows(draws))
+
+
+def evaluate_members(specs: Sequence[ScenarioSpec],
+                     indices: Sequence[int] | None = None,
+                     interference: Sequence[tuple[float, float] | None]
+                     | None = None) -> list[MemberMetrics]:
+    """Steady-state metrics for a batch of member scenarios.
+
+    *indices* labels the returned metrics (member indices within the
+    cohort); it defaults to the batch positions.
+
+    *interference* is the multi-body correction: one
+    ``(rf_interference_dbm, eqs_interference_volts)`` pair per member —
+    the aggregate co-channel power and coupled voltage the member's
+    body receives from the rest of its room — or ``None`` for a member
+    alone in its room.  A member's reliability profile is then derived
+    through :meth:`~repro.scenarios.spec.ScenarioSpec.
+    reliability_profile_adjusted`, which feeds interference-raised
+    erasure rates into the same vectorised attempt/delivery columns
+    the kernel reads; every other float is untouched.
+    ``interference=None`` (the default, and any all-``None`` sequence)
+    is exactly the standalone evaluation — bit-identical, the cohort
+    side of the one-body neutrality contract.
+    """
+    indices = list(indices) if indices is not None else list(range(len(specs)))
+    if len(indices) != len(specs):
+        raise ScenarioError("indices must match the batch length")
+    if interference is not None and len(interference) != len(specs):
+        raise ScenarioError("interference must match the batch length")
+    if not specs:
+        return []
+    return evaluate_rows(scenario_rows(specs, indices, interference)).rows()
 
 
 def evaluate_member(spec: ScenarioSpec, index: int = 0) -> MemberMetrics:

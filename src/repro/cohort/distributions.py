@@ -7,16 +7,26 @@ what fraction of the day their motion sensors are awake.  The
 distributions here are plain frozen dataclasses: picklable (they cross
 the shard process boundary inside the spec), JSON-encodable through the
 artifact sanitizer, and deterministic given a generator.
+
+``sample(rng)`` draws one value from a ``Generator``; ``draw(stream,
+mask)`` makes the same draw for every masked member of a
+:class:`~repro.cohort.streams.StreamBlock` at once, consuming each
+member's stream exactly as ``sample`` would consume a generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ScenarioError
+
+if TYPE_CHECKING:
+    from .streams import StreamBlock
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,15 @@ class Categorical:
                 return choice
         return self.choices[-1]  # guard against rounding at the boundary
 
+    def draw(self, stream: "StreamBlock", mask: np.ndarray) -> np.ndarray:
+        """Indices into :attr:`choices`, one per masked member."""
+        if self.weights is None:
+            return stream.integers(mask, len(self.choices))
+        cumulative = list(itertools.accumulate(self.weights, initial=0.0))[1:]
+        threshold = stream.random(mask) * math.fsum(self.weights)
+        return np.minimum(np.searchsorted(cumulative, threshold, side="right"),
+                          len(self.choices) - 1)
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -74,6 +93,12 @@ class Uniform:
         if self.high == self.low:
             return self.low
         return float(rng.uniform(self.low, self.high))
+
+    def draw(self, stream: "StreamBlock", mask: np.ndarray) -> np.ndarray:
+        """One value per masked member."""
+        if self.high == self.low:
+            return np.full(int(np.count_nonzero(mask)), self.low, dtype=float)
+        return stream.uniform(mask, float(self.low), float(self.high))
 
 
 @dataclass(frozen=True)
@@ -118,3 +143,11 @@ class Bernoulli:
         if self.probability <= 0.0:
             return False
         return float(rng.random()) < self.probability
+
+    def draw(self, stream: "StreamBlock", mask: np.ndarray) -> np.ndarray:
+        """One outcome per masked member."""
+        if self.probability >= 1.0:
+            return np.ones(int(np.count_nonzero(mask)), dtype=bool)
+        if self.probability <= 0.0:
+            return np.zeros(int(np.count_nonzero(mask)), dtype=bool)
+        return stream.random(mask) < self.probability

@@ -22,6 +22,12 @@ approximation (``fast_path="analytic"``); with the analytic path, every
 ``validate_stride``-th member is *also* simulated and the deviation
 recorded, so a cohort run carries its own evidence that the fast path is
 inside its validity envelope.
+
+The analytic path is columnar end to end: a shard is drawn, evaluated
+and folded into its accumulator in fixed-size member blocks
+(:data:`ANALYTIC_BLOCK`), as arrays, so its memory does not grow with
+the shard.  Only DES and validated members are expanded into a
+:class:`~repro.scenarios.spec.ScenarioSpec`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from ..errors import ScenarioError
 from ..runner.sweep import PoolFailure, run_pool
 from .aggregate import CohortAccumulator, MemberMetrics, ValidationRecord
-from .analytic import evaluate_members
+from .analytic import evaluate_draws
 from .codec import DEFAULT_COMPRESSION, ShardFrame, encode_shard
 from .spec import CohortMember, CohortSpec
 
@@ -45,6 +51,9 @@ FAST_PATHS = ("analytic", "des", "hybrid")
 #: Default sampling stride of the analytic path's DES cross-check; one
 #: validated member per ``VALIDATE_STRIDE`` keeps the overhead marginal.
 DEFAULT_VALIDATE_STRIDE = 1000
+
+#: Members drawn, evaluated and accumulated together on the analytic path.
+ANALYTIC_BLOCK = 8192
 
 
 def shard_bounds(population: int, shard_count: int,
@@ -89,17 +98,20 @@ def _run_shard(spec: CohortSpec, shard_index: int, shard_count: int,
             accumulator.add(metrics)
             accumulator.packet_latency.merge(packets)
     else:
-        members = list(spec.members(start, stop))
-        analytic = evaluate_members(
-            [member.scenario for member in members],
-            [member.index for member in members])
-        for member, metrics in zip(members, analytic):
-            accumulator.add(metrics)
-            if validate_stride > 0 and member.index % validate_stride == 0:
+        for block in range(start, stop, ANALYTIC_BLOCK):
+            block_stop = min(block + ANALYTIC_BLOCK, stop)
+            columns = evaluate_draws(spec.draw(block, block_stop))
+            accumulator.add_columns(columns)
+            if validate_stride == 0:
+                continue
+            first = -(-block // validate_stride) * validate_stride
+            for index in range(first, block_stop, validate_stride):
                 # The sampled cross-check runs on the hybrid DES: leaps
                 # keep the validation affordable at population scale and
                 # the hybrid path is itself envelope-validated against
                 # the exact kernel.
+                member = spec.member(index)
+                metrics = columns.row(index - block)
                 des_metrics, _ = _simulate_member(member, "hybrid")
                 validations.append(ValidationRecord(
                     index=member.index,

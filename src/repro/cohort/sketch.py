@@ -60,7 +60,8 @@ class QuantileSketch:
         normalised rank.
     """
 
-    __slots__ = ("k", "count", "_min", "_max", "_levels", "_flips")
+    __slots__ = ("k", "count", "_min", "_max", "_levels", "_flips",
+                 "_capacities", "_total_capacity", "_size")
 
     def __init__(self, k: int = DEFAULT_K) -> None:
         if k < 8:
@@ -75,6 +76,13 @@ class QuantileSketch:
         #: Per-level alternating compaction offset (the deterministic
         #: stand-in for KLL's coin flip).
         self._flips: list[bool] = [False]
+        #: Per-level capacities, their sum, and the number of retained
+        #: values — kept current so an insert costs O(1), not a re-sum
+        #: over every level.
+        self._capacities: list[int] = []
+        self._total_capacity = 0
+        self._size = 0
+        self._refresh_capacities()
 
     # -- recording ---------------------------------------------------------
 
@@ -90,7 +98,42 @@ class QuantileSketch:
         if value > self._max:
             self._max = value
         self._levels[0].append(value)
-        self._compress()
+        self._size += 1
+        if self._size > self._total_capacity:
+            self._compress()
+
+    def add_many(self, values) -> None:
+        """Record every value of *values*, in order.
+
+        Leaves the sketch in exactly the state the equivalent loop of
+        :meth:`add` calls would: values are appended in runs that stop
+        at the insert which overflows the capacity — the one insert
+        after which :meth:`add` compacts — so every compaction sees the
+        same buffers.  All values are checked before any is recorded.
+        """
+        values = list(map(float, values))
+        if not values:
+            return
+        for value in values:
+            if not math.isfinite(value):
+                raise SimulationError(
+                    f"quantile sketch values must be finite: {value}")
+        self.count += len(values)
+        low = min(values)
+        if low < self._min:
+            self._min = low
+        high = max(values)
+        if high > self._max:
+            self._max = high
+        position = 0
+        while position < len(values):
+            room = self._total_capacity - self._size
+            run = values[position:position + max(room, 0) + 1]
+            self._levels[0].extend(run)
+            self._size += len(run)
+            position += len(run)
+            if self._size > self._total_capacity:
+                self._compress()
 
     def add_repeated(self, value: float, weight: int) -> None:
         """Record *value* ``weight`` times in O(log weight) inserts.
@@ -117,6 +160,7 @@ class QuantileSketch:
             level = remaining.bit_length() - 1
             self._ensure_level(level)
             self._levels[level].append(value)
+            self._size += 1
             remaining -= 1 << level
         self._compress()
 
@@ -130,34 +174,36 @@ class QuantileSketch:
         self._ensure_level(len(other._levels) - 1)
         for level, items in enumerate(other._levels):
             self._levels[level].extend(items)
+        self._size += other._size
         self._compress()
 
     # -- compaction --------------------------------------------------------
 
     def _ensure_level(self, level: int) -> None:
+        if len(self._levels) > level:
+            return
         while len(self._levels) <= level:
             self._levels.append([])
             self._flips.append(False)
+        self._refresh_capacities()
 
-    def _capacity(self, level: int) -> int:
-        depth = len(self._levels) - 1 - level
-        return max(_MIN_CAPACITY, math.ceil(self.k * _LEVEL_DECAY ** depth))
-
-    def _retained(self) -> int:
-        return sum(len(items) for items in self._levels)
+    def _refresh_capacities(self) -> None:
+        """Recompute the capacity schedule (it depends on the level count)."""
+        top = len(self._levels) - 1
+        self._capacities = [
+            max(_MIN_CAPACITY, math.ceil(self.k * _LEVEL_DECAY ** (top - level)))
+            for level in range(len(self._levels))]
+        self._total_capacity = sum(self._capacities)
 
     def _compress(self) -> None:
-        total_capacity = sum(self._capacity(level)
-                             for level in range(len(self._levels)))
-        while self._retained() > total_capacity:
+        while self._size > self._total_capacity:
+            capacities = self._capacities
             for level, items in enumerate(self._levels):
-                if len(items) >= self._capacity(level) and len(items) >= 2:
+                if len(items) >= capacities[level] and len(items) >= 2:
                     self._compact(level)
                     break
             else:  # nothing compactable (all levels tiny): accept the size
                 break
-            total_capacity = sum(self._capacity(level)
-                                 for level in range(len(self._levels)))
 
     def _compact(self, level: int) -> None:
         """Halve one level: sort, keep every other value one level up.
@@ -178,6 +224,7 @@ class QuantileSketch:
         self._levels[level] = leftover
         self._ensure_level(level + 1)
         self._levels[level + 1].extend(promoted)
+        self._size -= len(items) - len(promoted)
 
     # -- queries -----------------------------------------------------------
 
@@ -198,7 +245,7 @@ class QuantileSketch:
     @property
     def retained(self) -> int:
         """Number of values currently held (the memory bound)."""
-        return self._retained()
+        return self._size
 
     @property
     def rank_error_bound(self) -> float:
@@ -269,4 +316,6 @@ class QuantileSketch:
                 "sketch state levels/flips length mismatch")
         sketch._levels = levels
         sketch._flips = flips
+        sketch._size = sum(len(items) for items in levels)
+        sketch._refresh_capacities()
         return sketch

@@ -9,19 +9,28 @@ samples from ``derive_seed(cohort seed, member index)``, never from a
 shared stream, so member 4711 is the same wearer whether it is expanded
 serially, inside shard 3 of 8, or alone for debugging — the property the
 shard-merge bit-identity guarantee of the cohort engine rests on.
+
+Sampling is columnar: :meth:`CohortSpec.draw` draws a whole member range
+into a :class:`MemberDraws` table of flat arrays (one row per concrete
+leaf, plus per-member columns) by advancing every member's stream side
+by side (see :mod:`repro.cohort.streams`).  The analytic fast path reads
+those arrays directly; :meth:`CohortSpec.member` builds a
+:class:`~repro.scenarios.spec.ScenarioSpec` from one member's rows for
+the members that actually run on the simulator.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from ..errors import ScenarioError
-from ..runner.sweep import derive_seed
+from ..runner.sweep import derive_seed, derive_seeds
 from ..scenarios.spec import (
     ScenarioEvent,
     ScenarioNodeSpec,
@@ -32,6 +41,7 @@ from ..scenarios.spec import (
 )
 from ..sensors.catalog import SensorModality, modality_spec
 from .distributions import Bernoulli, Categorical, Uniform
+from .streams import StreamBlock, StreamOverrun
 
 #: Fraction of the population wearing each modality (the "adoption rate").
 #: Video is deliberately absent: first-person video is a hub workload,
@@ -68,6 +78,10 @@ ISA_POWER_WATTS: Mapping[str, float] = {
 DUTY_CYCLED_MODALITIES = ("audio", "imu")
 
 
+#: Members drawn per block when :meth:`CohortSpec.members` streams a range.
+MEMBER_BLOCK = 1024
+
+
 @functools.lru_cache(maxsize=None)
 def _technology_rate_bps(key: str) -> float:
     return technology_for(key).data_rate_bps()
@@ -80,6 +94,138 @@ class CohortMember:
     index: int
     seed: int
     scenario: ScenarioSpec
+
+
+@dataclass(frozen=True)
+class LeafKind:
+    """One leaf a member may wear, minus what is drawn per member."""
+
+    name: str
+    modality: SensorModality | None
+    rate_bps: float | None
+    traffic: str
+    sensing_power_watts: float
+    isa_power_watts: float = 0.0
+    duty_cycled: bool = False
+
+    def resolved_rate_bps(self) -> float:
+        if self.rate_bps is not None:
+            return self.rate_bps
+        return modality_spec(self.modality).compressed_data_rate_bps
+
+
+#: The MQS glucose implant a member carries with ``CohortSpec.implant``.
+IMPLANT_KIND = LeafKind(name="glucose_implant", modality=None,
+                        rate_bps=1000.0, traffic="poisson",
+                        sensing_power_watts=8e-6)
+
+#: What a member whose adoption draws all failed wears instead.
+BASELINE_KIND = LeafKind(name="temperature",
+                         modality=SensorModality.TEMPERATURE, rate_bps=None,
+                         traffic="periodic",
+                         sensing_power_watts=SENSING_POWER_WATTS["temperature"])
+
+#: Implant packet size and technology.
+IMPLANT_BITS = 1024.0
+IMPLANT_TECHNOLOGY = "mqs_implant"
+
+#: Link of the baseline node (the ``ScenarioNodeSpec`` default).
+BASELINE_TECHNOLOGY = "wir"
+
+
+@dataclass(frozen=True)
+class MemberDraws:
+    """A contiguous member range drawn into flat arrays.
+
+    Leaf rows (``member`` … ``count``) hold one entry per concrete leaf,
+    contiguous per member and in node order; a node worn ``count`` times
+    contributes rows with ``replica`` 0 … ``count - 1``.  Per-member
+    columns are indexed by position in the range.  ``kind``,
+    ``technology``, ``arbitration``, ``battery`` and ``harvester`` are
+    indices into the matching key tables (``-1``: no battery/harvester).
+    """
+
+    cohort: "CohortSpec"
+    start: int
+    seeds: tuple[int, ...]
+    kinds: tuple[LeafKind, ...]
+    technologies: tuple[str, ...]
+    batteries: tuple[str, ...]
+    harvesters: tuple[str, ...]
+    # -- per member
+    arbitration: np.ndarray
+    overhead_seconds: np.ndarray
+    battery: np.ndarray
+    harvester: np.ndarray
+    # -- per leaf row
+    member: np.ndarray
+    kind: np.ndarray
+    technology: np.ndarray
+    bits_per_packet: np.ndarray
+    #: Fraction of the run the leaf is awake (its sleep event's time).
+    awake: np.ndarray
+    replica: np.ndarray
+    count: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.seeds)
+
+    def member_name(self, position: int) -> str:
+        return f"{self.cohort.name}-{self.start + position:06d}"
+
+    def member_at(self, position: int) -> CohortMember:
+        """Build the :class:`ScenarioSpec` of the member at *position*."""
+        cohort = self.cohort
+        index = self.start + position
+        first, last = np.searchsorted(self.member, [position, position + 1])
+        battery = int(self.battery[position])
+        harvester = int(self.harvester[position])
+        energy = {}
+        if battery >= 0:
+            energy.update(battery=self.batteries[battery],
+                          battery_scale=cohort.battery_scale)
+        if harvester >= 0:
+            energy.update(harvester=self.harvesters[harvester])
+        nodes: list[ScenarioNodeSpec] = []
+        events: list[ScenarioEvent] = []
+        for row in range(first, last):
+            if self.replica[row]:
+                continue
+            kind = self.kinds[self.kind[row]]
+            nodes.append(ScenarioNodeSpec(
+                name=kind.name,
+                modality=kind.modality,
+                rate_bps=kind.rate_bps,
+                bits_per_packet=float(self.bits_per_packet[row]),
+                technology=self.technologies[self.technology[row]],
+                traffic=kind.traffic,
+                count=int(self.count[row]),
+                sensing_power_watts=kind.sensing_power_watts,
+                isa_power_watts=kind.isa_power_watts,
+                **energy,
+            ))
+            awake = float(self.awake[row])
+            if kind.duty_cycled and awake < 1.0:
+                events.append(ScenarioEvent(
+                    at_fraction=awake, action="sleep",
+                    node_prefixes=(kind.name,)))
+        scenario = ScenarioSpec(
+            name=self.member_name(position),
+            description=f"sampled member {index} of cohort {cohort.name!r}",
+            duration_seconds=cohort.member_duration_seconds,
+            nodes=tuple(nodes),
+            arbitration=cohort.mac_policies.choices[self.arbitration[position]],
+            hub_technology=cohort.hub_technology,
+            events=tuple(events),
+            per_packet_overhead_seconds=float(
+                self.overhead_seconds[position]),
+        )
+        return CohortMember(index=index, seed=self.seeds[position],
+                            scenario=scenario)
 
 
 @dataclass(frozen=True)
@@ -176,7 +322,24 @@ class CohortSpec:
         for policy in self.mac_policies.choices:
             if policy not in ("fifo", "tdma", "polling"):
                 raise ScenarioError(f"unknown MAC policy {policy!r}")
-        technology_for(self.hub_technology)
+        hub_rate = _technology_rate_bps(self.hub_technology)
+        for modality_name, probability in self.adoption.items():
+            rate = modality_spec(
+                SensorModality(modality_name)).compressed_data_rate_bps
+            if probability > 0.0 and rate > hub_rate:
+                raise ScenarioError(
+                    f"modality {modality_name!r} offers {rate:.3g} bit/s, "
+                    f"more than the {self.hub_technology!r} hub link's "
+                    f"{hub_rate:.3g} bit/s")
+        for count in self.motion_count.choices:
+            if (isinstance(count, bool) or not isinstance(count, Integral)
+                    or count < 1):
+                raise ScenarioError(
+                    f"motion count choices must be ints >= 1: {count!r}")
+        for bits in self.bits_per_packet.choices:
+            if isinstance(bits, bool) or not math.isfinite(float(bits)):
+                raise ScenarioError(
+                    f"packet size choices must be finite numbers: {bits!r}")
         for key in self.technologies.choices:
             technology_for(key)
         if self.body_scale.low <= 0:
@@ -205,97 +368,150 @@ class CohortSpec:
         return derive_seed(self.seed, f"cohort:{self.name}",
                            {"member": index})
 
-    def member(self, index: int) -> CohortMember:
-        """Expand member *index* into its concrete scenario."""
-        seed = self.member_seed(index)
-        rng = np.random.default_rng(seed)
-        nodes: list[ScenarioNodeSpec] = []
-        events: list[ScenarioEvent] = []
-        hub_rate = _technology_rate_bps(self.hub_technology)
+    def leaf_kinds(self) -> tuple[LeafKind, ...]:
+        """Every leaf a member may wear: the adoption table's modalities
+        in sorted order, then the implant, then the baseline node."""
+        kinds = [LeafKind(name=name, modality=SensorModality(name),
+                          rate_bps=None, traffic="periodic",
+                          sensing_power_watts=SENSING_POWER_WATTS[name],
+                          isa_power_watts=ISA_POWER_WATTS.get(name, 0.0),
+                          duty_cycled=name in DUTY_CYCLED_MODALITIES)
+                 for name in sorted(self.adoption)]
+        return (*kinds, IMPLANT_KIND, BASELINE_KIND)
 
-        for modality_name in sorted(self.adoption):
-            if not float(rng.random()) < self.adoption[modality_name]:
-                continue
-            modality = SensorModality(modality_name)
-            rate = modality_spec(modality).compressed_data_rate_bps
-            technology = self.technologies.sample(rng)
-            if rate > _technology_rate_bps(technology) or rate > hub_rate:
-                technology = self.hub_technology
-            count = (int(self.motion_count.sample(rng))
-                     if modality is SensorModality.IMU else 1)
-            bits = float(self.bits_per_packet.sample(rng))
+    def draw(self, start: int, stop: int) -> MemberDraws:
+        """Draw members ``[start, stop)`` into one columnar table.
+
+        Each member consumes its own ``default_rng(member_seed(index))``
+        stream in the historical draw order: per sorted modality the
+        adoption coin, then — if adopted — technology, motion-pod count
+        (IMU), packet size and duty cycle (motion/voice); then the
+        implant coin, the battery and harvester keys (when those mixes
+        are set), the MAC policy and the body scale.
+        """
+        if not 0 <= start <= stop <= self.population:
+            raise ScenarioError(
+                f"member range [{start}, {stop}) outside population "
+                f"[0, {self.population})")
+        seeds = derive_seeds(self.seed, f"cohort:{self.name}", "member",
+                             range(start, stop))
+        kinds = self.leaf_kinds()
+        # Upper bound on 64-bit words one member consumes (an integer
+        # draw takes at most one); a rejection-sampling redraw can exceed
+        # it, in which case the block is simply re-read wider.
+        width = 5 * (len(kinds) - 2) + 8
+        while True:
+            try:
+                stream = StreamBlock(np.asarray(seeds, dtype=np.uint32),
+                                     width)
+                return self._draw_block(start, tuple(seeds), kinds, stream)
+            except StreamOverrun:
+                width *= 2
+
+    def _draw_block(self, start: int, seeds: tuple[int, ...],
+                    kinds: tuple[LeafKind, ...],
+                    stream: StreamBlock) -> MemberDraws:
+        size = len(seeds)
+        everyone = np.ones(size, dtype=bool)
+        technologies = tuple(dict.fromkeys(
+            (*map(str, self.technologies.choices), self.hub_technology,
+             IMPLANT_TECHNOLOGY, BASELINE_TECHNOLOGY)))
+        hub = technologies.index(self.hub_technology)
+        choice_keys = np.array([technologies.index(str(choice))
+                                for choice in self.technologies.choices])
+        hub_rate = _technology_rate_bps(self.hub_technology)
+        motion_counts = np.array([int(count)
+                                  for count in self.motion_count.choices])
+        packet_sizes = np.array([float(bits)
+                                 for bits in self.bits_per_packet.choices])
+
+        slots = len(kinds)
+        count = np.zeros((size, slots), dtype=np.int64)
+        technology = np.zeros((size, slots), dtype=np.int64)
+        bits = np.zeros((size, slots))
+        awake = np.ones((size, slots))
+        for slot, kind in enumerate(kinds[:-2]):
+            adopted = stream.random(everyone) < self.adoption[kind.name]
+            rate = kind.resolved_rate_bps()
+            # A technology too slow for the stream falls back to the hub's.
+            too_slow = np.array([rate > _technology_rate_bps(str(choice))
+                                 or rate > hub_rate
+                                 for choice in self.technologies.choices])
+            choice = self.technologies.draw(stream, adopted)
+            technology[adopted, slot] = np.where(too_slow[choice], hub,
+                                                 choice_keys[choice])
+            count[adopted, slot] = (
+                motion_counts[self.motion_count.draw(stream, adopted)]
+                if kind.modality is SensorModality.IMU else 1)
             # Clamp the packet size so every stream emits at least a
             # handful of packets inside the member duration; without this
             # a 16 bit/s temperature stream would never fill one packet.
-            bits = max(64.0, min(bits,
-                                 rate * self.member_duration_seconds / 4.0))
-            nodes.append(ScenarioNodeSpec(
-                name=modality_name,
-                modality=modality,
-                bits_per_packet=bits,
-                technology=technology,
-                count=count,
-                sensing_power_watts=SENSING_POWER_WATTS[modality_name],
-                isa_power_watts=ISA_POWER_WATTS.get(modality_name, 0.0),
-            ))
-            if modality_name in DUTY_CYCLED_MODALITIES:
-                active_fraction = self.duty_cycle.sample(rng)
-                if active_fraction < 1.0:
-                    events.append(ScenarioEvent(
-                        at_fraction=active_fraction, action="sleep",
-                        node_prefixes=(modality_name,)))
+            drawn = packet_sizes[self.bits_per_packet.draw(stream, adopted)]
+            bits[adopted, slot] = np.maximum(64.0, np.minimum(
+                drawn, rate * self.member_duration_seconds / 4.0))
+            if kind.duty_cycled:
+                awake[adopted, slot] = self.duty_cycle.draw(stream, adopted)
 
-        if self.implant.sample(rng):
-            nodes.append(ScenarioNodeSpec(
-                name="glucose_implant",
-                rate_bps=1000.0,
-                bits_per_packet=1024.0,
-                technology="mqs_implant",
-                traffic="poisson",
-                sensing_power_watts=8e-6,
-            ))
-        if not nodes:
-            # Everyone wears *something*: an unlucky adoption draw still
-            # yields a valid (minimal) body network.
-            baseline_rate = modality_spec(
-                SensorModality.TEMPERATURE).compressed_data_rate_bps
-            nodes.append(ScenarioNodeSpec(
-                name="temperature",
-                modality=SensorModality.TEMPERATURE,
-                bits_per_packet=max(
-                    64.0,
-                    baseline_rate * self.member_duration_seconds / 4.0),
-                sensing_power_watts=SENSING_POWER_WATTS["temperature"],
-            ))
+        implant = self.implant.draw(stream, everyone)
+        count[:, -2] = implant
+        technology[:, -2] = technologies.index(IMPLANT_TECHNOLOGY)
+        bits[:, -2] = IMPLANT_BITS
+        # Everyone wears *something*: an unlucky adoption draw still
+        # yields a valid (minimal) body network.
+        count[:, -1] = count.sum(axis=1) == 0
+        technology[:, -1] = technologies.index(BASELINE_TECHNOLOGY)
+        bits[:, -1] = max(64.0, BASELINE_KIND.resolved_rate_bps()
+                          * self.member_duration_seconds / 4.0)
 
         # Energy sampling happens after the node draws so that disabling
         # it (the default) leaves the member's RNG stream — and therefore
         # every historical cohort — bit-identical.
-        if self.batteries is not None:
-            battery_key = str(self.batteries.sample(rng))
-            if battery_key:
-                nodes = [dataclasses.replace(
-                    node, battery=battery_key,
-                    battery_scale=self.battery_scale) for node in nodes]
-        if self.harvesters is not None:
-            harvester_key = str(self.harvesters.sample(rng))
-            if harvester_key:
-                nodes = [dataclasses.replace(node, harvester=harvester_key)
-                         for node in nodes]
+        battery, batteries = self._draw_keys(self.batteries, stream, everyone)
+        harvester, harvesters = self._draw_keys(self.harvesters, stream,
+                                                everyone)
+        arbitration = self.mac_policies.draw(stream, everyone)
+        overhead = 100e-6 * self.body_scale.draw(stream, everyone)
 
-        arbitration = self.mac_policies.sample(rng)
-        overhead = 100e-6 * self.body_scale.sample(rng)
-        scenario = ScenarioSpec(
-            name=f"{self.name}-{index:06d}",
-            description=f"sampled member {index} of cohort {self.name!r}",
-            duration_seconds=self.member_duration_seconds,
-            nodes=tuple(nodes),
+        flat_count = count.ravel()
+        node = np.repeat(np.arange(size * slots), flat_count)
+        first_row = np.cumsum(flat_count) - flat_count
+        return MemberDraws(
+            cohort=self,
+            start=start,
+            seeds=seeds,
+            kinds=kinds,
+            technologies=technologies,
+            batteries=batteries,
+            harvesters=harvesters,
             arbitration=arbitration,
-            hub_technology=self.hub_technology,
-            events=tuple(events),
-            per_packet_overhead_seconds=overhead,
+            overhead_seconds=overhead,
+            battery=battery,
+            harvester=harvester,
+            member=node // slots,
+            kind=node % slots,
+            technology=technology.ravel()[node],
+            bits_per_packet=bits.ravel()[node],
+            awake=awake.ravel()[node],
+            replica=np.arange(len(node)) - first_row[node],
+            count=flat_count[node],
         )
-        return CohortMember(index=index, seed=seed, scenario=scenario)
+
+    @staticmethod
+    def _draw_keys(mix: Categorical | None, stream: StreamBlock,
+                   everyone: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Per-member index into the mix's non-empty keys (-1: none)."""
+        if mix is None:
+            return np.full(len(everyone), -1, dtype=np.int64), ()
+        keys = tuple(dict.fromkeys(str(choice) for choice in mix.choices
+                                   if str(choice)))
+        lookup = np.array([keys.index(str(choice)) if str(choice) else -1
+                           for choice in mix.choices])
+        return lookup[mix.draw(stream, everyone)], keys
+
+    def member(self, index: int) -> CohortMember:
+        """Expand member *index* into its concrete scenario."""
+        self.member_seed(index)  # bounds check
+        return self.draw(index, index + 1).member_at(0)
 
     def members(self, start: int = 0,
                 stop: int | None = None) -> Iterator[CohortMember]:
@@ -305,8 +521,10 @@ class CohortSpec:
             raise ScenarioError(
                 f"member range [{start}, {stop}) outside population "
                 f"[0, {self.population})")
-        for index in range(start, stop):
-            yield self.member(index)
+        for block in range(start, stop, MEMBER_BLOCK):
+            draws = self.draw(block, min(block + MEMBER_BLOCK, stop))
+            for position in range(len(draws)):
+                yield draws.member_at(position)
 
     def describe(self) -> dict[str, object]:
         """Summary row for reports."""

@@ -1,0 +1,179 @@
+"""Per-member random streams, drawn for a whole block of members at once.
+
+Every cohort member samples from its own ``np.random.default_rng(seed)``
+stream — a PCG64 bit generator seeded through a ``SeedSequence``.
+Creating one such generator costs more than everything the member then
+draws from it, so the columnar sampler reproduces the stream instead of
+constructing it:
+
+* :func:`seed_states` runs the ``SeedSequence`` entropy mixing for a
+  whole block of 32-bit seeds as ``uint32`` array arithmetic and derives
+  each member's initial PCG64 ``(state, increment)`` pair;
+* :func:`raw_words` sets that state on one reused ``PCG64`` and reads
+  the member's raw 64-bit outputs — the bit generator itself, not a
+  re-implementation, produces the stream;
+* :class:`StreamBlock` decodes those words exactly as ``Generator``
+  does — ``random()`` from the top 53 bits, ``integers(n)`` by Lemire's
+  bounded multiply on buffered 32-bit halves (with its rejection loop),
+  ``uniform(low, high)`` as ``low + (high - low) * random()`` — with
+  one cursor per member, so a block of members advances draw by draw
+  in vectorised steps while each member still consumes its own stream
+  in its own order.
+
+``tests/cohort/test_streams.py`` checks every step against
+``np.random.default_rng`` itself.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+# SeedSequence mixing constants (numpy.random.bit_generator).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+#: The 128-bit LCG multiplier of PCG64.
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+#: ``random()`` scale: 53 random bits to a double in [0, 1).
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+
+
+def _hashmix(values: np.ndarray, hash_const: list[int]) -> np.ndarray:
+    values = values ^ np.uint32(hash_const[0])
+    hash_const[0] = (hash_const[0] * _MULT_A) & _MASK32
+    values = values * np.uint32(hash_const[0])
+    return values ^ (values >> np.uint32(_XSHIFT))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(_XSHIFT))
+
+
+def seed_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """Initial PCG64 ``(state, increment)`` of ``default_rng(seed)`` for
+    each 32-bit seed."""
+    seeds = np.asarray(seeds, dtype=np.uint32)
+    hash_const = [_INIT_A]
+    pool = [_hashmix(seeds, hash_const)]
+    zeros = np.zeros_like(seeds)
+    for _ in range(1, _POOL_SIZE):
+        pool.append(_hashmix(zeros, hash_const))
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = _mix(pool[target],
+                                    _hashmix(pool[source], hash_const))
+    # generate_state(4, uint64): eight 32-bit words, pairs little-endian.
+    hash_const_b = _INIT_B
+    words = []
+    for index in range(8):
+        value = pool[index % _POOL_SIZE] ^ np.uint32(hash_const_b)
+        hash_const_b = (hash_const_b * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const_b)
+        words.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
+    halves = [(words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist()
+              for k in range(4)]
+    states = []
+    for high_seed, low_seed, high_inc, low_inc in zip(*halves):
+        initial = (high_seed << 64) | low_seed
+        increment = ((((high_inc << 64) | low_inc) << 1) | 1) & _MASK128
+        # pcg64_srandom_r: state 0 steps to the increment, absorbs the
+        # initial state, and steps once more.
+        state = ((increment + initial) * _PCG_MULTIPLIER
+                 + increment) & _MASK128
+        states.append((state, increment))
+    return states
+
+
+def raw_words(seeds: np.ndarray, width: int) -> np.ndarray:
+    """The first *width* raw 64-bit outputs of each seed's stream."""
+    bit_generator = np.random.PCG64(0)
+    words = np.empty((len(seeds), width), dtype=np.uint64)
+    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+             "has_uint32": 0, "uinteger": 0}
+    inner = state["state"]
+    for row, (value, increment) in enumerate(seed_states(seeds)):
+        inner["state"] = value
+        inner["inc"] = increment
+        bit_generator.state = state
+        words[row] = bit_generator.random_raw(width)
+    return words
+
+
+class StreamOverrun(Exception):
+    """A member drew past the words fetched for it (retry wider)."""
+
+
+class StreamBlock:
+    """Vectorised ``Generator`` draws over one block of member streams.
+
+    Every draw method takes a boolean *mask* of the members that make
+    the draw (the others' streams do not move) and returns one value per
+    masked member, in member order.
+    """
+
+    def __init__(self, seeds: np.ndarray, width: int) -> None:
+        self.words = raw_words(seeds, width)
+        self.width = width
+        size = len(seeds)
+        self.cursor = np.zeros(size, dtype=np.int64)
+        #: PCG64's buffered upper 32-bit half (``has_uint32``/``uinteger``).
+        self.has_half = np.zeros(size, dtype=bool)
+        self.half = np.zeros(size, dtype=np.uint64)
+
+    def _next64(self, rows: np.ndarray) -> np.ndarray:
+        cursor = self.cursor[rows]
+        if len(cursor) and int(cursor.max()) >= self.width:
+            raise StreamOverrun
+        self.cursor[rows] = cursor + 1
+        return self.words[rows, cursor]
+
+    def random(self, mask: np.ndarray) -> np.ndarray:
+        """``Generator.random()`` for the masked members."""
+        rows = np.flatnonzero(mask)
+        return (self._next64(rows) >> np.uint64(11)) * _DOUBLE_SCALE
+
+    def uniform(self, mask: np.ndarray, low: float,
+                high: float) -> np.ndarray:
+        """``Generator.uniform(low, high)`` for the masked members."""
+        return low + (high - low) * self.random(mask)
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        buffered = self.has_half[rows]
+        values = np.empty(len(rows), dtype=np.uint64)
+        values[buffered] = self.half[rows[buffered]]
+        fresh = rows[~buffered]
+        words = self._next64(fresh)
+        values[~buffered] = words & np.uint64(_MASK32)
+        self.half[fresh] = words >> np.uint64(32)
+        self.has_half[rows] = ~buffered
+        return values
+
+    def integers(self, mask: np.ndarray, count: int) -> np.ndarray:
+        """``Generator.integers(count)`` for the masked members."""
+        rows = np.flatnonzero(mask)
+        if count == 1:
+            return np.zeros(len(rows), dtype=np.int64)
+        if not 1 < count <= _MASK32:
+            raise ValueError(f"unsupported integer range {count}")
+        bound = np.uint64(count)
+        product = self._next32(rows) * bound
+        threshold = (_MASK32 - (count - 1)) % count
+        redraw = (product & np.uint64(_MASK32)) < np.uint64(threshold)
+        while redraw.any():
+            again = rows[redraw]
+            product[redraw] = self._next32(again) * bound
+            redraw[redraw] = ((product[redraw] & np.uint64(_MASK32))
+                              < np.uint64(threshold))
+        return (product >> np.uint64(32)).astype(np.int64)

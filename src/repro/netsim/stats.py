@@ -116,6 +116,59 @@ class LatencyAccumulator:
         if len(self._pending) >= PENDING_FLUSH_THRESHOLD:
             self._flush_pending()
 
+    def add_many(self, values) -> None:
+        """Record every sample of *values*, in order.
+
+        Leaves the accumulator in exactly the state the equivalent loop
+        of :meth:`add` calls would: the exact window fills and spills at
+        the same sample, with the same observed extrema, and the rest
+        reaches the backend in arrival order (running total by
+        sequential float additions, sketch by
+        :meth:`~repro.cohort.sketch.QuantileSketch.add_many`).  All
+        samples are checked before any is recorded.
+        """
+        values = list(map(float, values))
+        if not values:
+            return
+        if any(value != value for value in values):
+            # NaN defeats min()/max(); keep add()'s comparison semantics.
+            for value in values:
+                self.add(value)
+            return
+        if min(values) < 0:
+            raise SimulationError(
+                f"latency must be non-negative: {min(values)}")
+        if self._samples is not None:
+            space = self.exact_capacity + 1 - len(self._samples)
+            head, values = values[:space], values[space:]
+            self._record(head)
+            self._samples.extend(head)
+            if len(self._samples) > self.exact_capacity:
+                self._spill()
+            if not values:
+                return
+        self._record(values)
+        self._flush_pending()
+        total = self._total
+        for value in values:
+            total += value
+        self._total = total
+        if self._sketch is not None:
+            self._sketch.add_many(values)
+        else:
+            indices = np.searchsorted(self._edges, values, side="right")
+            np.add.at(self._counts, indices, 1)
+
+    def _record(self, values: list[float]) -> None:
+        """Count a non-empty run of samples and widen the extrema."""
+        self.count += len(values)
+        low = min(values)
+        if low < self._min:
+            self._min = low
+        high = max(values)
+        if high > self._max:
+            self._max = high
+
     def add_batch(self, values, counts) -> None:
         """Record ``values[i]`` repeated ``counts[i]`` times, in order.
 
@@ -194,8 +247,7 @@ class LatencyAccumulator:
             total += value
         self._total = total
         if self._sketch is not None:
-            for value in pending:
-                self._sketch.add(value)
+            self._sketch.add_many(pending)
         else:
             indices = np.searchsorted(self._edges, pending, side="right")
             np.add.at(self._counts, indices, 1)
@@ -211,8 +263,7 @@ class LatencyAccumulator:
         if self.backend == "sketch":
             from ..cohort.sketch import QuantileSketch
             self._sketch = QuantileSketch()
-            for value in samples:
-                self._sketch.add(value)
+            self._sketch.add_many(samples)
             self._samples = None
             return
         # A log-spaced grid cannot include zero, so exact-zero samples
@@ -302,8 +353,7 @@ class LatencyAccumulator:
         if other._samples is not None:
             self._total += math.fsum(other._samples)
             if self._sketch is not None:
-                for value in other._samples:
-                    self._sketch.add(value)
+                self._sketch.add_many(other._samples)
             else:
                 indices = np.searchsorted(self._edges,
                                           np.asarray(other._samples),

@@ -22,7 +22,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import ArtifactError, SweepError
 from .artifacts import (
@@ -46,6 +46,23 @@ def derive_seed(base_seed: int, experiment: str,
                            "params": params})
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+def derive_seeds(base_seed: int, experiment: str, key: str,
+                 values: Iterable[int]) -> list[int]:
+    """``derive_seed(base_seed, experiment, {key: value})`` for each int.
+
+    The canonical JSON around the value is formatted once; per seed only
+    the integer is spliced in and hashed.
+    """
+    blob = canonical_json({"base": base_seed, "experiment": experiment,
+                           "params": {key: 0}})
+    # The single parameter value is the last token of the encoding.
+    head, _, tail = blob.rpartition("0")
+    sha256 = hashlib.sha256
+    return [int.from_bytes(sha256(f"{head}{value}{tail}".encode("utf-8"))
+                           .digest()[:4], "big")
+            for value in values]
 
 
 def _split_values(values: str) -> list[str]:
