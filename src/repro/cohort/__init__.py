@@ -26,6 +26,7 @@ from .aggregate import (
     DEFAULT_METRIC_BACKEND,
     MEMBER_METRIC_FIELDS,
     CohortAccumulator,
+    MemberColumns,
     MemberMetrics,
     ValidationRecord,
 )
@@ -49,7 +50,7 @@ from .engine import (
     shard_bounds,
 )
 from .sketch import QuantileSketch
-from .spec import DEFAULT_ADOPTION, CohortMember, CohortSpec
+from .spec import DEFAULT_ADOPTION, CohortMember, CohortSpec, MemberDraws
 
 __all__ = [
     "DEFAULT_ADOPTION",
@@ -63,6 +64,8 @@ __all__ = [
     "CohortResult",
     "CohortSpec",
     "LogUniform",
+    "MemberColumns",
+    "MemberDraws",
     "MemberMetrics",
     "MetricSummary",
     "QuantileSketch",

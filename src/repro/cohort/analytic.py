@@ -345,7 +345,7 @@ def draw_rows(draws: "MemberDraws") -> AnalyticRows:
     for key_index, key in enumerate(draws.batteries):
         usable, leakage = _battery_profile(key, cohort.battery_scale)
         worn = battery == key_index
-        initial_energy[worn] = usable * 1.0  # full initial charge
+        initial_energy[worn] = usable  # sampled cells start full
         leak_w[worn] = leakage
     harvester = draws.harvester[draws.member]
     harvest_w = np.zeros(rows)
@@ -355,15 +355,14 @@ def draw_rows(draws: "MemberDraws") -> AnalyticRows:
 
     hub = tech_profile(cohort.hub_technology)
     policies = cohort.mac_policies.choices
-    arbitration = [policies[choice] for choice in draws.arbitration.tolist()]
-    policy = np.asarray(draws.arbitration)
+    policy = draws.arbitration
     policy_polling = np.array([choice == "polling"
                                for choice in policies])[policy]
     bits = draws.bits_per_packet
     return AnalyticRows(
         index=list(range(draws.start, draws.stop)),
-        scenario=[draws.member_name(position) for position in range(count)],
-        arbitration=arbitration,
+        scenario=draws.member_names(),
+        arbitration=[policies[choice] for choice in policy.tolist()],
         duration=np.full(count, float(cohort.member_duration_seconds)),
         node_count=np.bincount(draws.member, minlength=count).astype(float),
         policy_tdma=np.array([choice == "tdma" for choice in policies])[policy],

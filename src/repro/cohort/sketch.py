@@ -103,32 +103,29 @@ class QuantileSketch:
             self._compress()
 
     def add_many(self, values) -> None:
-        """Record every value of *values*, in order.
+        """Record every value of the sequence *values*, in order.
 
         Leaves the sketch in exactly the state the equivalent loop of
         :meth:`add` calls would: values are appended in runs that stop
         at the insert which overflows the capacity — the one insert
         after which :meth:`add` compacts — so every compaction sees the
-        same buffers.  All values are checked before any is recorded.
+        same buffers.
         """
-        values = list(map(float, values))
-        if not values:
-            return
-        for value in values:
-            if not math.isfinite(value):
-                raise SimulationError(
-                    f"quantile sketch values must be finite: {value}")
-        self.count += len(values)
-        low = min(values)
-        if low < self._min:
-            self._min = low
-        high = max(values)
-        if high > self._max:
-            self._max = high
         position = 0
         while position < len(values):
             room = self._total_capacity - self._size
-            run = values[position:position + max(room, 0) + 1]
+            run = list(map(float, values[position:position + max(room, 0) + 1]))
+            if not all(map(math.isfinite, run)):
+                raise SimulationError(
+                    "quantile sketch values must be finite: "
+                    f"{next(v for v in run if not math.isfinite(v))}")
+            self.count += len(run)
+            low = min(run)
+            if low < self._min:
+                self._min = low
+            high = max(run)
+            if high > self._max:
+                self._max = high
             self._levels[0].extend(run)
             self._size += len(run)
             position += len(run)

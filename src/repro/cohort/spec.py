@@ -133,7 +133,7 @@ IMPLANT_TECHNOLOGY = "mqs_implant"
 BASELINE_TECHNOLOGY = "wir"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemberDraws:
     """A contiguous member range drawn into flat arrays.
 
@@ -174,8 +174,11 @@ class MemberDraws:
     def stop(self) -> int:
         return self.start + len(self.seeds)
 
-    def member_name(self, position: int) -> str:
-        return f"{self.cohort.name}-{self.start + position:06d}"
+    def member_names(self) -> list[str]:
+        """Scenario names of the drawn members, in range order."""
+        name = self.cohort.name
+        return [f"{name}-{index:06d}" for index in range(self.start,
+                                                          self.stop)]
 
     def member_at(self, position: int) -> CohortMember:
         """Build the :class:`ScenarioSpec` of the member at *position*."""
@@ -214,7 +217,7 @@ class MemberDraws:
                     at_fraction=awake, action="sleep",
                     node_prefixes=(kind.name,)))
         scenario = ScenarioSpec(
-            name=self.member_name(position),
+            name=f"{cohort.name}-{index:06d}",
             description=f"sampled member {index} of cohort {cohort.name!r}",
             duration_seconds=cohort.member_duration_seconds,
             nodes=tuple(nodes),

@@ -130,7 +130,7 @@ class LatencyAccumulator:
         values = list(map(float, values))
         if not values:
             return
-        if any(value != value for value in values):
+        if any(map(math.isnan, values)):
             # NaN defeats min()/max(); keep add()'s comparison semantics.
             for value in values:
                 self.add(value)

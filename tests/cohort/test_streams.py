@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cohort import Bernoulli, Categorical, Uniform
 from repro.cohort.streams import (
     StreamBlock,
     StreamOverrun,
@@ -43,7 +44,7 @@ def test_raw_words_match_pcg64():
 # One draw step: (kind, argument, participation pattern).
 DRAW = st.tuples(
     st.sampled_from(["random", "integers", "uniform"]),
-    st.one_of(st.integers(1, 9), st.integers(2**31, 2**32)),
+    st.one_of(st.integers(1, 9), st.integers(2**31, 2**32 - 1)),
     st.lists(st.booleans(), min_size=8, max_size=8),
 )
 
@@ -81,3 +82,35 @@ def test_overrun_is_signalled():
     block.random(everyone)
     with pytest.raises(StreamOverrun):
         block.random(everyone)
+
+
+DISTRIBUTIONS = [
+    Categorical(choices=("a", "b", "c")),
+    Categorical(choices=(1, 2, 3), weights=(0.2, 0.0, 0.8)),
+    Categorical(choices=("only",)),
+    Uniform(0.35, 1.0),
+    Uniform(2.0, 2.0),
+    Bernoulli(0.08),
+    Bernoulli(1.0),
+]
+
+
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6,
+                unique=True),
+       st.lists(st.tuples(st.integers(0, len(DISTRIBUTIONS) - 1),
+                          st.lists(st.booleans(), min_size=6, max_size=6)),
+                min_size=1, max_size=20))
+@settings(max_examples=40, deadline=None)
+def test_distribution_draw_matches_sample(seeds, steps):
+    """``draw`` over a block consumes each stream exactly like ``sample``."""
+    block = StreamBlock(np.asarray(seeds, dtype=np.uint32), 64)
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    for which, pattern in steps:
+        distribution = DISTRIBUTIONS[which]
+        mask = np.asarray(pattern)
+        drawn = distribution.draw(block, mask).tolist()
+        sampled = [distribution.sample(generators[i])
+                   for i in np.flatnonzero(mask)]
+        if isinstance(distribution, Categorical):
+            drawn = [distribution.choices[index] for index in drawn]
+        assert drawn == sampled
