@@ -148,11 +148,6 @@ class MemberColumns:
         columns = [self.column(name) for name in _MEMBER_FIELDS]
         return [MemberMetrics(*values) for values in zip(*columns)]
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[MemberMetrics]) -> "MemberColumns":
-        return cls(**{name: [getattr(row, name) for row in rows]
-                      for name in _MEMBER_FIELDS})
-
 
 #: Field order shared by :class:`MemberMetrics` and :class:`MemberColumns`.
 _MEMBER_FIELDS = tuple(field.name for field in dataclasses.fields(MemberMetrics))

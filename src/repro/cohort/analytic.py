@@ -690,11 +690,6 @@ def evaluate_rows(table: AnalyticRows) -> MemberColumns:
     )
 
 
-def evaluate_draws(draws: "MemberDraws") -> MemberColumns:
-    """Steady-state metrics of a cohort's columnar draws."""
-    return evaluate_rows(draw_rows(draws))
-
-
 def evaluate_members(specs: Sequence[ScenarioSpec],
                      indices: Sequence[int] | None = None,
                      interference: Sequence[tuple[float, float] | None]

@@ -25,7 +25,7 @@ inside its validity envelope.
 
 The analytic path is columnar end to end: a shard is drawn, evaluated
 and folded into its accumulator in fixed-size member blocks
-(:data:`ANALYTIC_BLOCK`), as arrays, so its memory does not grow with
+(:data:`~repro.cohort.spec.MEMBER_BLOCK`), as arrays, so its memory does not grow with
 the shard.  Only DES and validated members are expanded into a
 :class:`~repro.scenarios.spec.ScenarioSpec`.
 """
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from ..errors import ScenarioError
 from ..runner.sweep import PoolFailure, run_pool
 from .aggregate import CohortAccumulator, MemberMetrics, ValidationRecord
-from .analytic import evaluate_draws
+from .analytic import draw_rows, evaluate_rows
 from .codec import DEFAULT_COMPRESSION, ShardFrame, encode_shard
-from .spec import CohortMember, CohortSpec
+from .spec import MEMBER_BLOCK, CohortMember, CohortSpec
 
 #: Recognised execution paths.  ``"hybrid"`` runs every member on the
 #: DES with the macro-tick steady-state fast path enabled (see
@@ -51,9 +51,6 @@ FAST_PATHS = ("analytic", "des", "hybrid")
 #: Default sampling stride of the analytic path's DES cross-check; one
 #: validated member per ``VALIDATE_STRIDE`` keeps the overhead marginal.
 DEFAULT_VALIDATE_STRIDE = 1000
-
-#: Members drawn, evaluated and accumulated together on the analytic path.
-ANALYTIC_BLOCK = 8192
 
 
 def shard_bounds(population: int, shard_count: int,
@@ -98,9 +95,9 @@ def _run_shard(spec: CohortSpec, shard_index: int, shard_count: int,
             accumulator.add(metrics)
             accumulator.packet_latency.merge(packets)
     else:
-        for block in range(start, stop, ANALYTIC_BLOCK):
-            block_stop = min(block + ANALYTIC_BLOCK, stop)
-            columns = evaluate_draws(spec.draw(block, block_stop))
+        for block in range(start, stop, MEMBER_BLOCK):
+            block_stop = min(block + MEMBER_BLOCK, stop)
+            columns = evaluate_rows(draw_rows(spec.draw(block, block_stop)))
             accumulator.add_columns(columns)
             if validate_stride == 0:
                 continue

@@ -78,8 +78,9 @@ ISA_POWER_WATTS: Mapping[str, float] = {
 DUTY_CYCLED_MODALITIES = ("audio", "imu")
 
 
-#: Members drawn per block when :meth:`CohortSpec.members` streams a range.
-MEMBER_BLOCK = 1024
+#: Members drawn together: the unit :meth:`CohortSpec.members` and the
+#: engine's analytic path stream a range in, which bounds their memory.
+MEMBER_BLOCK = 8192
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ state regardless of how long the simulation runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping
 
@@ -130,14 +131,10 @@ class LatencyAccumulator:
         values = list(map(float, values))
         if not values:
             return
-        if any(map(math.isnan, values)):
-            # NaN defeats min()/max(); keep add()'s comparison semantics.
-            for value in values:
-                self.add(value)
-            return
-        if min(values) < 0:
+        if np.any(np.asarray(values) < 0.0):
             raise SimulationError(
-                f"latency must be non-negative: {min(values)}")
+                "latency must be non-negative: "
+                f"{next(value for value in values if value < 0.0)}")
         if self._samples is not None:
             space = self.exact_capacity + 1 - len(self._samples)
             head, values = values[:space], values[space:]
@@ -160,14 +157,15 @@ class LatencyAccumulator:
             np.add.at(self._counts, indices, 1)
 
     def _record(self, values: list[float]) -> None:
-        """Count a non-empty run of samples and widen the extrema."""
+        """Count a run of samples and widen the extrema.
+
+        ``min``/``max`` seeded with the current extrema compare each value
+        against the running one in arrival order, exactly as :meth:`add`
+        does (NaN included).
+        """
         self.count += len(values)
-        low = min(values)
-        if low < self._min:
-            self._min = low
-        high = max(values)
-        if high > self._max:
-            self._max = high
+        self._min = min(itertools.chain((self._min,), values))
+        self._max = max(itertools.chain((self._max,), values))
 
     def add_batch(self, values, counts) -> None:
         """Record ``values[i]`` repeated ``counts[i]`` times, in order.

@@ -31,7 +31,7 @@ from repro.cohort.aggregate import MemberColumns
 from repro.cohort.analytic import (
     AnalyticRows,
     draw_rows,
-    evaluate_draws,
+    evaluate_rows,
     scenario_rows,
 )
 from repro.cohort.streams import StreamBlock
@@ -79,6 +79,17 @@ def test_accumulator_add_many_equals_add_across_spill(values, sizes,
     assert batched.to_state() == sequential.to_state()
 
 
+def test_add_many_tracks_extrema_like_add_around_nan():
+    values = [math.nan, 2.0, 0.5, math.nan, 3.0]
+    sequential = LatencyAccumulator()
+    for value in values:
+        sequential.add(value)
+    batched = LatencyAccumulator()
+    batched.add_many(values)
+    assert (batched.min_seconds, batched.max_seconds, batched.count) == \
+        (sequential.min_seconds, sequential.max_seconds, sequential.count)
+
+
 def test_add_many_rejects_negative_before_recording():
     accumulator = LatencyAccumulator()
     with pytest.raises(SimulationError):
@@ -121,7 +132,9 @@ def test_add_columns_encodes_like_per_row_add(members, sizes, capacity,
     columns = CohortAccumulator(exact_capacity=capacity,
                                 keep_members=keep_members)
     for run in chunked(members, sizes):
-        columns.add_columns(MemberColumns.from_rows(run))
+        columns.add_columns(MemberColumns(**{
+            name: [getattr(member, name) for member in run]
+            for name in MemberColumns.__dataclass_fields__}))
 
     def encoded(accumulator: CohortAccumulator) -> bytes:
         return encode_shard(ShardFrame(shard_index=0, start=0,
@@ -173,19 +186,20 @@ def test_draw_rows_equal_scenario_reduction(make):
 
 
 @pytest.mark.parametrize("make", COHORTS.values(), ids=COHORTS.keys())
-def test_evaluate_draws_equals_evaluate_members(make):
+def test_draw_kernel_equals_evaluate_members(make):
     cohort = make()
     members = list(cohort.members(0, 120))
     expected = evaluate_members([member.scenario for member in members],
                                 [member.index for member in members])
-    assert evaluate_draws(cohort.draw(0, 120)).rows() == expected
+    assert evaluate_rows(draw_rows(cohort.draw(0, 120))).rows() == expected
 
 
 def test_draws_do_not_depend_on_block_bounds():
     cohort = energy_cohort(200)
-    whole = evaluate_draws(cohort.draw(0, 200)).rows()
+    whole = evaluate_rows(draw_rows(cohort.draw(0, 200))).rows()
     pieces = [row for start, stop in ((0, 1), (1, 77), (77, 200))
-              for row in evaluate_draws(cohort.draw(start, stop)).rows()]
+              for row in evaluate_rows(draw_rows(cohort.draw(start,
+                                                             stop))).rows()]
     assert pieces == whole
     assert [cohort.member(i) for i in (0, 76, 77, 199)] == \
         [member for i, member in enumerate(cohort.members()) if i in
