@@ -22,6 +22,7 @@ are bit-identical to re-summing the entry list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,12 +187,14 @@ class EnergyLedger:
         self._posted_count += 1
         width = self.trace_bucket_seconds
         last = self.trace_buckets - 1
-        if duration <= 0.0:
+        # An interval too short to spread over (a subnormal duration
+        # overflows the density) is a point post too.
+        density = energy_joules / duration if duration > 0.0 else math.inf
+        if not math.isfinite(density):
             bucket = min(int(start_seconds / width), last)
             self._trace[max(bucket, 0)] += energy_joules
             return
         trace = self._trace
-        density = energy_joules / duration
         first = max(min(int(start_seconds / width), last), 0)
         cursor = start_seconds
         bucket = first

@@ -229,6 +229,11 @@ class TestPostInterval:
         ledger.post_interval("x", 3.0, 15.0, 15.0)
         assert ledger.trace_energy_joules().tolist() == [0.0, 3.0, 0.0, 0.0]
 
+    def test_subnormal_length_degenerates_to_point_post(self):
+        ledger = EnergyLedger(trace_bucket_seconds=10.0, trace_buckets=4)
+        ledger.post_interval("x", 1.0, 0.0, 5e-324)
+        assert ledger.trace_energy_joules().tolist() == [1.0, 0.0, 0.0, 0.0]
+
     def test_exact_mode_retains_interval_entry(self):
         ledger = EnergyLedger(keep_entries=True)
         ledger.post_interval("x", 2.0, 1.0, 5.0, note="leap")
