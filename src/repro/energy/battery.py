@@ -70,6 +70,22 @@ class BatterySpec:
     self_discharge_per_year:
         Fraction of capacity lost per year to leakage.  Defaults to the
         chemistry's typical value.
+
+    The cell constants the energy runtime reads on every drain are
+    computed once, at construction, with the expressions a property
+    would evaluate on each read (so the floats are the same):
+
+    Attributes
+    ----------
+    energy_joules:
+        Total rated energy content in joules.
+    usable_energy_joules:
+        Deliverable energy in joules after derating.
+    leakage_power_watts:
+        Equivalent constant leakage power due to self-discharge.
+    empty_threshold_joules:
+        One ulp of the usable energy: a state of charge at or below it
+        counts as empty (see :attr:`Battery.is_empty`).
     """
 
     name: str
@@ -97,6 +113,15 @@ class BatterySpec:
                 "self_discharge_per_year must be in [0, 1), got "
                 f"{self.self_discharge_per_year}"
             )
+        energy = units.mAh(self.capacity_mah, volts=self.nominal_voltage)
+        usable = energy * self.usable_fraction
+        # Frozen dataclass: derived constants are set past __setattr__.
+        object.__setattr__(self, "energy_joules", energy)
+        object.__setattr__(self, "usable_energy_joules", usable)
+        object.__setattr__(
+            self, "leakage_power_watts",
+            energy * self.leakage_fraction_per_year / units.SECONDS_PER_YEAR)
+        object.__setattr__(self, "empty_threshold_joules", math.ulp(usable))
 
     @property
     def nominal_voltage(self) -> float:
@@ -111,25 +136,6 @@ class BatterySpec:
         if self.self_discharge_per_year is not None:
             return self.self_discharge_per_year
         return SELF_DISCHARGE_PER_YEAR[self.chemistry]
-
-    @property
-    def energy_joules(self) -> float:
-        """Total rated energy content in joules."""
-        return units.mAh(self.capacity_mah, volts=self.nominal_voltage)
-
-    @property
-    def usable_energy_joules(self) -> float:
-        """Deliverable energy in joules after derating."""
-        return self.energy_joules * self.usable_fraction
-
-    @property
-    def leakage_power_watts(self) -> float:
-        """Equivalent constant leakage power due to self-discharge."""
-        return (
-            self.energy_joules
-            * self.leakage_fraction_per_year
-            / units.SECONDS_PER_YEAR
-        )
 
 
 def coin_cell_cr2032() -> BatterySpec:
@@ -253,8 +259,7 @@ class Battery:
         drains that mathematically exhausts the cell cannot leave it
         "almost empty" forever on float dust.
         """
-        return self.state_of_charge_joules <= math.ulp(
-            self.spec.usable_energy_joules)
+        return self.state_of_charge_joules <= self.spec.empty_threshold_joules
 
     def drain(self, energy_joules: float, clip: bool = False) -> float:
         """Remove *energy_joules* from the cell.
@@ -262,13 +267,15 @@ class Battery:
         Returns the energy actually delivered.  With ``clip=False`` (the
         default) attempting to over-drain raises :class:`EnergyError`; with
         ``clip=True`` the cell empties and the shortfall is simply not
-        delivered.
+        delivered.  NaN, infinite or negative energy raises
+        :class:`EnergyError` before the charge changes.
         """
-        if energy_joules < 0:
-            raise EnergyError(f"cannot drain negative energy: {energy_joules}")
+        if not 0.0 <= energy_joules < math.inf:
+            raise EnergyError(
+                f"drain energy must be finite and non-negative: {energy_joules}")
         if energy_joules <= self.state_of_charge_joules:
-            self.state_of_charge_joules = max(
-                self.state_of_charge_joules - energy_joules, 0.0)
+            # 0 <= e <= soc, so the rounded soc - e is never negative.
+            self.state_of_charge_joules -= energy_joules
             return energy_joules
         if not clip:
             raise EnergyError(
@@ -284,8 +291,9 @@ class Battery:
 
         Returns the energy actually stored.
         """
-        if energy_joules < 0:
-            raise EnergyError(f"cannot charge negative energy: {energy_joules}")
+        if not energy_joules >= 0.0:  # NaN-safe
+            raise EnergyError(
+                f"charge energy must be non-negative: {energy_joules}")
         headroom = max(
             self.spec.usable_energy_joules - self.state_of_charge_joules, 0.0)
         stored = min(energy_joules, headroom)
@@ -302,20 +310,25 @@ class Battery:
 
         Harvested power first offsets the load; any surplus recharges the
         cell.  Returns the duration actually sustained (shorter than
-        requested only if the cell empties part-way).
+        requested only if the cell empties part-way).  A NaN, infinite
+        or negative duration or power raises :class:`EnergyError` before
+        the charge changes.
         """
-        if duration_seconds < 0:
-            raise EnergyError(f"duration must be non-negative: {duration_seconds}")
-        if load_power_watts < 0 or harvested_power_watts < 0:
-            raise EnergyError("powers must be non-negative")
+        if not 0.0 <= duration_seconds < math.inf:
+            raise EnergyError(
+                f"duration must be finite and non-negative: {duration_seconds}")
+        if not (0.0 <= load_power_watts < math.inf
+                and 0.0 <= harvested_power_watts < math.inf):
+            raise EnergyError(
+                "powers must be finite and non-negative, got load "
+                f"{load_power_watts} W and harvest {harvested_power_watts} W")
         net = load_power_watts - harvested_power_watts
         if net <= 0.0:
             self.charge(-net * duration_seconds)
             return duration_seconds
         required = net * duration_seconds
         if required <= self.state_of_charge_joules:
-            self.state_of_charge_joules = max(
-                self.state_of_charge_joules - required, 0.0)
+            self.state_of_charge_joules -= required
             return duration_seconds
         sustained = self.state_of_charge_joules / net
         self.state_of_charge_joules = 0.0

@@ -37,6 +37,19 @@ DEFAULT_TRACE_BUCKET_SECONDS = 60.0
 DEFAULT_TRACE_BUCKETS = 64
 
 
+def _check_post(energy_joules: float, duration_seconds: float,
+                timestamp_seconds: float) -> None:
+    """Reject a post that would poison the totals (NaN-safe)."""
+    if not 0.0 <= energy_joules < math.inf:
+        raise EnergyError(
+            f"energy must be finite and non-negative: {energy_joules}")
+    if not 0.0 <= duration_seconds < math.inf:
+        raise EnergyError(
+            f"duration must be finite and non-negative: {duration_seconds}")
+    if not -math.inf < timestamp_seconds < math.inf:
+        raise EnergyError(f"timestamp must be finite: {timestamp_seconds}")
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     """One posted energy expenditure."""
@@ -88,45 +101,42 @@ class EnergyLedger:
     def post(self, component: str, energy_joules: float,
              duration_seconds: float = 0.0,
              timestamp_seconds: float = 0.0, note: str = "") -> LedgerEntry:
-        """Record that *component* consumed *energy_joules*."""
-        if energy_joules < 0:
-            raise EnergyError(f"cannot post negative energy: {energy_joules}")
-        if duration_seconds < 0:
-            raise EnergyError(f"duration must be non-negative: {duration_seconds}")
-        entry = LedgerEntry(
-            component=component,
-            energy_joules=energy_joules,
-            duration_seconds=duration_seconds,
-            timestamp_seconds=timestamp_seconds,
-            note=note,
-        )
+        """Record that *component* consumed *energy_joules*.
+
+        NaN, infinite or negative energy or duration, and a non-finite
+        timestamp, raise :class:`EnergyError` before anything is posted.
+        """
+        _check_post(energy_joules, duration_seconds, timestamp_seconds)
+        self.post_fast(component, energy_joules, timestamp_seconds,
+                       duration_seconds, note)
         if self.entries is not None:
-            self.entries.append(entry)
-        self._totals[component] = (self._totals.get(component, 0.0)
-                                   + energy_joules)
-        self._grand_total += energy_joules
-        self._posted_count += 1
-        bucket = min(int(timestamp_seconds / self.trace_bucket_seconds),
-                     self.trace_buckets - 1)
-        self._trace[max(bucket, 0)] += energy_joules
-        return entry
+            return self.entries[-1]
+        return LedgerEntry(component=component, energy_joules=energy_joules,
+                           duration_seconds=duration_seconds,
+                           timestamp_seconds=timestamp_seconds, note=note)
 
     def post_fast(self, component: str, energy_joules: float,
-                  timestamp_seconds: float) -> None:
-        """Streaming-mode :meth:`post` without the :class:`LedgerEntry`.
+                  timestamp_seconds: float, duration_seconds: float = 0.0,
+                  note: str = "") -> None:
+        """Unchecked :meth:`post` that returns nothing.
 
-        The simulator kernel posts radio energy once or more per packet;
-        constructing (and immediately discarding) a frozen dataclass per
-        post dominated that path.  This keeps the exact same running
-        totals and trace in the same addition order, but skips entry
-        construction, validation (callers pass non-negative energy by
-        construction) and the unused duration/note fields.  Falls back
-        to :meth:`post` in exact mode so the entry list stays complete.
+        The simulator kernel and the energy runtime post once or more
+        per packet and per energy tick; validating the inputs and
+        constructing (then discarding) a frozen :class:`LedgerEntry`
+        per post dominated that path.  Callers pass finite non-negative
+        energy by construction.  The running totals and trace take the
+        same additions in the same order as :meth:`post`; only an exact
+        (``keep_entries=True``) ledger builds the entry, with the given
+        duration and note.
         """
         if self.entries is not None:
-            self.post(component, energy_joules,
-                      timestamp_seconds=timestamp_seconds)
-            return
+            self.entries.append(LedgerEntry(
+                component=component,
+                energy_joules=energy_joules,
+                duration_seconds=duration_seconds,
+                timestamp_seconds=timestamp_seconds,
+                note=note,
+            ))
         self._totals[component] = (self._totals.get(component, 0.0)
                                    + energy_joules)
         self._grand_total += energy_joules
@@ -142,8 +152,9 @@ class EnergyLedger:
                    duration_seconds: float,
                    timestamp_seconds: float = 0.0, note: str = "") -> LedgerEntry:
         """Record a constant *power_watts* drawn for *duration_seconds*."""
-        if power_watts < 0:
-            raise EnergyError(f"power must be non-negative: {power_watts}")
+        if not 0.0 <= power_watts < math.inf:
+            raise EnergyError(
+                f"power must be finite and non-negative: {power_watts}")
         return self.post(
             component,
             energy_joules=power_watts * duration_seconds,
@@ -167,12 +178,9 @@ class EnergyLedger:
         accumulates into the final bucket (the same clamp point posts
         use), and a zero-length interval degenerates to a point post.
         """
-        if energy_joules < 0:
-            raise EnergyError(f"cannot post negative energy: {energy_joules}")
-        if end_seconds < start_seconds:
-            raise EnergyError(
-                f"interval end {end_seconds} precedes start {start_seconds}")
         duration = end_seconds - start_seconds
+        # A NaN, infinite or reversed interval has a duration that fails.
+        _check_post(energy_joules, duration, start_seconds)
         if self.entries is not None:
             self.entries.append(LedgerEntry(
                 component=component,

@@ -165,19 +165,27 @@ class NodeEnergyState:
         Posts to the ledger and removes the energy from the battery,
         clipping at empty; an empty cell marks the node dead at
         *timestamp_seconds*.  Returns the energy actually delivered.
-        Dead nodes deliver nothing and post nothing.
+        Dead nodes deliver nothing and post nothing.  NaN, infinite or
+        negative energy, or a non-finite timestamp, raises
+        :class:`EnergyError` before any state changes.
         """
-        if not self.alive:
+        if not (0.0 <= energy_joules < math.inf
+                and -math.inf < timestamp_seconds < math.inf):
+            raise EnergyError(
+                f"drain of {energy_joules} J at {timestamp_seconds} s: energy "
+                "must be finite and non-negative, the time finite")
+        if self.death_seconds is not None:
             return 0.0
-        if self.battery is None:
-            self.ledger.post(component, energy_joules,
-                             timestamp_seconds=timestamp_seconds, note=note)
+        battery = self.battery
+        if battery is None:
+            self.ledger.post_fast(component, energy_joules, timestamp_seconds,
+                                  0.0, note)
             return energy_joules
-        delivered = self.battery.drain(energy_joules, clip=True)
+        delivered = battery.drain(energy_joules, clip=True)
         if delivered > 0.0:
-            self.ledger.post(component, delivered,
-                             timestamp_seconds=timestamp_seconds, note=note)
-        if self.battery.is_empty:
+            self.ledger.post_fast(component, delivered, timestamp_seconds,
+                                  0.0, note)
+        if battery.is_empty:
             self.death_seconds = timestamp_seconds
         return delivered
 
@@ -191,29 +199,36 @@ class NodeEnergyState:
         drains it.  If the cell empties part-way the death time is
         interpolated inside the interval and only the sustained
         fraction of each load is posted.  Returns the sustained
-        duration.
+        duration.  A NaN, infinite or negative duration or load, or a
+        non-finite end time, raises :class:`EnergyError` before any
+        state changes.
         """
-        if duration_seconds < 0:
+        if not (0.0 <= duration_seconds < math.inf
+                and -math.inf < end_timestamp_seconds < math.inf):
             raise EnergyError(
-                f"duration must be non-negative: {duration_seconds}")
-        if not self.alive or duration_seconds == 0.0:
+                f"interval of {duration_seconds} s ending at "
+                f"{end_timestamp_seconds} s: duration must be finite and "
+                "non-negative, the end time finite")
+        if self.death_seconds is not None or duration_seconds == 0.0:
             return 0.0
         load = 0.0
         for watts in loads_watts.values():
-            if watts < 0:
-                raise EnergyError("load powers must be non-negative")
+            if not 0.0 <= watts < math.inf:
+                raise EnergyError(
+                    f"load powers must be finite and non-negative: {watts}")
             load += watts
         harvest = self.harvest_power_watts
         sustained = duration_seconds
-        if self.battery is not None:
-            sustained = self.battery.run(
+        battery = self.battery
+        if battery is not None:
+            sustained = battery.run(
                 load + self.leakage_power_watts, duration_seconds,
                 harvested_power_watts=harvest)
         self.harvested_joules += harvest * sustained
-        start = end_timestamp_seconds - duration_seconds
+        stamp = end_timestamp_seconds - duration_seconds + sustained
+        post = self.ledger.post_fast
         for component, watts in loads_watts.items():
-            self.ledger.post_power(component, watts, sustained,
-                                   timestamp_seconds=start + sustained)
-        if self.battery is not None and self.battery.is_empty:
-            self.death_seconds = start + sustained
+            post(component, watts * sustained, stamp, sustained)
+        if battery is not None and battery.is_empty:
+            self.death_seconds = stamp
         return sustained

@@ -522,18 +522,19 @@ class BodyNetworkSimulator:
         node = self.nodes[packet.source]
         tx_energy = packet.bits * node.technology.tx_energy_per_bit()
         rx_energy = packet.bits * node.technology.rx_energy_per_bit()
-        if node.energy is None:
-            node.ledger.post("wir_tx", tx_energy,
-                             timestamp_seconds=self.queue.now)
+        now = self.queue.now
+        energy = node.energy
+        if energy is None:
+            node.ledger.post_fast("wir_tx", tx_energy, now)
             node.packets_delivered += 1
-        else:
-            was_alive = node.energy.alive
-            node.energy.drain("wir_tx", tx_energy, self.queue.now)
-            if was_alive:
-                node.packets_delivered += 1
-            if not node.energy.alive:
+        elif energy.death_seconds is None:
+            # A dead node's last in-flight packet drains nothing; its
+            # brownout was recorded when the cell emptied.
+            node.packets_delivered += 1
+            energy.drain("wir_tx", tx_energy, now)
+            if energy.death_seconds is not None:
                 self._record_death(node)
-        self.hub_ledger.post("wir_rx", rx_energy, timestamp_seconds=self.queue.now)
+        self.hub_ledger.post_fast("wir_rx", rx_energy, now)
 
     def _account_attempt(self, packet: Packet, success: bool) -> None:
         """Energy of one transmission attempt on a lossy medium.
@@ -551,11 +552,12 @@ class BodyNetworkSimulator:
             if arq is None or arq.ack_bits == 0.0:
                 return
             ack_energy = arq.ack_bits * node.technology.rx_energy_per_bit()
-            if node.energy is None:
+            energy = node.energy
+            if energy is None:
                 node.ledger.post_fast("arq_ack", ack_energy, now)
-            else:
-                node.energy.drain("arq_ack", ack_energy, now)
-                if not node.energy.alive:
+            elif energy.death_seconds is None:
+                energy.drain("arq_ack", ack_energy, now)
+                if energy.death_seconds is not None:
                     self._record_death(node)
             self.hub_ledger.post_fast(
                 "ack_tx", arq.ack_bits * self.technology.tx_energy_per_bit(),
@@ -563,11 +565,12 @@ class BodyNetworkSimulator:
             return
         node.retx_bits += packet.bits
         tx_energy = packet.bits * node.technology.tx_energy_per_bit()
-        if node.energy is None:
+        energy = node.energy
+        if energy is None:
             node.ledger.post_fast("wir_retx", tx_energy, now)
-        else:
-            node.energy.drain("wir_retx", tx_energy, now)
-            if not node.energy.alive:
+        elif energy.death_seconds is None:
+            energy.drain("wir_retx", tx_energy, now)
+            if energy.death_seconds is not None:
                 self._record_death(node)
         # The hub listened to the corrupted frame for its full length.
         self.hub_ledger.post_fast(
@@ -612,7 +615,7 @@ class BodyNetworkSimulator:
         assert state is not None
         elapsed = now - node.energy_settled_seconds
         node.energy_settled_seconds = now
-        if elapsed <= 0.0 or not state.alive:
+        if elapsed <= 0.0 or state.death_seconds is not None:
             return
         # Transceiver sleep power covers whatever the interval did not
         # spend serialising (corrupted attempts serialise too) — the same
@@ -631,7 +634,7 @@ class BodyNetworkSimulator:
         if node.coding_power_watts > 0.0:
             loads["coding"] = node.coding_power_watts
         state.advance(loads, elapsed, now)
-        if not state.alive:
+        if state.death_seconds is not None:
             self._record_death(node)
         elif state.is_low_battery() and node.tx_stride == 1:
             # The threshold crossing is a controller observation: the
@@ -1482,12 +1485,10 @@ class BodyNetworkSimulator:
                         if node.energy is None:
                             node.ledger.post_fast("wir_tx", tx_energy, t)
                             node.packets_delivered += 1
-                        else:
-                            was_alive = node.energy.alive
+                        elif node.energy.death_seconds is None:
+                            node.packets_delivered += 1
                             node.energy.drain("wir_tx", tx_energy, t)
-                            if was_alive:
-                                node.packets_delivered += 1
-                            if not node.energy.alive:
+                            if node.energy.death_seconds is not None:
                                 if slotted_fast:  # the death purges
                                     policy._pending = slot_pending
                                 self._record_death(node)

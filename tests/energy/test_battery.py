@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -65,6 +66,29 @@ class TestBatterySpec:
 
     def test_headset_pack_larger_than_watch(self):
         assert lipo_headset().energy_joules > lipo_smartwatch().energy_joules
+
+    def test_cell_constants_match_their_closed_forms(self):
+        for spec in (coin_cell_cr2032(), lipo_smartphone(),
+                     BatterySpec(name="derated", capacity_mah=3.3,
+                                 usable_fraction=0.7,
+                                 self_discharge_per_year=0.2)):
+            energy = units.mAh(spec.capacity_mah, volts=spec.nominal_voltage)
+            assert spec.energy_joules == energy
+            assert spec.usable_energy_joules == energy * spec.usable_fraction
+            assert spec.leakage_power_watts == (
+                energy * spec.leakage_fraction_per_year
+                / units.SECONDS_PER_YEAR)
+            assert spec.empty_threshold_joules == math.ulp(
+                spec.usable_energy_joules)
+
+    def test_cell_constants_are_not_fields(self):
+        spec = coin_cell_cr2032()
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "name", "capacity_mah", "chemistry", "voltage",
+            "usable_fraction", "self_discharge_per_year"]
+        scaled = dataclasses.replace(spec, capacity_mah=2.0)
+        assert scaled.energy_joules == units.mAh(2.0)
+        assert scaled != spec and coin_cell_cr2032() == spec
 
 
 class TestBatteryLifeProjection:
@@ -273,3 +297,32 @@ class TestSocBoundaryRobustness:
                          harvested_power_watts=amount * 2e-3)
             assert 0.0 <= cell.state_of_charge_fraction <= 1.0
             assert 0.0 <= cell.state_of_charge_joules <= usable
+
+
+class TestNonFiniteInputs:
+    """NaN, inf and negative inputs raise before the charge changes."""
+
+    BAD = (math.nan, math.inf, -math.inf, -1.0)
+
+    @pytest.mark.parametrize("energy", BAD)
+    def test_drain_rejects(self, energy):
+        cell = Battery(spec=coin_cell_cr2032())
+        with pytest.raises(EnergyError):
+            cell.drain(energy, clip=True)
+        assert cell.state_of_charge_fraction == 1.0
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_run_rejects(self, bad):
+        cell = Battery(spec=coin_cell_cr2032())
+        for load, duration, harvest in ((bad, 1.0, 0.0), (1e-3, bad, 0.0),
+                                        (1e-3, 1.0, bad)):
+            with pytest.raises(EnergyError):
+                cell.run(load, duration, harvested_power_watts=harvest)
+        assert cell.state_of_charge_fraction == 1.0
+
+    @pytest.mark.parametrize("energy", (math.nan, -1.0))
+    def test_charge_rejects(self, energy):
+        cell = Battery(spec=coin_cell_cr2032(), state_of_charge_joules=1.0)
+        with pytest.raises(EnergyError):
+            cell.charge(energy)
+        assert cell.state_of_charge_joules == 1.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -259,3 +261,72 @@ class TestPostInterval:
         assert float(ledger.trace_energy_joules().sum()) == \
             pytest.approx(energy)
         assert ledger.total_energy() == pytest.approx(energy)
+
+
+class TestNonFiniteInputs:
+    """Checked posts reject NaN/inf before the totals change."""
+
+    @staticmethod
+    def assert_untouched(ledger):
+        assert ledger.posted_count == 0
+        assert ledger.total_energy() == 0.0
+        assert ledger.breakdown() == {}
+        assert ledger.trace_energy_joules().tolist() == [0.0] * 64
+        assert ledger.retained_entries == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"energy_joules": math.nan}, {"energy_joules": math.inf},
+        {"energy_joules": 1.0, "duration_seconds": math.nan},
+        {"energy_joules": 1.0, "duration_seconds": math.inf},
+        {"energy_joules": 1.0, "timestamp_seconds": math.nan},
+        {"energy_joules": 1.0, "timestamp_seconds": math.inf},
+    ])
+    def test_post_rejects(self, kwargs):
+        ledger = EnergyLedger(keep_entries=True)
+        with pytest.raises(EnergyError):
+            ledger.post("x", **kwargs)
+        self.assert_untouched(ledger)
+
+    @pytest.mark.parametrize(("power", "duration"), [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+        (1e300, 1e300)])
+    def test_post_power_rejects(self, power, duration):
+        ledger = EnergyLedger(keep_entries=True)
+        with pytest.raises(EnergyError):
+            ledger.post_power("x", power, duration)
+        self.assert_untouched(ledger)
+
+    @pytest.mark.parametrize(("energy", "start", "end"), [
+        (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (1.0, math.nan, 1.0),
+        (1.0, 0.0, math.nan), (1.0, 0.0, math.inf),
+        (1.0, -math.inf, 1.0)])
+    def test_post_interval_rejects(self, energy, start, end):
+        ledger = EnergyLedger(keep_entries=True)
+        with pytest.raises(EnergyError):
+            ledger.post_interval("x", energy, start, end)
+        self.assert_untouched(ledger)
+
+
+class TestPostFast:
+    def test_matches_post_in_both_modes(self):
+        for keep in (False, True):
+            checked = EnergyLedger(keep_entries=keep)
+            fast = EnergyLedger(keep_entries=keep)
+            for i, energy in enumerate((0.1, 0.2, 0.0, 3.0)):
+                stamp = 97.0 * i - 50.0  # clamps at both trace ends
+                checked.post("x", energy, duration_seconds=2.0,
+                             timestamp_seconds=stamp, note="n")
+                fast.post_fast("x", energy, stamp, 2.0, "n")
+            assert fast.breakdown() == checked.breakdown()
+            assert fast.total_energy() == checked.total_energy()
+            assert fast.posted_count == checked.posted_count
+            assert fast.trace_energy_joules().tolist() == \
+                checked.trace_energy_joules().tolist()
+            assert fast.entries == checked.entries
+
+    def test_post_returns_the_retained_entry(self):
+        ledger = EnergyLedger(keep_entries=True)
+        entry = ledger.post("x", 1.0, duration_seconds=2.0,
+                            timestamp_seconds=3.0, note="n")
+        assert ledger.entries == [entry]
+        assert EnergyLedger().post("x", 1.0, 2.0, 3.0, "n") == entry
