@@ -71,9 +71,8 @@ class BatterySpec:
         Fraction of capacity lost per year to leakage.  Defaults to the
         chemistry's typical value.
 
-    The cell constants the energy runtime reads on every drain are
-    computed once, at construction, with the expressions a property
-    would evaluate on each read (so the floats are the same):
+    The energy runtime reads the cell constants below on every drain,
+    so they are computed once, at construction.
 
     Attributes
     ----------
