@@ -30,10 +30,8 @@ Actuation limits are part of the contract, not an implementation
 accident: the batched kernel hoists per-bit energies and service times
 once per run, so ``tx_power_offset_db`` changes the *link budget*
 (re-derived erasure probability) immediately but its energy premium is
-settled into the ledger only at run end, and ``coding_rate`` /
-``slot_share`` requests are recorded for reporting without re-compiling
-the airtime tables mid-run.  See ``docs/multi-body-control.md`` for the
-accepted approximations.
+settled into the ledger only at run end.  See
+``docs/multi-body-control.md`` for the accepted approximations.
 """
 
 from __future__ import annotations
@@ -85,23 +83,15 @@ class Action:
     ``tx_power_offset_db`` equal to the currently applied offset is the
     idiom for *re-asserting* it (a posture event may have re-derived the
     node's erasure rate at zero offset; the runtime re-applies the
-    boost).  ``coding_rate`` and ``slot_share`` are recorded as requests
-    (see the module docstring) — the MAC and coding tables are compiled
-    per run.
+    boost).
     """
 
     tx_power_offset_db: float | None = None
     tx_stride: int | None = None
-    coding_rate: float | None = None
-    slot_share: float | None = None
 
     def __post_init__(self) -> None:
         if self.tx_stride is not None and self.tx_stride < 1:
             raise SimulationError("tx stride must be >= 1")
-        if self.coding_rate is not None and not 0.0 < self.coding_rate <= 1.0:
-            raise SimulationError("coding rate must be in (0, 1]")
-        if self.slot_share is not None and not 0.0 < self.slot_share <= 1.0:
-            raise SimulationError("slot share must be in (0, 1]")
 
 
 @runtime_checkable

@@ -59,8 +59,6 @@ class ControllerRuntime:
         self.offset_db = 0.0
         self.evaluations = 0
         self.actions_applied = 0
-        self.coding_rate_request: float | None = None
-        self.slot_share_request: float | None = None
         self._last_erased = node.erased_attempts
         self._last_delivered = node.packets_delivered
         self._last_time = simulator.queue.now
@@ -128,10 +126,6 @@ class ControllerRuntime:
         self.actions_applied += 1
         if action.tx_stride is not None:
             node.tx_stride = action.tx_stride
-        if action.coding_rate is not None:
-            self.coding_rate_request = action.coding_rate
-        if action.slot_share is not None:
-            self.slot_share_request = action.slot_share
         offset = action.tx_power_offset_db
         if offset is None:
             return

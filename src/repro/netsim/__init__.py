@@ -31,7 +31,7 @@ from .arbitration import (
     TDMAArbitration,
     make_policy,
 )
-from .bus import Medium, SharedBus, BusStats
+from .bus import Medium, BusStats
 from .config import NodeConfig
 from .simulator import (
     RESULT_SCHEMA_VERSION,
@@ -58,7 +58,6 @@ __all__ = [
     "HubPollingArbitration",
     "make_policy",
     "Medium",
-    "SharedBus",
     "BusStats",
     "BodyNetworkSimulator",
     "SimulationResult",

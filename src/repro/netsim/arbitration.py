@@ -5,8 +5,7 @@ and statistics; *who may transmit next, and after what access delay* is
 delegated to an :class:`ArbitrationPolicy`.  Three policies are provided:
 
 * :class:`FIFOArbitration` — a single first-come-first-served queue, the
-  behaviour of the original ``SharedBus`` (and still the default, so
-  existing seed configurations reproduce bit-identically).
+  default (existing seed configurations reproduce bit-identically).
 * :class:`TDMAArbitration` — a fixed superframe with per-node slots sized
   by :class:`repro.comm.mac.TDMASchedule` from each node's offered rate; a
   packet may start only inside its node's slot window.

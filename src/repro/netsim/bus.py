@@ -11,18 +11,19 @@ is split in two layers:
   transmits next and after what access delay (FIFO, TDMA slots, hub
   polling).
 
-:class:`SharedBus` remains as the FIFO-arbitrated medium under its
-historical name and constructor signature; existing seed configurations
-reproduce bit-identically through it.
+The medium holds state only; the simulator's batched kernel
+(:meth:`~repro.netsim.simulator.BodyNetworkSimulator._run_kernel`) drives
+it, and the macro-tick engine reads it at leap boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import math
+
 from ..errors import SimulationError
 from .arbitration import ArbitrationPolicy, FIFOArbitration, make_policy
-from .events import EventQueue
 from .packet import Packet
 from .reliability import LinkReliability
 from .stats import LatencyAccumulator
@@ -50,12 +51,6 @@ class BusStats:
     #: no ARQ attached).
     lost_packets: int = 0
     latency: LatencyAccumulator = field(default_factory=LatencyAccumulator)
-
-    def record_delivery(self, packet: Packet) -> None:
-        """Account one delivered packet."""
-        self.delivered_packets += 1
-        self.delivered_bits += packet.bits
-        self.latency.add(packet.latency_seconds)
 
     def latency_percentile(self, percentile: float) -> float:
         """Latency percentile over delivered packets (seconds)."""
@@ -90,8 +85,6 @@ class Medium:
 
     Parameters
     ----------
-    queue:
-        The simulator's event queue.
     link_rate_bps:
         Default serialisation rate of the medium (used for nodes without
         a per-node rate, and by slot/poll overhead math).
@@ -114,19 +107,19 @@ class Medium:
         ``None`` keeps the exact historical lossless code path.
     """
 
-    def __init__(self, queue: EventQueue, link_rate_bps: float,
+    def __init__(self, link_rate_bps: float,
                  per_packet_overhead_seconds: float = 100e-6,
                  max_queue_packets: int = 10_000,
                  policy: ArbitrationPolicy | str | None = None,
                  latency_exact_capacity: int | None = None,
                  reliability: LinkReliability | None = None) -> None:
-        if link_rate_bps <= 0:
-            raise SimulationError("link rate must be positive")
-        if per_packet_overhead_seconds < 0:
-            raise SimulationError("per-packet overhead must be non-negative")
+        if not 0.0 < link_rate_bps < math.inf:
+            raise SimulationError("link rate must be positive and finite")
+        if not 0.0 <= per_packet_overhead_seconds < math.inf:
+            raise SimulationError(
+                "per-packet overhead must be non-negative and finite")
         if max_queue_packets <= 0:
             raise SimulationError("queue bound must be positive")
-        self._queue = queue
         self.link_rate_bps = link_rate_bps
         self.per_packet_overhead_seconds = per_packet_overhead_seconds
         self.max_queue_packets = max_queue_packets
@@ -147,22 +140,16 @@ class Medium:
         self.reliability = reliability
         self._node_rates: dict[str, float] = {}
         self._busy = False
-        self._delivery_callbacks: list = []
-        self._attempt_callbacks: list = []
-        self._loss_callbacks: list = []
         self._purged_nodes: set[str] = set()
         #: Memoised service times keyed by ``(source, bits)`` — the rate,
         #: MAC overhead and ack terms are all fixed for the duration of a
         #: run, so the serialisation math is computed once per distinct
         #: packet shape instead of once per packet.
         self._service_cache: dict[tuple[str, float], float] = {}
-        #: Kernel mode (set by the simulator's batched drain loop): when
-        #: on, :meth:`_grant_next` records the next medium event as a
-        #: ``(time, sequence, kind, packet, service)`` tuple in
-        #: ``_chain`` instead of scheduling a queue callback.  ``kind``
-        #: is 0 for a transmission begin, 1 for a completion.  At most
-        #: one chain event exists at a time — the medium serialises.
-        self._kernel = False
+        #: The in-flight medium event a kernel run handed over across its
+        #: horizon, as a ``(time, sequence, kind, packet, service)``
+        #: tuple: ``kind`` is 0 for a transmission begin, 1 for a
+        #: completion.  At most one exists — the medium serialises.
         self._chain: tuple[float, int, int, Packet, float] | None = None
 
     # -- configuration -----------------------------------------------------
@@ -170,27 +157,13 @@ class Medium:
     def register_node(self, name: str, offered_rate_bps: float,
                       link_rate_bps: float | None = None) -> None:
         """Announce a node: offered rate for the policy, optional own rate."""
+        if link_rate_bps is not None and not 0.0 < link_rate_bps < math.inf:
+            raise SimulationError(
+                "per-node link rate must be positive and finite")
         self.policy.register_node(name, offered_rate_bps)
         if link_rate_bps is not None:
-            if link_rate_bps <= 0:
-                raise SimulationError("per-node link rate must be positive")
             self._node_rates[name] = link_rate_bps
         self._service_cache.clear()
-
-    def on_delivery(self, callback) -> None:
-        """Register a callback invoked with each delivered packet."""
-        self._delivery_callbacks.append(callback)
-
-    def on_attempt(self, callback) -> None:
-        """Register a callback invoked as ``callback(packet, success)``
-        for every completed transmission attempt (lossy media only —
-        without a reliability model no attempts are reported)."""
-        self._attempt_callbacks.append(callback)
-
-    def on_loss(self, callback) -> None:
-        """Register a callback invoked with each packet declared lost
-        (erased with no ARQ, or after exhausting its retries)."""
-        self._loss_callbacks.append(callback)
 
     def purge_node(self, name: str) -> int:
         """Drop one node's queued packets (brownout).  Returns how many
@@ -200,17 +173,7 @@ class Medium:
         self._purged_nodes.add(name)
         return self.policy.purge_node(name)
 
-    # -- data path ---------------------------------------------------------
-
-    def submit(self, packet: Packet) -> bool:
-        """Enqueue a packet for transmission.  Returns False if dropped."""
-        if self.policy.pending_count() >= self.max_queue_packets:
-            self.stats.dropped_packets += 1
-            return False
-        self.policy.enqueue(packet)
-        if not self._busy:
-            self._grant_next()
-        return True
+    # -- service times -----------------------------------------------------
 
     def service_time_seconds(self, packet: Packet) -> float:
         """Time to serialise one packet including MAC overhead.
@@ -237,89 +200,3 @@ class Medium:
             self._service_cache.clear()
         self._service_cache[key] = service
         return service
-
-    def _grant_next(self) -> None:
-        grant = self.policy.next_grant(self._queue.now)
-        if grant is None:
-            self._busy = False
-            return
-        self._busy = True
-        packet, access_delay = grant
-        service = self._service_cache.get((packet.source, packet.bits))
-        if service is None:
-            service = self.service_time_seconds(packet)
-        self.stats.busy_seconds += service
-        if self._kernel:
-            # Mirror the event-queue schedule exactly, including *when*
-            # sequence numbers are claimed: a zero access delay begins
-            # transmission synchronously (only the completion claims a
-            # sequence, now); a positive delay claims a sequence for the
-            # begin event, and the begin dispatch claims the completion's.
-            queue = self._queue
-            now = queue._now
-            if access_delay == 0.0:
-                packet.queued_at = now
-                self._chain = (now + service, queue.claim_sequence(), 1,
-                               packet, service)
-            else:
-                self._chain = (now + access_delay, queue.claim_sequence(), 0,
-                               packet, service)
-            return
-        if access_delay == 0.0:
-            self._begin_transmission(packet, service)
-        else:
-            self._queue.schedule_in(
-                access_delay,
-                lambda p=packet, s=service: self._begin_transmission(p, s))
-
-    def _begin_transmission(self, packet: Packet, service: float) -> None:
-        packet.queued_at = self._queue.now
-        self._queue.schedule_in(service, lambda p=packet: self._complete(p))
-
-    def _complete(self, packet: Packet) -> None:
-        if self.reliability is not None:
-            packet.attempts += 1
-            if self.reliability.draw_erasure(packet.source):
-                self._complete_erased(packet)
-                return
-            for callback in self._attempt_callbacks:
-                callback(packet, True)
-        packet.delivered_at = self._queue.now
-        self.stats.record_delivery(packet)
-        for callback in self._delivery_callbacks:
-            callback(packet)
-        self._grant_next()
-
-    def _complete_erased(self, packet: Packet) -> None:
-        """One corrupted attempt: account it, then retransmit or lose."""
-        self.stats.erased_attempts += 1
-        for callback in self._attempt_callbacks:
-            callback(packet, False)
-        arq = self.reliability.arq if self.reliability is not None else None
-        # An attempt callback may have browned the node out (the wasted
-        # transmission drained its cell): its backlog was purged, so the
-        # in-flight packet must not resurrect as a retransmission.
-        if (arq is not None and arq.may_retry(packet.attempts)
-                and packet.source not in self._purged_nodes):
-            self.stats.retransmissions += 1
-            # Retransmissions re-enter the node's queue (stop-and-wait
-            # re-offer) and bypass the admission bound: the packet was
-            # already admitted once and owns its buffer slot.
-            self.policy.enqueue(packet)
-        else:
-            self.stats.lost_packets += 1
-            for callback in self._loss_callbacks:
-                callback(packet)
-        self._grant_next()
-
-
-class SharedBus(Medium):
-    """FIFO-arbitrated medium under its historical name and signature."""
-
-    def __init__(self, queue: EventQueue, link_rate_bps: float,
-                 per_packet_overhead_seconds: float = 100e-6,
-                 max_queue_packets: int = 10_000) -> None:
-        super().__init__(queue, link_rate_bps,
-                         per_packet_overhead_seconds=per_packet_overhead_seconds,
-                         max_queue_packets=max_queue_packets,
-                         policy=FIFOArbitration())

@@ -2,7 +2,7 @@
 
 A :class:`RFEnvironment` breaks the simulator's one-body assumption: it
 co-schedules N :class:`~repro.netsim.simulator.BodyNetworkSimulator`
-bodies against one calendar queue of *environment epochs* — the
+bodies against one timeline of *environment epochs* — the
 occupancy boundaries (arrivals, departures) at which the room's
 interference geometry changes — and couples the bodies through a
 shared noise budget: each body's aggregate airtime radiates a
@@ -44,7 +44,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from ..comm.budget import power_sum_db
 from ..errors import SimulationError
-from .events import EventQueue
 from .simulator import BodyNetworkSimulator, SimulationResult
 
 #: Reference distance (metres) at which a body's radiated/coupled
@@ -230,11 +229,6 @@ class RFEnvironment:
         self.rf_reference_loss_db = rf_reference_loss_db
         self.rf_path_loss_exponent = rf_path_loss_exponent
         self.eqs_coupling_exponent = eqs_coupling_exponent
-        #: The environment's own calendar queue: the cross-body epoch
-        #: timeline (occupancy boundaries) is scheduled and drained
-        #: here, ordered by the same ``(time, sequence)`` discipline as
-        #: every per-body queue.
-        self.queue = EventQueue()
         self._schedule: list[tuple[float,
                                    tuple[InterferenceState, ...]]] | None = \
             None
@@ -311,37 +305,27 @@ class RFEnvironment:
     def interference_schedule(self
                               ) -> list[tuple[float,
                                               tuple[InterferenceState, ...]]]:
-        """Drain the epoch timeline into the full interference schedule.
+        """The full interference schedule, one entry per epoch.
 
-        Each occupancy boundary is scheduled on the environment queue
-        and drained in calendar order; the resulting list gives, for
-        each epoch start time, every body's aggregate interference.
-        The schedule is computed once and cached: the environment queue
-        can only be drained a single time, but callers (experiments,
-        the closed-form comparison) may inspect the schedule before
-        :meth:`run` replays it onto the per-body queues.
+        Walks the occupancy boundaries in time order; the resulting list
+        gives, for each epoch start time, every body's aggregate
+        interference.  The schedule is computed once and cached, because
+        callers (experiments, the closed-form comparison, benchmarks)
+        read it before :meth:`run` replays it onto the per-body queues,
+        and each pass costs O(epochs × bodies²).
         """
         if self._schedule is not None:
             return self._schedule
         schedule: list[tuple[float, tuple[InterferenceState, ...]]] = []
         duration = self.duration_seconds
-
-        def snapshot() -> None:
-            now = self.queue.now
-            fraction = now / duration
-            present = [body.present(fraction) for body in self.bodies]
+        for fraction in self.epoch_fractions():
+            now = fraction * duration
+            # Presence is read at ``now / duration`` (not ``fraction``)
+            # so the boundary rounding matches the epoch start time.
+            present = [body.present(now / duration) for body in self.bodies]
             schedule.append((now, tuple(
                 self.interference_at(index, present)
                 for index in range(len(self.bodies)))))
-
-        for fraction in self.epoch_fractions():
-            if fraction == 0.0:
-                # The queue's clock starts at zero; take the opening
-                # snapshot directly instead of scheduling in the past.
-                snapshot()
-            else:
-                self.queue.schedule_at(fraction * duration, snapshot)
-        self.queue.run_until(duration)
         self._schedule = schedule
         return schedule
 

@@ -16,8 +16,6 @@ leaps, and the leap refuses whenever the closed forms would not be
 trustworthy.  A leap is only attempted when
 
 * every node's traffic source is strictly periodic (no Poisson sources),
-* no user-registered delivery/attempt/loss callbacks exist beyond the
-  simulator's own accounting hooks,
 * the bus is idle (no in-flight transfer chain, no queued packets),
 * all per-node erasure rates yield a finite expected attempt count,
 * the offered utilization (including TDMA guard and polling overhead)
@@ -102,7 +100,7 @@ class MacroTickEngine:
     simulator:
         The :class:`~repro.netsim.simulator.BodyNetworkSimulator` to
         accelerate.  The engine compiles static eligibility once at
-        construction (source types, service times, callback hooks) and
+        construction (arbiter and source types, service times) and
         re-checks the dynamic conditions (bus idle, PER table, battery
         slope) on every :meth:`try_leap` call.
     """
@@ -119,17 +117,6 @@ class MacroTickEngine:
         self.tdma = type(policy) is TDMAArbitration
         self.polling = type(policy) is HubPollingArbitration
         self.eligible = self.fifo or self.tdma or self.polling
-
-        # Any user-registered callback beyond the simulator's own three
-        # accounting hooks could observe per-packet state the leap never
-        # materializes, so its presence disables the fast path outright.
-        own = {simulator._account_delivery, simulator._account_attempt,
-               simulator._account_loss}
-        hooks = (list(getattr(self.bus, "_delivery_callbacks", ()))
-                 + list(getattr(self.bus, "_attempt_callbacks", ()))
-                 + list(getattr(self.bus, "_loss_callbacks", ())))
-        if any(hook not in own for hook in hooks):
-            self.eligible = False
 
         self.rows: list[_Row] = []
         max_period = 0.0

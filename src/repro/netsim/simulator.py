@@ -375,8 +375,9 @@ class BodyNetworkSimulator:
                  harvest_environment: HarvestingEnvironment =
                  HarvestingEnvironment.INDOOR_OFFICE,
                  reliability: LinkReliability | None = None) -> None:
-        if energy_update_interval_seconds <= 0:
-            raise SimulationError("energy update interval must be positive")
+        if not 0.0 < energy_update_interval_seconds < math.inf:
+            raise SimulationError(
+                "energy update interval must be positive and finite")
         self.technology = technology
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
@@ -384,7 +385,6 @@ class BodyNetworkSimulator:
         self.queue = EventQueue()
         self.reliability = reliability
         self.bus = Medium(
-            self.queue,
             link_rate_bps=technology.data_rate_bps(),
             per_packet_overhead_seconds=per_packet_overhead_seconds,
             policy=arbitration,
@@ -405,14 +405,6 @@ class BodyNetworkSimulator:
         #: against fast-path nodes (the kernel write-back would clobber
         #: anything posted mid-run).
         self._pre_account_hooks: list[Callable[[float], None]] = []
-        self.bus.on_delivery(self._account_delivery)
-        if reliability is not None:
-            self.bus.on_attempt(self._account_attempt)
-            self.bus.on_loss(self._account_loss)
-        # The simulator always drains its medium through the batched
-        # kernel loop in :meth:`run`; the bus records its transmission
-        # chain as data instead of scheduling per-packet callbacks.
-        self.bus._kernel = True
 
     def attach(self, config: NodeConfig) -> SimulatedNode:
         """Attach a leaf node described by a :class:`NodeConfig`.
@@ -518,29 +510,11 @@ class BodyNetworkSimulator:
             raise SimulationError(f"unknown node {name!r}")
         self.reliability.set_error_rate(name, error_rate)
 
-    def _account_delivery(self, packet: Packet) -> None:
-        node = self.nodes[packet.source]
-        tx_energy = packet.bits * node.technology.tx_energy_per_bit()
-        rx_energy = packet.bits * node.technology.rx_energy_per_bit()
-        now = self.queue.now
-        energy = node.energy
-        if energy is None:
-            node.ledger.post_fast("wir_tx", tx_energy, now)
-            node.packets_delivered += 1
-        elif energy.death_seconds is None:
-            # A dead node's last in-flight packet drains nothing; its
-            # brownout was recorded when the cell emptied.
-            node.packets_delivered += 1
-            energy.drain("wir_tx", tx_energy, now)
-            if energy.death_seconds is not None:
-                self._record_death(node)
-        self.hub_ledger.post_fast("wir_rx", rx_energy, now)
-
     def _account_attempt(self, packet: Packet, success: bool) -> None:
         """Energy of one transmission attempt on a lossy medium.
 
-        A successful attempt's frame energy flows through
-        :meth:`_account_delivery`; here it only pays for its ack (leaf
+        A successful attempt's frame energy flows through the kernel's
+        delivery accounting; here it only pays for its ack (leaf
         receives, hub transmits).  A corrupted attempt pays the full
         wasted frame — leaf transmit under ``wir_retx``, hub receive —
         and gets no ack (the leaf times out).
@@ -694,11 +668,11 @@ class BodyNetworkSimulator:
         * **control** — the :class:`EventQueue` proper: energy-update
           ticks, posture events, anything callers scheduled directly.
 
-        All three claim sequence numbers from the queue's shared counter
-        at exactly the points the callback-per-event implementation
-        scheduled its events, so the merged total order — and therefore
-        every RNG draw, float addition and statistic — is bit-identical
-        to running the same workload through ``queue.run_until``.  A
+        All three claim sequence numbers from one shared counter, at the
+        points where a one-event-per-dispatch schedule (a begin, then a
+        completion, per transmission) would claim them, so the merged
+        total order — and therefore every RNG draw, float addition and
+        statistic — is fixed and pinned by the golden-hex tests.  A
         begin event whose instant nothing else can reach (no generation,
         control or horizon crossing before it) is folded into the grant
         that created it: the begin and completion claim the same counter
@@ -715,9 +689,10 @@ class BodyNetworkSimulator:
         Everything is written back when the loop exits, with every
         addition replayed in the legacy order.  Control-stream events
         observe consistent per-node traffic counters and queue state
-        (synced around ``queue.step()``); registered extra callbacks get
-        the full shared state synced around them; aggregate statistics
-        and fast-path ledger totals otherwise sync lazily.
+        (synced around ``queue.step()``); aggregate statistics and
+        fast-path ledger totals otherwise sync lazily.  The in-flight chain
+        event crosses the horizon through ``bus._chain``: taken over on
+        entry, handed back on exit.
         """
         queue = self.queue
         bus = self.bus
@@ -737,18 +712,6 @@ class BodyNetworkSimulator:
         service_cache = bus._service_cache
         purged = bus._purged_nodes
         inf_ = math.inf
-
-        # Callbacks beyond the simulator's own accounting (tests or
-        # embedding code may register extras); the simulator's were
-        # registered first, so running the inline accounting before the
-        # extras preserves the legacy invocation order.
-        delivery_extras = [callback for callback in bus._delivery_callbacks
-                           if callback != self._account_delivery]
-        attempt_extras = [callback for callback in bus._attempt_callbacks
-                          if callback != self._account_attempt]
-        loss_extras = [callback for callback in bus._loss_callbacks
-                       if callback != self._account_loss]
-        extra_hooks = bool(delivery_extras or attempt_extras or loss_extras)
 
         # The stock arbiters get their admission path inlined (exact type
         # checks — subclasses keep the method-call path).  FIFO admission
@@ -825,8 +788,7 @@ class BodyNetworkSimulator:
             rx_e.append(rx_val)
             ack_e_l.append(arq_ack_bits * rx_val)
             ledger = node.ledger
-            fast_flags.append(not extra_hooks
-                              and node.energy is None
+            fast_flags.append(node.energy is None
                               and ledger.entries is None
                               and ledger._posted_count == 0)
             wir_acc.append(0.0)
@@ -862,7 +824,7 @@ class BodyNetworkSimulator:
             slotted_fast = False
         # The slotted arbiters' backlog counter and the TDMA slot ring
         # are hoisted into locals; every call that can mutate them (a
-        # method grant, a purge, foreign code) is bracketed by a sync
+        # method grant, a purge, a control event) is bracketed by a sync
         # and re-hoist.  The ring is built up front so the first grant
         # already takes the inline path (a missing link rate surfaces
         # identically on that first grant instead).
@@ -894,8 +856,7 @@ class BodyNetworkSimulator:
         # (wasted frames, ack transmissions); the hub can only go fast
         # if every node does, otherwise a method-path attempt would
         # interleave hub posts with the accumulated ones.
-        hub_fast = (not extra_hooks
-                    and hub_ledger.entries is None
+        hub_fast = (hub_ledger.entries is None
                     and hub_ledger._posted_count == 0
                     and (reliability is None or all(fast_flags)))
         hub_rx_acc = 0.0
@@ -944,7 +905,7 @@ class BodyNetworkSimulator:
             chain_service = handoff[4]
         ctrl_key = queue.peek_key() or sentinel
         # Hoisted after the setup claims above — every in-loop claim is
-        # an inline increment, written back around foreign code.
+        # an inline increment, written back around control events.
         seq = queue._seq
 
         def _publish_nodes() -> None:
@@ -977,64 +938,6 @@ class BodyNetworkSimulator:
                     win_src = policy._windows
                     for i in range(n_nodes):
                         win_l[i] = win_src.get(node_list[i].name)
-
-        def _sync_shared(now: float) -> None:
-            """Publish the hoisted state before foreign code runs."""
-            nonlocal lat_min, lat_max, lat_scan
-            queue._now = now
-            queue._seq = seq
-            if slotted_fast:
-                policy._pending = slot_pending
-            stats.delivered_packets = delivered_cnt
-            stats.delivered_bits = delivered_bits_sum
-            stats.busy_seconds = busy_s
-            latency.count = cnt
-            if lat_list is not None:
-                buffered = lat_list[lat_scan:] if lat_scan else lat_list
-                lat_scan = len(lat_list)
-            else:
-                buffered = lat_pending
-            if buffered:
-                low = min(buffered)
-                if low < lat_min:
-                    lat_min = low
-                high = max(buffered)
-                if high > lat_max:
-                    lat_max = high
-            latency._min = lat_min
-            latency._max = lat_max
-            _publish_nodes()
-
-        def _reload_shared() -> None:
-            """Re-hoist after foreign code may have moved shared state."""
-            nonlocal seq, delivered_cnt, delivered_bits_sum, busy_s
-            nonlocal cnt, lat_min, lat_max, lat_list, lat_pending, lat_scan
-            nonlocal ctrl_key, chain_key, chain_kind, chain_packet
-            nonlocal chain_service, slot_pending
-            seq = queue._seq
-            if slotted_fast:
-                slot_pending = policy._pending
-            _rehoist_ring()
-            delivered_cnt = stats.delivered_packets
-            delivered_bits_sum = stats.delivered_bits
-            busy_s = stats.busy_seconds
-            cnt = latency.count
-            lat_min = latency._min
-            lat_max = latency._max
-            lat_list = latency._samples
-            lat_pending = latency._pending
-            # Foreign adds maintain the accumulator's min/max, so the
-            # re-hoisted window is fully covered again.
-            lat_scan = len(lat_list) if lat_list is not None else 0
-            _reload_nodes()
-            ctrl_key = queue.peek_key() or sentinel
-            foreign = bus._chain
-            if foreign is not None:
-                bus._chain = None
-                chain_key = (foreign[0], foreign[1])
-                chain_kind = foreign[2]
-                chain_packet = foreign[3]
-                chain_service = foreign[4]
 
         # Empty streams are represented by the (inf, inf) sentinel rather
         # than None so head selection is two plain comparisons.  The
@@ -1265,11 +1168,6 @@ class BodyNetworkSimulator:
                                 self._account_attempt(packet, False)
                                 if slotted_fast:
                                     slot_pending = policy._pending
-                            if attempt_extras:
-                                _sync_shared(t)
-                                for callback in attempt_extras:
-                                    callback(packet, False)
-                                _reload_shared()
                             if (arq is not None
                                     and arq.may_retry(packet.attempts)
                                     and packet.source not in purged):
@@ -1285,11 +1183,6 @@ class BodyNetworkSimulator:
                             else:
                                 stats.lost_packets += 1
                                 self._account_loss(packet)
-                                if loss_extras:
-                                    _sync_shared(t)
-                                    for callback in loss_extras:
-                                        callback(packet)
-                                    _reload_shared()
                             # Grant the next transmission — the same
                             # inline slot-ring walk as the delivery
                             # site.
@@ -1427,11 +1320,6 @@ class BodyNetworkSimulator:
                             self._account_attempt(packet, True)
                             if slotted_fast:
                                 slot_pending = policy._pending
-                        if attempt_extras:
-                            _sync_shared(t)
-                            for callback in attempt_extras:
-                                callback(packet, True)
-                            _reload_shared()
                     packet.delivered_at = t
                     bits = packet.bits
                     delivered_cnt += 1
@@ -1510,11 +1398,6 @@ class BodyNetworkSimulator:
                         hub_trace[hub_bucket] += rx_energy
                     else:
                         hub_ledger.post_fast("wir_rx", bits * rx_e[idx], t)
-                    if delivery_extras:
-                        _sync_shared(t)
-                        for callback in delivery_extras:
-                            callback(packet)
-                        _reload_shared()
                     # Grant the next transmission.  The TDMA slot-ring
                     # walk is replicated inline (same expressions, same
                     # association order as ``TDMAArbitration.next_grant``);
@@ -1632,13 +1515,6 @@ class BodyNetworkSimulator:
                 _rehoist_ring()
                 _reload_nodes()
                 ctrl_key = queue.peek_key() or sentinel
-                foreign = bus._chain
-                if foreign is not None:
-                    bus._chain = None
-                    chain_key = (foreign[0], foreign[1])
-                    chain_kind = foreign[2]
-                    chain_packet = foreign[3]
-                    chain_service = foreign[4]
 
         stats.delivered_packets = delivered_cnt
         stats.delivered_bits = delivered_bits_sum
@@ -1702,9 +1578,10 @@ class BodyNetworkSimulator:
         whichever is nearer.  When the engine refuses — transient queue
         state, non-stationary PER, a battery approaching a threshold —
         the exact kernel runs a short settle chunk and the detector tries
-        again.  A statically ineligible workload (Poisson sources, user
-        callbacks) degenerates to a single exact kernel call, which is
-        bit-identical to ``fast_path`` off.
+        again.  A statically ineligible workload (Poisson sources, a
+        custom arbiter, a queue bound below the node count) degenerates
+        to a single exact kernel call, which is bit-identical to
+        ``fast_path`` off.
         """
         from .macrotick import MacroTickEngine
 

@@ -47,10 +47,6 @@ class TestProtocol:
     def test_action_validation(self):
         with pytest.raises(SimulationError):
             Action(tx_stride=0)
-        with pytest.raises(SimulationError):
-            Action(coding_rate=0.0)
-        with pytest.raises(SimulationError):
-            Action(slot_share=1.5)
 
     def test_observation_per(self):
         assert cadence_obs(3, 7).packet_error_rate == pytest.approx(0.3)

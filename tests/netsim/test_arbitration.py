@@ -14,7 +14,6 @@ from repro.netsim.arbitration import (
     make_policy,
 )
 from repro.netsim.bus import Medium
-from repro.netsim.events import EventQueue
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import BodyNetworkSimulator
 from repro.netsim.traffic import PeriodicSource
@@ -38,14 +37,12 @@ class TestPolicyFactory:
             make_policy("csma")
 
     def test_medium_attaches_link_rate(self):
-        queue = EventQueue()
-        medium = Medium(queue, link_rate_bps=1e6, policy="tdma")
+        medium = Medium(link_rate_bps=1e6, policy="tdma")
         assert medium.policy.link_rate_bps == 1e6
 
     def test_explicit_policy_rate_preserved(self):
-        queue = EventQueue()
         policy = TDMAArbitration(link_rate_bps=2e6)
-        Medium(queue, link_rate_bps=1e6, policy=policy)
+        Medium(link_rate_bps=1e6, policy=policy)
         assert policy.link_rate_bps == 2e6
 
 
@@ -166,8 +163,7 @@ class TestHubPollingArbitration:
 
 class TestMixedTechnologies:
     def test_per_node_rate_slows_serialisation(self):
-        queue = EventQueue()
-        medium = Medium(queue, link_rate_bps=4e6)
+        medium = Medium(link_rate_bps=4e6)
         medium.register_node("slow", 64e3, link_rate_bps=1e6)
         fast = make_packet("fast", bits=1e6)
         slow = make_packet("slow", bits=1e6)
@@ -188,7 +184,7 @@ class TestMixedTechnologies:
         assert "BLE 1M PHY" in simulator.describe()["node_technologies"]
 
     def test_invalid_per_node_rate_rejected(self):
-        medium = Medium(EventQueue(), link_rate_bps=1e6)
+        medium = Medium(link_rate_bps=1e6)
         with pytest.raises(SimulationError):
             medium.register_node("x", 1e3, link_rate_bps=0.0)
 

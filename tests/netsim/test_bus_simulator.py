@@ -2,99 +2,147 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import units
 from repro.comm.eqs_hbc import wir_commercial
 from repro.errors import SimulationError
-from repro.netsim.bus import SharedBus
-from repro.netsim.events import EventQueue
-from repro.netsim.packet import Packet
+from repro.netsim.bus import BusStats, Medium
 from repro.netsim.simulator import BodyNetworkSimulator
 from repro.netsim.traffic import PeriodicSource, PoissonSource
 from repro.netsim.config import NodeConfig
 
 
-def make_bus(rate: float = 1e6, overhead: float = 0.0,
-             max_queue: int = 100) -> tuple[EventQueue, SharedBus]:
-    queue = EventQueue()
-    bus = SharedBus(queue, link_rate_bps=rate,
-                    per_packet_overhead_seconds=overhead,
-                    max_queue_packets=max_queue)
-    return queue, bus
+def make_simulator(overhead: float = 0.0,
+                   arbitration: str | None = None) -> BodyNetworkSimulator:
+    return BodyNetworkSimulator(wir_commercial(), rng=0,
+                                per_packet_overhead_seconds=overhead,
+                                arbitration=arbitration)
+
+
+def service_seconds(simulator: BodyNetworkSimulator, bits: float) -> float:
+    bus = simulator.bus
+    return bits / bus.link_rate_bps + bus.per_packet_overhead_seconds
 
 
 class TestSharedBus:
+    """The shared medium, observed through the simulator's kernel."""
+
+    def assert_lone_leaf_latency(self, overhead: float) -> None:
+        simulator = make_simulator(overhead=overhead)
+        bits = 1e5
+        simulator.attach(NodeConfig("a", PeriodicSource(1.0, bits)))
+        result = simulator.run(5.5)
+        expected = bits / simulator.bus.link_rate_bps + overhead
+        assert result.delivered_packets == 5
+        latency = simulator.bus.stats.latency
+        assert latency.min_seconds == pytest.approx(expected)
+        assert latency.max_seconds == pytest.approx(expected)
+
     def test_single_packet_latency_is_serialization_time(self):
-        queue, bus = make_bus(rate=1e6)
-        packet = Packet(source="a", destination="hub", bits=1e6, created_at=0.0)
-        bus.submit(packet)
-        queue.run_until(10.0)
-        assert packet.delivered
-        assert packet.latency_seconds == pytest.approx(1.0)
-
-    def test_fifo_ordering(self):
-        queue, bus = make_bus(rate=1e6)
-        first = Packet(source="a", destination="hub", bits=1e5, created_at=0.0)
-        second = Packet(source="b", destination="hub", bits=1e5, created_at=0.0)
-        bus.submit(first)
-        bus.submit(second)
-        queue.run_until(10.0)
-        assert first.delivered_at < second.delivered_at
-
-    def test_queueing_delay_accumulates(self):
-        queue, bus = make_bus(rate=1e6)
-        packets = [
-            Packet(source="a", destination="hub", bits=5e5, created_at=0.0)
-            for _ in range(3)
-        ]
-        for packet in packets:
-            bus.submit(packet)
-        queue.run_until(10.0)
-        latencies = [p.latency_seconds for p in packets]
-        assert latencies == sorted(latencies)
-        assert latencies[-1] == pytest.approx(1.5)
+        self.assert_lone_leaf_latency(0.0)
 
     def test_overhead_charged_per_packet(self):
-        queue, bus = make_bus(rate=1e6, overhead=0.01)
-        packet = Packet(source="a", destination="hub", bits=1e4, created_at=0.0)
-        bus.submit(packet)
-        queue.run_until(1.0)
-        assert packet.latency_seconds == pytest.approx(0.01 + 0.01)
+        self.assert_lone_leaf_latency(0.01)
 
-    def test_drops_when_queue_full(self):
-        queue, bus = make_bus(rate=1e3, max_queue=2)
-        accepted = [
-            bus.submit(Packet(source="a", destination="hub", bits=1e3, created_at=0.0))
-            for _ in range(5)
-        ]
-        assert accepted.count(False) >= 2
-        assert bus.stats.dropped_packets >= 2
+    def test_fifo_ordering(self):
+        """Equal-period leaves generate together; attach order wins."""
+        bits = 1e5
+        names = ("c", "a", "b")  # attach order differs from name order
+        for served, expected in ((1.5, [1, 0, 0]), (2.5, [1, 1, 0])):
+            simulator = make_simulator()
+            for name in names:
+                simulator.attach(NodeConfig(name, PeriodicSource(1.0, bits)))
+            # Stop mid-way through a transmission of the first round.
+            simulator.run(1.0 + served * service_seconds(simulator, bits))
+            assert [simulator.nodes[name].packets_delivered
+                    for name in names] == expected
+
+    def test_queueing_delay_accumulates(self):
+        simulator = make_simulator()
+        bits = 1e5
+        for name in ("a", "b", "c"):
+            simulator.attach(NodeConfig(name, PeriodicSource(1.0, bits)))
+        result = simulator.run(4.5)
+        service = service_seconds(simulator, bits)
+        latency = simulator.bus.stats.latency
+        assert result.delivered_packets == 12
+        assert latency.min_seconds == pytest.approx(service)
+        assert latency.max_seconds == pytest.approx(3 * service)
+        assert result.mean_latency_seconds == pytest.approx(2 * service)
 
     def test_stats_utilization_and_throughput(self):
-        queue, bus = make_bus(rate=1e6)
-        bus.submit(Packet(source="a", destination="hub", bits=5e5, created_at=0.0))
-        queue.run_until(1.0)
-        assert bus.stats.throughput_bps(1.0) == pytest.approx(5e5)
-        assert bus.stats.utilization(1.0) == pytest.approx(0.5)
+        simulator = make_simulator()
+        bits = 1e6
+        simulator.attach(NodeConfig("a", PeriodicSource(1.0, bits)))
+        duration = 2.5
+        result = simulator.run(duration)
+        service = service_seconds(simulator, bits)
+        assert result.delivered_bits == pytest.approx(2 * bits)
+        assert result.per_node_goodput_bps["a"] == \
+            pytest.approx(2 * bits / duration)
+        assert result.bus_utilization == pytest.approx(2 * service / duration)
 
-    def test_delivery_callback_invoked(self):
-        queue, bus = make_bus()
-        seen = []
-        bus.on_delivery(seen.append)
-        bus.submit(Packet(source="a", destination="hub", bits=100.0, created_at=0.0))
-        queue.run_until(1.0)
-        assert len(seen) == 1
+    @pytest.mark.parametrize("arbitration", ["fifo", "tdma", "polling"])
+    def test_drops_when_queue_full(self, arbitration):
+        """The kernel's admission bound drops, and every packet is
+        accounted for: delivered, dropped, queued or on the medium."""
+        simulator = make_simulator(overhead=100e-6, arbitration=arbitration)
+        rate = simulator.bus.link_rate_bps
+        for index in range(4):
+            simulator.attach(NodeConfig(
+                f"n{index}", PeriodicSource.from_rate(0.6 * rate)))
+        simulator.bus.max_queue_packets = 4
+        result = simulator.run(1.0)
+        bus = simulator.bus
+        assert result.dropped_packets > 0
+        in_flight = 1 if bus._chain is not None else 0
+        assert result.offered_packets == (result.delivered_packets
+                                          + result.dropped_packets
+                                          + bus.policy.pending_count()
+                                          + in_flight)
 
     def test_latency_percentiles_require_deliveries(self):
-        _, bus = make_bus()
         with pytest.raises(SimulationError):
-            bus.stats.latency_percentile(99.0)
+            BusStats().latency_percentile(99.0)
 
     def test_invalid_configuration_rejected(self):
-        queue = EventQueue()
         with pytest.raises(SimulationError):
-            SharedBus(queue, link_rate_bps=0.0)
+            Medium(link_rate_bps=0.0)
+
+
+class TestNonFiniteInputs:
+    """NaN slips through ``x <= 0`` guards; every entry point rejects it."""
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_medium_link_rate(self, rate):
+        with pytest.raises(SimulationError):
+            Medium(link_rate_bps=rate)
+
+    @pytest.mark.parametrize("overhead", [-1e-6, math.nan, math.inf])
+    def test_medium_overhead(self, overhead):
+        with pytest.raises(SimulationError):
+            Medium(link_rate_bps=1e6, per_packet_overhead_seconds=overhead)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_register_node_link_rate(self, rate):
+        medium = Medium(link_rate_bps=1e6)
+        with pytest.raises(SimulationError):
+            medium.register_node("x", 1e3, link_rate_bps=rate)
+
+    @pytest.mark.parametrize("overhead", [-1e-6, math.nan, math.inf])
+    def test_simulator_overhead(self, overhead):
+        with pytest.raises(SimulationError):
+            BodyNetworkSimulator(wir_commercial(),
+                                 per_packet_overhead_seconds=overhead)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_simulator_energy_update_interval(self, interval):
+        with pytest.raises(SimulationError):
+            BodyNetworkSimulator(wir_commercial(),
+                                 energy_update_interval_seconds=interval)
 
 
 class TestBodyNetworkSimulator:
