@@ -36,6 +36,7 @@ settled into the ledger only at run end.  See
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -145,13 +146,19 @@ class ControllerSpec:
             known = ", ".join(sorted(CONTROLLER_KINDS))
             raise SimulationError(
                 f"unknown controller kind {self.kind!r} (known: {known})")
-        if self.cadence_seconds <= 0:
-            raise SimulationError("controller cadence must be positive")
+        # NaN-safe range checks: a NaN compares false both ways.
+        if not 0.0 < self.cadence_seconds < math.inf:
+            raise SimulationError(
+                "controller cadence must be positive and finite")
         if not 0.0 <= self.per_recover_threshold <= self.per_threshold <= 1.0:
             raise SimulationError(
                 "PER thresholds must satisfy 0 <= recover <= trigger <= 1")
-        if self.step_db <= 0 or self.max_offset_db < 0:
-            raise SimulationError("tx offset step/cap must be positive")
+        if not 0.0 < self.step_db < math.inf:
+            raise SimulationError(
+                "tx offset step must be positive and finite")
+        if not 0.0 <= self.max_offset_db < math.inf:
+            raise SimulationError(
+                "tx offset cap must be non-negative and finite")
         if self.throttle_stride is not None and self.throttle_stride < 1:
             raise SimulationError("throttle stride must be >= 1")
 

@@ -16,6 +16,9 @@ leaps, and the leap refuses whenever the closed forms would not be
 trustworthy.  A leap is only attempted when
 
 * every node's traffic source is strictly periodic (no Poisson sources),
+* no attached controller evaluates more often than
+  ``min_leap_seconds`` (its cadence tick re-arms unconditionally, so
+  the next control event is never far enough away for a leap to fit),
 * the bus is idle (no in-flight transfer chain, no queued packets),
 * all per-node erasure rates yield a finite expected attempt count,
 * the offered utilization (including TDMA guard and polling overhead)
@@ -164,6 +167,13 @@ class MacroTickEngine:
         # phase reset at a leap boundary wash out before the next leap.
         self.settle_seconds = max(2.0 * max_period, MIN_LEAP_FLOOR_SECONDS)
         self.min_leap_seconds = max(4.0 * max_period, 2.0 * self.settle_seconds)
+        for runtime in simulator.controllers.values():
+            cadence = runtime.controller.cadence_seconds
+            if cadence is not None and cadence < self.min_leap_seconds:
+                # Every horizon ends at the next cadence tick, so no
+                # leap could ever fit; chunking would only re-draw the
+                # generation phase at each chunk boundary.
+                self.eligible = False
         # Flush chunk: when a settle chunk happens to end with a packet
         # in flight (its boundary coinciding with a generation instant),
         # this short kernel run lets the transfer complete without

@@ -1579,7 +1579,8 @@ class BodyNetworkSimulator:
         state, non-stationary PER, a battery approaching a threshold —
         the exact kernel runs a short settle chunk and the detector tries
         again.  A statically ineligible workload (Poisson sources, a
-        custom arbiter, a queue bound below the node count) degenerates
+        custom arbiter, a queue bound below the node count, a controller
+        whose cadence is shorter than ``min_leap_seconds``) degenerates
         to a single exact kernel call, which is bit-identical to
         ``fast_path`` off.
         """

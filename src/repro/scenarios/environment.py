@@ -54,7 +54,8 @@ from ..netsim.environment import (
 )
 from ..netsim.simulator import BodyNetworkSimulator
 from .registry import get_scenario
-from .spec import ScenarioNodeSpec, ScenarioResult, ScenarioSpec, technology_for
+from .spec import (ReliabilitySpec, ScenarioNodeSpec, ScenarioResult,
+                   ScenarioSpec, technology_for)
 
 
 def _posture_at(timeline: list[tuple[float, float, str]],
@@ -64,6 +65,53 @@ def _posture_at(timeline: list[tuple[float, float, str]],
         if start <= fraction < end:
             return posture
     return timeline[-1][2]
+
+
+#: A lossy node's posture timeline and its memoised PER re-derivation
+#: ``(posture, rf_dbm, eqs_volts, offset_db) -> erasure probability``.
+_NodeLink = tuple[list[tuple[float, float, str]],
+                  Callable[[str, float, float, float], float]]
+
+
+def _memoised_rate(reliability: ReliabilitySpec, node: ScenarioNodeSpec
+                   ) -> Callable[[str, float, float, float], float]:
+    """:meth:`~ReliabilitySpec.node_error_rate_adjusted` behind a memo.
+
+    The re-derivation is a pure function of the posture, the room's
+    interference and the controller's transmit offset, and a run only
+    ever asks for postures x interference states x offset steps
+    distinct ones, so the memo needs no bound.  Every controller cadence tick re-asserts its
+    offset, which makes almost every call a hit.
+    """
+    memo: dict[tuple[str, float, float, float], float] = {}
+
+    def rate(posture: str, rf_dbm: float, eqs_volts: float,
+             offset_db: float) -> float:
+        key = (posture, rf_dbm, eqs_volts, offset_db)
+        per = memo.get(key)
+        if per is None:
+            per = memo[key] = reliability.node_error_rate_adjusted(
+                node,
+                posture=posture,
+                rf_interference_dbm=rf_dbm,
+                eqs_interference_volts=eqs_volts,
+                tx_power_offset_db=offset_db)
+        return per
+    return rate
+
+
+def _node_links(spec: ScenarioSpec) -> dict[str, _NodeLink] | None:
+    """Every concrete node's link table entry (``None`` when lossless).
+
+    Built once per placement: the timelines and the memo depend only on
+    the spec, so every replica body of the placement shares them.
+    """
+    reliability = spec.reliability
+    if reliability is None:
+        return None
+    return {concrete: (spec.node_posture_timeline(concrete, node),
+                       _memoised_rate(reliability, node))
+            for node in spec.nodes for concrete in node.expanded_names()}
 
 
 @dataclass(frozen=True)
@@ -278,10 +326,9 @@ class EnvironmentSpec:
 
     # -- compilation -------------------------------------------------------
 
-    def _make_apply(self, spec: ScenarioSpec,
-                    simulator: BodyNetworkSimulator,
-                    body: EnvironmentBody, duration: float
-                    ) -> Callable[[InterferenceState], None] | None:
+    def _make_apply(self, simulator: BodyNetworkSimulator,
+                    duration: float, links: dict[str, _NodeLink]
+                    ) -> Callable[[InterferenceState], None]:
         """Closure re-deriving one body's erasure rates for a state.
 
         Evaluated at environment epochs (and after posture events of a
@@ -289,34 +336,19 @@ class EnvironmentSpec:
         budget under the given interference, the posture active *now*,
         and whatever transmit offset its controller holds.
         """
-        if spec.reliability is None:
-            return None
-        spec_of: dict[str, ScenarioNodeSpec] = {
-            concrete: node for node in spec.nodes
-            for concrete in node.expanded_names()}
-        timelines = {concrete: spec.node_posture_timeline(concrete, node)
-                     for concrete, node in spec_of.items()}
-        reliability = spec.reliability
-
         def apply(state: InterferenceState) -> None:
             fraction = min(simulator.queue.now / duration, 1.0)
-            for concrete, node in spec_of.items():
+            for concrete, (timeline, rate) in links.items():
                 runtime = simulator.controllers.get(concrete)
                 offset = runtime.offset_db if runtime is not None else 0.0
                 simulator.set_node_error_rate(
                     concrete,
-                    reliability.node_error_rate_adjusted(
-                        node,
-                        posture=_posture_at(timelines[concrete], fraction),
-                        rf_interference_dbm=state.rf_dbm,
-                        eqs_interference_volts=state.eqs_volts,
-                        tx_power_offset_db=offset))
+                    rate(_posture_at(timeline, fraction), state.rf_dbm,
+                         state.eqs_volts, offset))
         return apply
 
-    def _make_error_fn(self, spec: ScenarioSpec,
-                       simulator: BodyNetworkSimulator,
-                       body: EnvironmentBody, node: ScenarioNodeSpec,
-                       timeline: list[tuple[float, float, str]],
+    def _make_error_fn(self, simulator: BodyNetworkSimulator,
+                       body: EnvironmentBody, link: _NodeLink,
                        duration: float) -> Callable[[float], float]:
         """Per-node rate function a controller runtime actuates through.
 
@@ -324,17 +356,13 @@ class EnvironmentSpec:
         current interference and the posture active at evaluation time,
         so a boost re-derivation never forgets the environment.
         """
-        reliability = spec.reliability
+        timeline, rate = link
 
         def error_rate(offset_db: float) -> float:
             fraction = min(simulator.queue.now / duration, 1.0)
             state = body.current_interference
-            return reliability.node_error_rate_adjusted(
-                node,
-                posture=_posture_at(timeline, fraction),
-                rf_interference_dbm=state.rf_dbm,
-                eqs_interference_volts=state.eqs_volts,
-                tx_power_offset_db=offset_db)
+            return rate(_posture_at(timeline, fraction), state.rf_dbm,
+                        state.eqs_volts, offset_db)
         return error_rate
 
     def build(self, seed: int = 0,
@@ -357,6 +385,7 @@ class EnvironmentSpec:
         index = 0
         for placement in self.bodies:
             spec = placement.spec()
+            links = _node_links(spec)
             for body_name in placement.body_names():
                 simulator = spec.build(seed=seed + index,
                                        duration_seconds=duration)
@@ -375,27 +404,21 @@ class EnvironmentSpec:
                     arrival_fraction=placement.arrival_fraction,
                     departure_fraction=placement.departure_fraction,
                 )
-                body.apply_interference = self._make_apply(
-                    spec, simulator, body, duration)
+                if links is not None:
+                    body.apply_interference = self._make_apply(
+                        simulator, duration, links)
                 if placement.controller is not None:
-                    timelines = (
-                        {concrete: spec.node_posture_timeline(concrete, node)
-                         for node in spec.nodes
-                         for concrete in node.expanded_names()}
-                        if spec.reliability is not None else {})
                     for node in spec.nodes:
                         for concrete in node.expanded_names():
                             error_fn = (
                                 self._make_error_fn(
-                                    spec, simulator, body, node,
-                                    timelines[concrete], duration)
-                                if spec.reliability is not None else None)
+                                    simulator, body, links[concrete],
+                                    duration)
+                                if links is not None else None)
                             simulator.attach_controller(
                                 concrete, placement.controller,
                                 error_rate_fn=error_fn)
-                if (spec.reliability is not None
-                        and body.apply_interference is not None
-                        and (multi or simulator.controllers)):
+                if links is not None and (multi or simulator.controllers):
                     # Same timestamp, later sequence: these run *after*
                     # the spec's own posture swaps and overwrite the
                     # interference-blind rates they install.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.control import (
@@ -59,6 +61,30 @@ class TestProtocol:
             ControllerSpec(per_threshold=0.1, per_recover_threshold=0.2)
         with pytest.raises(SimulationError):
             ControllerSpec(throttle_stride=0)
+
+
+class TestNonFiniteSpec:
+    """Non-finite spec fields fail at construction, not mid-run."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_cadence_rejected(self, value):
+        with pytest.raises(SimulationError, match="cadence"):
+            ControllerSpec(kind="per_backoff", cadence_seconds=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_step_rejected(self, value):
+        with pytest.raises(SimulationError, match="step"):
+            ControllerSpec(kind="per_backoff", step_db=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_cap_rejected(self, value):
+        with pytest.raises(SimulationError, match="cap"):
+            ControllerSpec(kind="per_backoff", max_offset_db=value)
+
+    def test_finite_edges_accepted(self):
+        spec = ControllerSpec(kind="per_backoff", cadence_seconds=1e-3,
+                              step_db=1e-3, max_offset_db=0.0)
+        assert spec.max_offset_db == 0.0
 
 
 class TestStatic:

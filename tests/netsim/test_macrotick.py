@@ -5,9 +5,10 @@ event loop within the same tolerance envelope the analytic cohort path
 documents (docs/netsim-architecture.md): leaf and hub power within 5%,
 delivered fraction within 0.05, mean latency within a factor of 2.5,
 p99 within a factor of 3, bus utilisation within 0.02 absolute.  On
-workloads the macro-tick engine statically refuses (Poisson sources)
-and on runs too short for any leap, the hybrid driver degenerates to a
-single exact kernel call and must be *bit-identical*, not just close.
+workloads the macro-tick engine statically refuses (Poisson sources,
+controllers ticking faster than a leap) and on runs too short for any
+leap, the hybrid driver degenerates to a single exact kernel call and
+must be *bit-identical*, not just close.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from hypothesis import strategies as st
 
 from repro.cohort import analytic
 from repro.cohort.aggregate import MemberMetrics
+from repro.control import ControllerSpec
 from repro.errors import SimulationError
 from repro.netsim import macrotick
-from repro.scenarios import all_scenarios, get_scenario
+from repro.scenarios import (BodyPlacement, EnvironmentSpec, all_scenarios,
+                             get_environment, get_scenario)
 
 
 def run_metrics(spec, fast_path):
@@ -85,6 +88,50 @@ class TestBitIdenticalFallbacks:
         exact = spec.build(seed=0).run(5.0)
         hybrid = spec.build(seed=0).run(5.0, fast_path="hybrid")
         assert hybrid.to_dict() == exact.to_dict()
+
+    def test_short_cadence_controllers_run_exact(self):
+        """A controller ticking faster than ``min_leap_seconds`` caps
+        every leap horizon, so the hybrid driver must make one exact
+        kernel call instead of chunking (which would re-draw each
+        node's generation phase at every chunk boundary)."""
+        environment = get_environment("commuter_train")
+        exact = environment.build(seed=2, duration_seconds=120.0).run(
+            fast_path="exact")
+        hybrid = environment.build(seed=2, duration_seconds=120.0).run(
+            fast_path="hybrid")
+        assert [body.to_dict() for body in hybrid.body_results] \
+            == [body.to_dict() for body in exact.body_results]
+
+    def test_controller_cadence_sets_eligibility(self):
+        """Only a cadence shorter than the minimum leap makes a
+        controller-bearing body statically ineligible; a body with a
+        slow controller stays eligible and inside the envelope."""
+        spec = get_scenario("commute_walk")
+
+        def solo(cadence):
+            return EnvironmentSpec(
+                name="solo_commute",
+                description="one controlled commute body",
+                bodies=(BodyPlacement(
+                    scenario=spec,
+                    controller=ControllerSpec(kind="per_backoff",
+                                              cadence_seconds=cadence)),),
+            )
+
+        fast = solo(5.0).build(seed=0).bodies[0].simulator
+        engine = macrotick.MacroTickEngine(fast)
+        assert 5.0 < engine.min_leap_seconds < 60.0
+        assert not engine.eligible
+        slow = solo(60.0).build(seed=0).bodies[0].simulator
+        assert macrotick.MacroTickEngine(slow).eligible
+
+        results = {
+            fast_path: solo(60.0).run(seed=0, fast_path=fast_path)
+            .simulated.body_results[0]
+            for fast_path in ("exact", "hybrid")}
+        assert_within_envelope(
+            MemberMetrics.from_simulation(0, spec, results["hybrid"]),
+            MemberMetrics.from_simulation(0, spec, results["exact"]))
 
     def test_exact_alias_matches_default(self):
         spec = get_scenario("workout")

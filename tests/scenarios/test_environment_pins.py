@@ -42,3 +42,10 @@ def environment_sha256(name: str, fast_path: str) -> str:
 def test_environment_pinned(name, fast_path):
     assert environment_sha256(name, fast_path) \
         == ENVIRONMENT_SHA256[name, fast_path]
+
+
+def test_commuter_train_hybrid_equals_exact():
+    """Every commuter carries a 5 s cadence controller, shorter than
+    the minimum leap, so the hybrid run is the exact run."""
+    assert environment_sha256("commuter_train", "hybrid") \
+        == ENVIRONMENT_SHA256["commuter_train", "exact"]

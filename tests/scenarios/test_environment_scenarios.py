@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.control import ControllerSpec
 from repro.errors import ScenarioError
+from repro.netsim.environment import InterferenceState
 from repro.scenarios import (
     BodyPlacement,
     EnvironmentSpec,
@@ -21,6 +23,7 @@ from repro.scenarios import (
     get_scenario,
     scenario_names,
 )
+from repro.scenarios.environment import _posture_at
 from repro.sensors.catalog import SensorModality
 
 #: Golden pin: ``barefoot_yoga`` standalone, seed 0, 120 simulated
@@ -198,3 +201,63 @@ class TestGallery:
     def test_ward_shift_occupancy_boundaries(self):
         spec = get_environment("ward_shift")
         assert spec.describe()["events"] == 2
+
+
+class TestPERMemo:
+    """A controller's rate function memoises its PER re-derivations."""
+
+    STEP_DB = 2.0
+    STATES = (InterferenceState(),
+              InterferenceState(eqs_volts=3e-5),
+              InterferenceState(eqs_volts=9e-5),
+              InterferenceState(rf_dbm=-70.0, eqs_volts=3e-5))
+
+    @settings(max_examples=25, deadline=None)
+    @given(calls=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                  st.integers(min_value=0, max_value=3),
+                  st.integers(min_value=0, max_value=3)),
+        min_size=1, max_size=40))
+    def test_memo_matches_direct_derivation(self, calls):
+        spec = get_scenario("commute_walk")
+        controller = ControllerSpec(kind="per_backoff", cadence_seconds=5.0,
+                                    step_db=self.STEP_DB)
+        environment = EnvironmentSpec(
+            name="memo_probe", description="one controlled commute body",
+            bodies=(BodyPlacement(scenario=spec, controller=controller),),
+        ).build(seed=0)
+        body = environment.bodies[0]
+        node = spec.nodes[0]
+        concrete = node.expanded_names()[0]
+        error_rate = body.simulator.controllers[concrete].error_rate_fn
+        timeline = spec.node_posture_timeline(concrete, node)
+        duration = spec.duration_seconds
+
+        direct = spec.reliability.node_error_rate_adjusted
+        derived = []
+
+        def counting(reliability, *args, **kwargs):
+            derived.append(kwargs)
+            return direct.__func__(reliability, *args, **kwargs)
+
+        returned = []
+        keys = set()
+        with mock.patch.object(type(spec.reliability),
+                               "node_error_rate_adjusted", counting):
+            for fraction, state_index, steps in calls:
+                # The closure reads the body's clock and its current
+                # interference; set both as a run would.
+                body.simulator.queue._now = fraction * duration
+                state = self.STATES[state_index]
+                body.current_interference = state
+                offset = steps * self.STEP_DB
+                posture = _posture_at(timeline, fraction)
+                keys.add((posture, state.rf_dbm, state.eqs_volts, offset))
+                returned.append((error_rate(offset), posture, state, offset))
+
+        for value, posture, state, offset in returned:
+            assert value == direct(
+                node, posture=posture, rf_interference_dbm=state.rf_dbm,
+                eqs_interference_volts=state.eqs_volts,
+                tx_power_offset_db=offset)
+        assert len(derived) == len(keys)
