@@ -13,7 +13,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
-from repro.cohort import Categorical, CohortSpec, evaluate_members
+import pytest
+
+from repro.cohort import Categorical, CohortSpec, evaluate_members, run_cohort
+from repro.cohort.spec import MEMBER_BLOCK
 from repro.runner.artifacts import canonical_json
 
 DEFAULT_MEMBERS_SHA256 = (
@@ -22,6 +25,10 @@ ENERGY_MEMBERS_SHA256 = (
     "7e7a917386f3a49b44da165589bf645480c4d95e6d7a3c2f54b1d7a3aad470d0")
 DEFAULT_ROWS_SHA256 = (
     "9f3c1f1acfba9d7268314bdd26d0bb43c4464cf5e497b9538d5a1594016d7f96")
+VALIDATED_RUN_VALIDATIONS_SHA256 = (
+    "710f84d7b701b2e31a503d68a71ffb4d13bad1df577b2b56a4b6e067a265a2f2")
+VALIDATED_RUN_SUMMARY_SHA256 = (
+    "7d707d4bdf27d7becc3bcca9af08fb923ab9012ca52813493fefe5df4fe26a60")
 
 
 def sha256_of(value: object) -> str:
@@ -58,3 +65,19 @@ def test_default_analytic_rows_pinned():
                             [member.index for member in members])
     assert sha256_of([dataclasses.asdict(row) for row in rows]) \
         == DEFAULT_ROWS_SHA256
+
+
+@pytest.mark.parametrize("shard_count", [1, 3])
+def test_validated_analytic_run_pinned(shard_count):
+    """An analytic run over several member blocks, DES-validating members
+    on block starts (8192, 16384) and inside blocks; three shards move
+    the block starts without moving any result."""
+    spec = CohortSpec(population=20_000, seed=3,
+                      member_duration_seconds=30.0)
+    assert spec.population > 2 * MEMBER_BLOCK
+    result = run_cohort(spec, validate_stride=4096, shard_count=shard_count)
+    assert [record.index for record in result.validations] \
+        == [0, 4096, 8192, 12288, 16384]
+    assert sha256_of([record.row() for record in result.validations]) \
+        == VALIDATED_RUN_VALIDATIONS_SHA256
+    assert sha256_of(result.rows()) == VALIDATED_RUN_SUMMARY_SHA256
