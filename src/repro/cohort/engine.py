@@ -97,7 +97,8 @@ def _run_shard(spec: CohortSpec, shard_index: int, shard_count: int,
     else:
         for block in range(start, stop, MEMBER_BLOCK):
             block_stop = min(block + MEMBER_BLOCK, stop)
-            columns = evaluate_rows(draw_rows(spec.draw(block, block_stop)))
+            draws = spec.draw(block, block_stop)
+            columns = evaluate_rows(draw_rows(draws))
             accumulator.add_columns(columns)
             if validate_stride == 0:
                 continue
@@ -107,7 +108,7 @@ def _run_shard(spec: CohortSpec, shard_index: int, shard_count: int,
                 # keep the validation affordable at population scale and
                 # the hybrid path is itself envelope-validated against
                 # the exact kernel.
-                member = spec.member(index)
+                member = draws.member_at(index - block)
                 metrics = columns.row(index - block)
                 des_metrics, _ = _simulate_member(member, "hybrid")
                 validations.append(ValidationRecord(

@@ -8,10 +8,12 @@ constructing it:
 
 * :func:`seed_states` runs the ``SeedSequence`` entropy mixing for a
   whole block of 32-bit seeds as ``uint32`` array arithmetic and derives
-  each member's initial PCG64 ``(state, increment)`` pair;
-* :func:`raw_words` sets that state on one reused ``PCG64`` and reads
-  the member's raw 64-bit outputs — the bit generator itself, not a
-  re-implementation, produces the stream;
+  each member's initial PCG64 ``(state, increment)`` pair as 64-bit
+  high/low ``uint64`` arrays;
+* :func:`raw_words` steps every member's 128-bit LCG side by side as
+  ``uint64`` array arithmetic (the high half of the 64-bit product
+  built from 32-bit partial products, carries explicit) and emits
+  PCG64's XSL-RR output word per step — no per-member Python work;
 * :class:`StreamBlock` decodes those words exactly as ``Generator``
   does — ``random()`` from the top 53 bits, ``integers(n)`` by Lemire's
   bounded multiply on buffered 32-bit halves (with its rejection loop),
@@ -29,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 # SeedSequence mixing constants (numpy.random.bit_generator).
 _POOL_SIZE = 4
@@ -41,8 +42,23 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
-#: The 128-bit LCG multiplier of PCG64.
+#: The 128-bit LCG multiplier of PCG64, as 64-bit halves and as the
+#: 32-bit halves of its low word (for :func:`_mulhi`).
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HIGH = np.uint64(_PCG_MULTIPLIER >> 64)
+_MULT_LOW = np.uint64(_PCG_MULTIPLIER & 0xFFFFFFFFFFFFFFFF)
+_MULT_LOW_HIGH = np.uint64((_PCG_MULTIPLIER >> 32) & _MASK32)
+_MULT_LOW_LOW = np.uint64(_PCG_MULTIPLIER & _MASK32)
+
+# Every operand of the uint64 arithmetic below is an ``np.uint64``:
+# under numpy 1.x value-based promotion a bare Python int can turn a
+# uint64 array into float64.
+_LOW32 = np.uint64(_MASK32)
+_U1 = np.uint64(1)
+_U32 = np.uint64(32)
+_U58 = np.uint64(58)
+_U63 = np.uint64(63)
+_U64 = np.uint64(64)
 
 #: ``random()`` scale: 53 random bits to a double in [0, 1).
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
@@ -60,9 +76,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(_XSHIFT))
 
 
-def seed_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """Initial PCG64 ``(state, increment)`` of ``default_rng(seed)`` for
-    each 32-bit seed."""
+def seed_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Initial PCG64 state of ``default_rng(seed)`` for each 32-bit seed.
+
+    Returns ``(state_high, state_low, increment_high, increment_low)``:
+    the 128-bit state and increment as 64-bit ``uint64`` halves, one
+    entry per seed.
+    """
     seeds = np.asarray(seeds, dtype=np.uint32)
     hash_const = [_INIT_A]
     pool = [_hashmix(seeds, hash_const)]
@@ -82,33 +102,56 @@ def seed_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         hash_const_b = (hash_const_b * _MULT_B) & _MASK32
         value = value * np.uint32(hash_const_b)
         words.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
-    halves = [(words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist()
-              for k in range(4)]
-    states = []
-    for high_seed, low_seed, high_inc, low_inc in zip(*halves):
-        initial = (high_seed << 64) | low_seed
-        increment = ((((high_inc << 64) | low_inc) << 1) | 1) & _MASK128
-        # pcg64_srandom_r: state 0 steps to the increment, absorbs the
-        # initial state, and steps once more.
-        state = ((increment + initial) * _PCG_MULTIPLIER
-                 + increment) & _MASK128
-        states.append((state, increment))
-    return states
+    initial_high, initial_low, inc_high, inc_low = (
+        words[2 * k] | (words[2 * k + 1] << _U32) for k in range(4))
+    increment = ((inc_high << _U1) | (inc_low >> _U63), (inc_low << _U1) | _U1)
+    # pcg64_srandom_r: state 0 steps to the increment, absorbs the
+    # initial state, and steps once more.
+    state = _step(*_add128(*increment, initial_high, initial_low), *increment)
+    return (*state, *increment)
+
+
+def _add128(a_high: np.ndarray, a_low: np.ndarray, b_high: np.ndarray,
+            b_low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b mod 2**128`` on 64-bit halves."""
+    low = a_low + b_low
+    return a_high + b_high + (low < a_low), low
+
+
+def _mulhi(value: np.ndarray) -> np.ndarray:
+    """High 64 bits of ``value * _MULT_LOW``, from 32-bit partial products."""
+    low = value & _LOW32
+    high = value >> _U32
+    middle = high * _MULT_LOW_LOW + ((low * _MULT_LOW_LOW) >> _U32)
+    cross = (middle & _LOW32) + low * _MULT_LOW_HIGH
+    return (high * _MULT_LOW_HIGH + (middle >> _U32)
+            + (cross >> _U32))
+
+
+def _step(high: np.ndarray, low: np.ndarray, inc_high: np.ndarray,
+          inc_low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step: ``state * multiplier + increment mod 2**128``."""
+    return _add128(_mulhi(low) + high * _MULT_LOW + low * _MULT_HIGH,
+                   low * _MULT_LOW, inc_high, inc_low)
 
 
 def raw_words(seeds: np.ndarray, width: int) -> np.ndarray:
-    """The first *width* raw 64-bit outputs of each seed's stream."""
-    bit_generator = np.random.PCG64(0)
-    words = np.empty((len(seeds), width), dtype=np.uint64)
-    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
-             "has_uint32": 0, "uinteger": 0}
-    inner = state["state"]
-    for row, (value, increment) in enumerate(seed_states(seeds)):
-        inner["state"] = value
-        inner["inc"] = increment
-        bit_generator.state = state
-        words[row] = bit_generator.random_raw(width)
-    return words
+    """The first *width* raw 64-bit outputs of each seed's stream.
+
+    All streams step together, one output column at a time: PCG64
+    advances the state, then emits its XSL-RR output
+    ``rotr64(high ^ low, high >> 58)``.
+    """
+    high, low, inc_high, inc_low = seed_states(seeds)
+    # Column-major, so each step writes one contiguous column.
+    words = np.empty((width, len(high)), dtype=np.uint64)
+    for column in range(width):
+        high, low = _step(high, low, inc_high, inc_low)
+        folded = high ^ low
+        rotation = high >> _U58
+        words[column] = (folded >> rotation) | (
+            folded << ((_U64 - rotation) & _U63))
+    return words.T
 
 
 class StreamOverrun(Exception):

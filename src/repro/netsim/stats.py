@@ -100,17 +100,25 @@ class LatencyAccumulator:
     # -- recording ---------------------------------------------------------
 
     def add(self, value: float) -> None:
-        """Record one latency sample (seconds)."""
+        """Record one latency sample (seconds), checked like
+        :meth:`add_many` before anything moves."""
         if value < 0:
             raise SimulationError(f"latency must be non-negative: {value}")
+        # Only a sample that spills the window, or a non-finite one after
+        # the spill, can hand the sketch something it refuses.
+        samples = self._samples
+        if self.backend == "sketch" and (
+                len(samples) >= self.exact_capacity if samples is not None
+                else not math.isfinite(value)):
+            self._refuse_non_finite([value])
         self.count += 1
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
-        if self._samples is not None:
-            self._samples.append(value)
-            if len(self._samples) > self.exact_capacity:
+        if samples is not None:
+            samples.append(value)
+            if len(samples) > self.exact_capacity:
                 self._spill()
             return
         self._pending.append(value)
@@ -126,15 +134,20 @@ class LatencyAccumulator:
         reaches the backend in arrival order (running total by
         sequential float additions, sketch by
         :meth:`~repro.cohort.sketch.QuantileSketch.add_many`).  All
-        samples are checked before any is recorded.
+        samples are checked before any is recorded: negative ones always,
+        non-finite ones on the sketch backend whenever they (or the
+        window they spill) would reach the sketch.
         """
         values = list(map(float, values))
         if not values:
             return
-        if np.any(np.asarray(values) < 0.0):
+        array = np.asarray(values)
+        if np.any(array < 0.0):
             raise SimulationError(
                 "latency must be non-negative: "
                 f"{next(value for value in values if value < 0.0)}")
+        if self.backend == "sketch":
+            self._refuse_non_finite(array)
         if self._samples is not None:
             space = self.exact_capacity + 1 - len(self._samples)
             head, values = values[:space], values[space:]
@@ -155,6 +168,25 @@ class LatencyAccumulator:
         else:
             indices = np.searchsorted(self._edges, values, side="right")
             np.add.at(self._counts, indices, 1)
+
+    def _refuse_non_finite(self, values) -> None:
+        """Sketch backend: raise, before anything is recorded, if this call
+        would hand the sketch a non-finite sample.
+
+        The exact window may hold NaN/inf (a dead member's NaN mean
+        latency), so only samples that reach the sketch are checked: all
+        of *values* once the window has spilled, and the window itself
+        too when these values make it spill.
+        """
+        if self._samples is not None:
+            if len(self._samples) + len(values) <= self.exact_capacity:
+                return
+            values = np.concatenate((self._samples, values))
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise SimulationError(
+                "quantile sketch values must be finite: "
+                f"{np.asarray(values)[np.argmin(finite)]}")
 
     def _record(self, values: list[float]) -> None:
         """Count a run of samples and widen the extrema.

@@ -9,6 +9,8 @@ window.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,8 @@ from repro.cohort import (
     run_cohort,
     shard_bounds,
 )
+from repro.cohort import engine
+from repro.cohort.spec import MEMBER_BLOCK
 from repro.errors import ScenarioError
 
 
@@ -135,6 +139,38 @@ class TestShardedExecution:
         assert errors["mean_latency_factor"] < 3.0
         assert any("validated 3 member(s)" in line
                    for line in result.summary_lines())
+
+    @pytest.mark.parametrize("validate_stride, expected", [
+        # Block starts (0, MEMBER_BLOCK, the one-member last block) and
+        # the middle of a block.
+        (MEMBER_BLOCK // 2, [0, MEMBER_BLOCK // 2, MEMBER_BLOCK,
+                             3 * MEMBER_BLOCK // 2, 2 * MEMBER_BLOCK]),
+        # Last and second-to-last positions of a block.
+        (MEMBER_BLOCK - 1, [0, MEMBER_BLOCK - 1, 2 * MEMBER_BLOCK - 2]),
+    ])
+    def test_validation_members_match_spec_member(self, monkeypatch,
+                                                  validate_stride, expected):
+        """Validation members come from the block the shard already drew;
+        each equals the member ``CohortSpec.member`` expands on its own."""
+        spec = CohortSpec(population=2 * MEMBER_BLOCK + 1, seed=5,
+                          member_duration_seconds=10.0)
+        simulated = []
+        simulate = engine._simulate_member
+
+        def recording(member, fast_path=None):
+            simulated.append(member)
+            return simulate(member, fast_path)
+
+        monkeypatch.setattr(engine, "_simulate_member", recording)
+        result = run_cohort(spec, fast_path="analytic",
+                            validate_stride=validate_stride)
+        assert [member.index for member in simulated] == expected
+        assert [record.index for record in result.validations] == expected
+        for member in simulated:
+            reference = spec.member(member.index)
+            assert member.seed == reference.seed
+            assert dataclasses.asdict(member.scenario) \
+                == dataclasses.asdict(reference.scenario)
 
     def test_des_path_never_validates(self):
         spec = CohortSpec(population=6, seed=0,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cohort import Bernoulli, Categorical, Uniform
@@ -27,10 +27,14 @@ SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12)
 @given(SEEDS)
 @settings(max_examples=50, deadline=None)
 def test_seed_states_match_pcg64(seeds):
-    states = seed_states(np.asarray(seeds, dtype=np.uint32))
-    for seed, (state, increment) in zip(seeds, states):
+    halves = seed_states(np.asarray(seeds, dtype=np.uint32))
+    assert all(half.dtype == np.uint64 for half in halves)
+    for seed, state_high, state_low, inc_high, inc_low in zip(
+            seeds, *(half.tolist() for half in halves)):
         reference = np.random.PCG64(seed).state["state"]
-        assert (state, increment) == (reference["state"], reference["inc"])
+        assert ((state_high << 64) | state_low,
+                (inc_high << 64) | inc_low) \
+            == (reference["state"], reference["inc"])
 
 
 def test_raw_words_match_pcg64():
@@ -39,6 +43,23 @@ def test_raw_words_match_pcg64():
     for seed, row in zip(seeds, words):
         assert row.tolist() == \
             np.random.PCG64(int(seed)).random_raw(16).tolist()
+
+
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=64),
+       st.integers(1, 64))
+@example([], 1)
+@example([2**32 - 1], 1)
+@example([0, *range(2**32 - 63, 2**32)], 64)
+@settings(max_examples=60, deadline=None)
+def test_raw_words_match_pcg64_over_seed_and_width_range(seeds, width):
+    """Every row of a block equals that seed's own ``PCG64`` stream,
+    for empty and full blocks, any ``uint32`` seed and widths 1 … 64."""
+    words = raw_words(np.asarray(seeds, dtype=np.uint32), width)
+    assert words.dtype == np.uint64
+    assert words.shape == (len(seeds), width)
+    for seed, row in zip(seeds, words):
+        assert row.tolist() == \
+            np.random.PCG64(int(seed)).random_raw(width).tolist()
 
 
 # One draw step: (kind, argument, participation pattern).

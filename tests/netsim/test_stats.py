@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,6 +379,45 @@ class TestSketchBackend:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError):
             LatencyAccumulator(backend="theodolite")
+
+    @staticmethod
+    def snapshot(accumulator: LatencyAccumulator) -> tuple:
+        return (accumulator.count, accumulator._total, accumulator._min,
+                accumulator._max, list(accumulator._pending),
+                accumulator.to_state())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_after_spill_rejected_before_recording(
+            self, bad):
+        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator.add_many([1.0, 2.0, 3.0, 4.0, 5.0])
+        before = self.snapshot(accumulator)
+        with pytest.raises(SimulationError, match="finite"):
+            accumulator.add_many([1.0, bad, 2.0])
+        with pytest.raises(SimulationError, match="finite"):
+            accumulator.add(bad)
+        assert self.snapshot(accumulator) == before
+        assert accumulator.count == 5
+        assert accumulator._total == 15.0
+        assert accumulator._sketch.count == 5
+        accumulator.add_many([6.0])
+        assert accumulator.count == 6
+
+    @pytest.mark.parametrize("add_many", [False, True])
+    def test_spill_of_a_non_finite_window_rejected_before_recording(
+            self, add_many):
+        # The exact window keeps a dead member's NaN; the sample that
+        # would fold it into the sketch is refused instead.
+        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator.add_many([1.0, math.nan, 2.0, 3.0])
+        before = self.snapshot(accumulator)
+        with pytest.raises(SimulationError, match="finite"):
+            if add_many:
+                accumulator.add_many([4.0])
+            else:
+                accumulator.add(4.0)
+        assert self.snapshot(accumulator) == before
+        assert accumulator.is_exact
 
 
 class TestStateRoundTrip:
