@@ -82,6 +82,10 @@ from ..netsim.arbitration import (
     DEFAULT_TDMA_GUARD_SECONDS as TDMA_GUARD_SECONDS,
     DEFAULT_TDMA_SUPERFRAME_SECONDS as TDMA_SUPERFRAME_SECONDS,
 )
+# Utilisation above which the latency estimate is saturation signalling
+# only (the documented validity envelope of the fast path); one constant
+# shared with the macro-tick engine's leap refusal.
+from ..netsim.macrotick import VALIDITY_UTILIZATION  # noqa: F401
 from ..scenarios.spec import (
     ScenarioSpec,
     battery_for,
@@ -97,11 +101,6 @@ if TYPE_CHECKING:
 #: Harvesting environment of a sampled cohort member (the scenario
 #: default).
 DEFAULT_ENVIRONMENT = "indoor_office"
-
-#: Utilisation above which the latency estimate is saturation signalling
-#: only (the documented validity envelope of the fast path).
-VALIDITY_UTILIZATION = 0.9
-
 
 @dataclass(frozen=True)
 class TechProfile:

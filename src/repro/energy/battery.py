@@ -272,18 +272,27 @@ class Battery:
         if not 0.0 <= energy_joules < math.inf:
             raise EnergyError(
                 f"drain energy must be finite and non-negative: {energy_joules}")
-        if energy_joules <= self.state_of_charge_joules:
-            # 0 <= e <= soc, so the rounded soc - e is never negative.
-            self.state_of_charge_joules -= energy_joules
-            return energy_joules
-        if not clip:
+        if not clip and energy_joules > self.state_of_charge_joules:
             raise EnergyError(
                 f"drain of {energy_joules:.3e} J exceeds remaining charge "
                 f"{self.state_of_charge_joules:.3e} J"
             )
-        delivered = self.state_of_charge_joules
+        return self.drain_fast(energy_joules)
+
+    def drain_fast(self, energy_joules: float) -> float:
+        """Unchecked clipping :meth:`drain` (``clip=True``).
+
+        The energy runtime drains once per packet and validates the
+        energy itself; callers pass finite non-negative energy.
+        Returns the energy actually delivered.
+        """
+        soc = self.state_of_charge_joules
+        if energy_joules <= soc:
+            # 0 <= e <= soc, so the rounded soc - e is never negative.
+            self.state_of_charge_joules = soc - energy_joules
+            return energy_joules
         self.state_of_charge_joules = 0.0
-        return delivered
+        return soc
 
     def charge(self, energy_joules: float) -> float:
         """Add *energy_joules* to the cell, clipping at full capacity.
@@ -321,17 +330,27 @@ class Battery:
             raise EnergyError(
                 "powers must be finite and non-negative, got load "
                 f"{load_power_watts} W and harvest {harvested_power_watts} W")
+        return self.run_fast(load_power_watts, duration_seconds,
+                             harvested_power_watts)
+
+    def run_fast(self, load_power_watts: float, duration_seconds: float,
+                 harvested_power_watts: float) -> float:
+        """Unchecked :meth:`run` for callers that validated the inputs.
+
+        The energy runtime advances every battery node once per energy
+        tick; callers pass a finite non-negative duration and powers.
+        """
         net = load_power_watts - harvested_power_watts
         if net <= 0.0:
             self.charge(-net * duration_seconds)
             return duration_seconds
         required = net * duration_seconds
-        if required <= self.state_of_charge_joules:
-            self.state_of_charge_joules -= required
+        soc = self.state_of_charge_joules
+        if required <= soc:
+            self.state_of_charge_joules = soc - required
             return duration_seconds
-        sustained = self.state_of_charge_joules / net
         self.state_of_charge_joules = 0.0
-        return sustained
+        return soc / net
 
     def projected_life_seconds(self, load_power_watts: float,
                                harvested_power_watts: float = 0.0) -> float:

@@ -181,11 +181,13 @@ class NodeEnergyState:
             self.ledger.post_fast(component, energy_joules, timestamp_seconds,
                                   0.0, note)
             return energy_joules
-        delivered = battery.drain(energy_joules, clip=True)
+        delivered = battery.drain_fast(energy_joules)
         if delivered > 0.0:
             self.ledger.post_fast(component, delivered, timestamp_seconds,
                                   0.0, note)
-        if battery.is_empty:
+        # ``battery.is_empty``, without the property call.
+        if (battery.state_of_charge_joules
+                <= battery.spec.empty_threshold_joules):
             self.death_seconds = timestamp_seconds
         return delivered
 
@@ -218,17 +220,19 @@ class NodeEnergyState:
                     f"load powers must be finite and non-negative: {watts}")
             load += watts
         harvest = self.harvest_power_watts
+        if not (load < math.inf and 0.0 <= harvest < math.inf):
+            raise EnergyError(
+                f"total load {load} W and harvest {harvest} W must be "
+                "finite and non-negative")
         sustained = duration_seconds
         battery = self.battery
         if battery is not None:
-            sustained = battery.run(
-                load + self.leakage_power_watts, duration_seconds,
-                harvested_power_watts=harvest)
+            sustained = battery.run_fast(
+                load + self.leakage_power_watts, duration_seconds, harvest)
         self.harvested_joules += harvest * sustained
         stamp = end_timestamp_seconds - duration_seconds + sustained
-        post = self.ledger.post_fast
-        for component, watts in loads_watts.items():
-            post(component, watts * sustained, stamp, sustained)
-        if battery is not None and battery.is_empty:
+        self.ledger.post_powers_fast(loads_watts, sustained, stamp)
+        if (battery is not None and battery.state_of_charge_joules
+                <= battery.spec.empty_threshold_joules):
             self.death_seconds = stamp
         return sustained

@@ -68,9 +68,8 @@ P99_LATENCY_FACTOR = 3.0
 UTILIZATION_ABS_TOL = 0.02
 
 #: Utilization cutoff above which the closed forms are not trusted and
-#: the engine refuses to leap.  Kept equal to
-#: ``repro.cohort.analytic.VALIDITY_UTILIZATION`` (a test pins the two
-#: together; duplicating the constant avoids a netsim -> cohort import).
+#: the engine refuses to leap.  The cohort analytic path imports this
+#: constant as its own validity envelope, so the two cannot drift apart.
 VALIDITY_UTILIZATION = 0.9
 
 #: A leap may cover at most this fraction of a battery's projected time

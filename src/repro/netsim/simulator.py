@@ -12,9 +12,9 @@ network-scaling ablation and the scenario gallery.
 
 Nodes may carry a finite battery and an energy harvester (see
 :mod:`repro.energy.runtime`): the simulator then drains the battery on
-every transmission and, through periodic energy-update events on the
-same :class:`~repro.netsim.events.EventQueue`, on every sensing/ISA/
-sleep interval, credits harvested energy back, and reacts to the two
+every transmission and, through periodic energy ticks merged into
+the kernel's event order, on every sensing/ISA/sleep interval,
+credits harvested energy back, and reacts to the two
 state-of-charge thresholds — a *low-battery* crossing throttles the
 node's traffic (duty-cycle adaptation), an empty cell *browns the node
 out* (it stops generating and consuming for the rest of the run).
@@ -52,7 +52,7 @@ from .config import DEFAULT_LOW_BATTERY_STRIDE, NodeConfig
 from .stats import PENDING_FLUSH_THRESHOLD
 from .traffic import PeriodicSource, TrafficSource
 
-#: Default spacing of the periodic energy-update events (simulated
+#: Default spacing of the periodic energy ticks (simulated
 #: seconds).  Only scheduled when at least one node carries a battery or
 #: harvester; brownout times are interpolated inside the interval, so
 #: the default resolves death times far finer than the tick itself.
@@ -123,10 +123,15 @@ class SimulatedNode:
     coding_rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sensing_power_watts < 0 or self.isa_power_watts < 0:
-            raise SimulationError("node powers must be non-negative")
-        if self.coding_power_watts < 0:
-            raise SimulationError("coding power must be non-negative")
+        # NaN-safe: a NaN power fails every comparison, so test the
+        # accepted range instead of the rejected one.
+        if not (0.0 <= self.sensing_power_watts < math.inf
+                and 0.0 <= self.isa_power_watts < math.inf):
+            raise SimulationError(
+                "node powers must be finite and non-negative")
+        if not 0.0 <= self.coding_power_watts < math.inf:
+            raise SimulationError(
+                "coding power must be finite and non-negative")
         if not 0.0 < self.coding_rate <= 1.0:
             raise SimulationError("coding rate must be in (0, 1]")
 
@@ -353,7 +358,7 @@ class BodyNetworkSimulator:
         Exact-sample capacity of the latency statistics; beyond it the
         accumulator streams with bounded memory (multi-hour runs).
     energy_update_interval_seconds:
-        Spacing of the periodic energy-update events (harvest credit,
+        Spacing of the periodic energy ticks (harvest credit,
         static-power drain, threshold checks).  Only used when a node
         carries a battery or harvester.
     harvest_environment:
@@ -630,45 +635,23 @@ class BodyNetworkSimulator:
                         state_of_charge_fraction=state.
                         state_of_charge_fraction))
 
-    def _schedule_energy_updates(self, end_time: float) -> None:
-        energy_nodes = [node for node in self.nodes.values()
-                        if node.energy is not None]
-        if not energy_nodes:
-            return
-        interval = self.energy_update_interval_seconds
-
-        def update() -> None:
-            now = self.queue.now
-            for node in energy_nodes:
-                self._settle_energy(node, now)
-            next_time = now + interval
-            if next_time <= end_time:
-                self.queue.schedule_at(next_time, update)
-
-        # Anchor the first tick one interval past the *current* clock,
-        # not at the absolute ``interval``: the hybrid driver re-enters
-        # the kernel at arbitrary times, where an absolute first tick
-        # would be in the past.  At a cold start ``now`` is 0.0 and
-        # ``0.0 + interval == interval`` exactly, so the exact path's
-        # tick schedule is bit-identical.
-        first = self.queue.now + interval
-        if first <= end_time:
-            self.queue.schedule_at(first, update)
-
     def _run_kernel(self, end_time: float) -> None:
-        """Drain the simulation with the batched three-stream merge loop.
+        """Drain the simulation with the batched four-stream merge loop.
 
-        The kernel merges three event streams by ``(time, sequence)``:
+        The kernel merges four event streams by ``(time, sequence)``:
 
         * **generation** — one heap entry per node holding its next
           packet-generation instant;
         * **transmission chain** — the medium's single in-flight begin or
           completion (the medium serialises, so at most one exists),
           carried in plain locals while the loop runs;
-        * **control** — the :class:`EventQueue` proper: energy-update
-          ticks, posture events, anything callers scheduled directly.
+        * **energy tick** — one local ``(time, sequence)`` key, every
+          ``energy_update_interval_seconds`` while any node carries a
+          battery or harvester, that settles those nodes' static loads;
+        * **control** — the :class:`EventQueue` proper: posture events,
+          controller cadence, anything callers scheduled directly.
 
-        All three claim sequence numbers from one shared counter, at the
+        All four claim sequence numbers from one shared counter, at the
         points where a one-event-per-dispatch schedule (a begin, then a
         completion, per transmission) would claim them, so the merged
         total order — and therefore every RNG draw, float addition and
@@ -689,10 +672,11 @@ class BodyNetworkSimulator:
         Everything is written back when the loop exits, with every
         addition replayed in the legacy order.  Control-stream events
         observe consistent per-node traffic counters and queue state
-        (synced around ``queue.step()``); aggregate statistics and
-        fast-path ledger totals otherwise sync lazily.  The in-flight chain
-        event crosses the horizon through ``bus._chain``: taken over on
-        entry, handed back on exit.
+        (synced around ``queue.step()``); an energy tick syncs only the
+        energy nodes' serialised bits and strides; aggregate statistics
+        and fast-path ledger totals otherwise sync lazily.  The in-flight
+        chain event crosses the horizon through ``bus._chain``: taken
+        over on entry, handed back on exit.
         """
         queue = self.queue
         bus = self.bus
@@ -850,7 +834,21 @@ class BodyNetworkSimulator:
                 win_src = policy._windows
                 for i in range(n_nodes):
                     win_l[i] = win_src.get(node_list[i].name)
-        self._schedule_energy_updates(end_time)
+        # The energy tick claims its first sequence number here, after
+        # the generation heap, and each later one after its settles.  It
+        # is anchored one interval past the *current* clock, not at the
+        # absolute ``interval``: the hybrid driver re-enters the kernel at
+        # arbitrary times, where an absolute first tick would be in the
+        # past.  At a cold start ``now`` is 0.0 and ``0.0 + interval ==
+        # interval`` exactly.
+        sentinel = (inf_, inf_)
+        energy_idx = [i for i in range(n_nodes)
+                      if node_list[i].energy is not None]
+        tick_interval = self.energy_update_interval_seconds
+        tick_key = sentinel
+        if energy_idx and queue._now + tick_interval <= end_time:
+            tick_key = (queue._now + tick_interval, claim())
+        settle = self._settle_energy
 
         # On a lossy medium the attempt accounting posts to the hub too
         # (wasted frames, ack transmissions); the hub can only go fast
@@ -889,7 +887,6 @@ class BodyNetworkSimulator:
         # last sync — an index, not a copy.
         lat_scan = len(lat_list) if lat_list is not None else 0
 
-        sentinel = (inf_, inf_)
         # The in-flight transmission, as loop locals; a previous run may
         # hand a chain over across the horizon.
         chain_key = sentinel
@@ -903,7 +900,8 @@ class BodyNetworkSimulator:
             chain_kind = handoff[2]
             chain_packet = handoff[3]
             chain_service = handoff[4]
-        ctrl_key = queue.peek_key() or sentinel
+        queue_key = queue.peek_key() or sentinel
+        ctrl_key = tick_key if tick_key < queue_key else queue_key
         # Hoisted after the setup claims above — every in-loop claim is
         # an inline increment, written back around control events.
         seq = queue._seq
@@ -1370,13 +1368,14 @@ class BodyNetworkSimulator:
                         deliv_counts[idx] += 1
                     else:
                         node = node_list[idx]
-                        if node.energy is None:
+                        state = node.energy
+                        if state is None:
                             node.ledger.post_fast("wir_tx", tx_energy, t)
                             node.packets_delivered += 1
-                        elif node.energy.death_seconds is None:
+                        elif state.death_seconds is None:
                             node.packets_delivered += 1
-                            node.energy.drain("wir_tx", tx_energy, t)
-                            if node.energy.death_seconds is not None:
+                            state.drain("wir_tx", tx_energy, t)
+                            if state.death_seconds is not None:
                                 if slotted_fast:  # the death purges
                                     policy._pending = slot_pending
                                 self._record_death(node)
@@ -1500,10 +1499,36 @@ class BodyNetworkSimulator:
                     chain_key = (t + chain_service, seq)
                     chain_kind = 1
                     seq += 1
+            elif ctrl_key is tick_key:
+                # Energy tick: settle every energy node at ``t``.  A
+                # settle reads only the node's serialised bits and may
+                # re-stride or kill the node, so only those sync; a
+                # brownout purges the node's backlog from the arbiter.
+                queue._now = t  # the clock a queue dispatch would set
+                if slotted_fast:
+                    policy._pending = slot_pending
+                purges = len_(purged)
+                for i in energy_idx:
+                    nd = node_list[i]
+                    nd.bits_sent = bits_l[i]
+                    settle(nd, t)
+                    stride_l[i] = nd.tx_stride
+                if len_(purged) != purges:
+                    if slotted_fast:
+                        slot_pending = policy._pending
+                    _rehoist_ring()
+                t += tick_interval
+                if t <= end_time:
+                    tick_key = (t, seq)
+                    seq += 1
+                else:
+                    tick_key = sentinel
+                ctrl_key = tick_key if tick_key < queue_key else queue_key
             else:
-                # Control callbacks (energy ticks, posture events) see
-                # consistent per-node traffic counters and may schedule
-                # or claim; sync the counters around the dispatch.
+                # Control callbacks (posture events, controller cadence)
+                # see consistent per-node traffic counters and may
+                # schedule or claim; sync the counters around the
+                # dispatch.
                 queue._seq = seq
                 if slotted_fast:
                     policy._pending = slot_pending
@@ -1514,7 +1539,8 @@ class BodyNetworkSimulator:
                     slot_pending = policy._pending
                 _rehoist_ring()
                 _reload_nodes()
-                ctrl_key = queue.peek_key() or sentinel
+                queue_key = queue.peek_key() or sentinel
+                ctrl_key = tick_key if tick_key < queue_key else queue_key
 
         stats.delivered_packets = delivered_cnt
         stats.delivered_bits = delivered_bits_sum

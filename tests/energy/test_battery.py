@@ -326,3 +326,32 @@ class TestNonFiniteInputs:
         with pytest.raises(EnergyError):
             cell.charge(energy)
         assert cell.state_of_charge_joules == 1.0
+
+
+class TestUncheckedCores:
+    """``drain_fast``/``run_fast`` are the arithmetic behind the checked
+    methods, so the two give identical charge and return values."""
+
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e4),
+                              st.floats(min_value=0.0, max_value=1e3),
+                              st.floats(min_value=0.0, max_value=1e3)),
+                    min_size=1, max_size=20))
+    def test_cores_match_checked_methods(self, operations):
+        checked = Battery(spec=coin_cell_cr2032())
+        fast = Battery(spec=coin_cell_cr2032())
+        for amount, duration, harvest in operations:
+            assert fast.drain_fast(amount) == checked.drain(amount,
+                                                            clip=True)
+            assert fast.run_fast(amount * 1e-3, duration, harvest * 1e-3) \
+                == checked.run(amount * 1e-3, duration,
+                               harvested_power_watts=harvest * 1e-3)
+            assert fast.state_of_charge_joules == \
+                checked.state_of_charge_joules
+
+    def test_overdrain_without_clip_leaves_the_charge(self):
+        cell = Battery(spec=coin_cell_cr2032(), state_of_charge_joules=1.0)
+        with pytest.raises(EnergyError, match="exceeds"):
+            cell.drain(2.0)
+        assert cell.state_of_charge_joules == 1.0
+        assert cell.drain_fast(2.0) == 1.0
+        assert cell.is_empty

@@ -330,3 +330,29 @@ class TestPostFast:
                             timestamp_seconds=3.0, note="n")
         assert ledger.entries == [entry]
         assert EnergyLedger().post("x", 1.0, 2.0, 3.0, "n") == entry
+
+
+class TestPostPowersFast:
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e-3),
+                    min_size=1, max_size=4),
+           st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=-100.0, max_value=1e5),
+           st.booleans())
+    def test_matches_one_post_fast_per_load(self, powers, duration, stamp,
+                                            keep):
+        loads = {f"c{i}": watts for i, watts in enumerate(powers)}
+        one_by_one = EnergyLedger(keep_entries=keep)
+        batched = EnergyLedger(keep_entries=keep)
+        for ledger in (one_by_one, batched):
+            ledger.post_fast("wir_tx", 0.25, 1.0)  # a prior total to add to
+        for component, watts in loads.items():
+            one_by_one.post_fast(component, watts * duration, stamp,
+                                 duration)
+        batched.post_powers_fast(loads, duration, stamp)
+        assert batched.breakdown() == one_by_one.breakdown()
+        assert batched.components() == one_by_one.components()
+        assert batched.total_energy() == one_by_one.total_energy()
+        assert batched.posted_count == one_by_one.posted_count
+        assert batched.trace_energy_joules().tolist() == \
+            one_by_one.trace_energy_joules().tolist()
+        assert batched.entries == one_by_one.entries

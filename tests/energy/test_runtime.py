@@ -207,6 +207,8 @@ class TestNonFiniteInputs:
         ({"sensing": 1e-3}, 1.0, math.nan),
         ({"sensing": 1e-3, "isa": math.nan}, 1.0, 1.0),
         ({"sensing": math.inf}, 1.0, 1.0),
+        # Each load is finite but their total overflows to inf.
+        ({"sensing": 1e308, "isa": 1e308}, 1.0, 1.0),
     ])
     def test_advance_rejects(self, loads, duration, end):
         # A NaN duration or load used to empty the cell, then raise a

@@ -236,3 +236,26 @@ class TestEnergyAccountingConsistency:
         with pytest.raises(SimulationError):
             BodyNetworkSimulator(wir_commercial(),
                                  energy_update_interval_seconds=0.0)
+
+
+class TestEnergyTickStream:
+    """Energy ticks are a kernel stream, never calendar-queue events."""
+
+    def test_no_tick_waits_in_the_event_queue(self):
+        simulator = build(duration_budget_joules=10.0)
+        pending: list[tuple[float, int]] = []
+        settled: list[float] = []
+
+        def probe() -> None:
+            pending.append((simulator.queue.now, len(simulator.queue)))
+            settled.append(simulator.nodes["leaf"].energy_settled_seconds)
+
+        simulator.queue.schedule_at(2.5, probe)
+        simulator.queue.schedule_at(3.0, probe)
+        simulator.run(5.0)
+        # Only the probes were ever queued: the 1 s ticks ran as their
+        # own stream, at the whole seconds, and the probe scheduled
+        # before the run wins the 3.0 s tie with the tick.
+        assert pending == [(2.5, 1), (3.0, 0)]
+        assert settled == [2.0, 2.0]
+        assert simulator.nodes["leaf"].energy_settled_seconds == 5.0

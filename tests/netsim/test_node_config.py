@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -43,6 +44,18 @@ class TestAttach:
         with pytest.raises(SimulationError, match="stride"):
             simulator.attach(NodeConfig("ecg", _source(),
                                         low_battery_stride=0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("power", ["sensing_power_watts",
+                                       "isa_power_watts",
+                                       "coding_power_watts"])
+    def test_non_finite_power_is_rejected_at_attach(self, power, value):
+        # NaN slips past a bare ``< 0`` guard; it must not survive to
+        # the end of a run and only then fail in the ledger.
+        simulator = BodyNetworkSimulator(wir_commercial())
+        with pytest.raises(SimulationError, match="finite"):
+            simulator.attach(NodeConfig("ecg", _source(), **{power: value}))
+        assert "ecg" not in simulator.nodes
 
     def test_battery_config_arms_the_energy_runtime(self):
         simulator = BodyNetworkSimulator(wir_commercial())
