@@ -312,7 +312,7 @@ class CohortAccumulator:
             for key, value in Counter(columns.column(name)).items():
                 counts[key] = counts.get(key, 0) + value
         for name in MEMBER_METRIC_FIELDS:
-            self.metrics[name].add_many(columns.column(name))
+            self.metrics[name].add_many(getattr(columns, name))
 
     def merge(self, other: "CohortAccumulator") -> None:
         """Fold another (later-member-range) accumulator into this one."""

@@ -26,15 +26,23 @@ this repository keeps.  Properties:
   default k), measured against ``np.percentile`` on uniform, lognormal,
   sorted and constant streams in ``tests/cohort/test_sketch.py``.
 
+* **One compaction core** — ``add``, ``add_many``, ``add_repeated`` and
+  ``merge`` check their input, then share one unchecked loop that
+  appends values in runs and compacts; ``add_many`` of a batch gives the
+  state the loop of ``add`` calls would, bit for bit.
+
 Values must be finite (percentile queries on ``inf``/``nan`` are
 meaningless); callers that track non-finite markers (e.g. "no brownout"
-as ``inf``) keep them in exact counters instead.
+as ``inf``) keep them in exact counters instead.  A batch with any
+non-finite value is rejected before anything is recorded.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from ..errors import SimulationError
 
@@ -99,38 +107,35 @@ class QuantileSketch:
             self._max = value
         self._levels[0].append(value)
         self._size += 1
-        if self._size > self._total_capacity:
-            self._compress()
+        self._compact()
 
     def add_many(self, values) -> None:
         """Record every value of the sequence *values*, in order.
 
-        Leaves the sketch in exactly the state the equivalent loop of
-        :meth:`add` calls would: values are appended in runs that stop
-        at the insert which overflows the capacity — the one insert
-        after which :meth:`add` compacts — so every compaction sees the
-        same buffers.
+        Every value is checked before any is recorded, so a call that
+        raises leaves the sketch untouched.  The checked values then go
+        through the same compaction loop as :meth:`add`, so the sketch
+        ends in exactly the state the equivalent loop of :meth:`add`
+        calls would: the extrema are the first occurrences of the
+        smallest and largest value (``-0.0`` and ``0.0`` tie), and the
+        compactions see the same buffers.
         """
-        position = 0
-        while position < len(values):
-            room = self._total_capacity - self._size
-            run = list(map(float, values[position:position + max(room, 0) + 1]))
-            if not all(map(math.isfinite, run)):
-                raise SimulationError(
-                    "quantile sketch values must be finite: "
-                    f"{next(v for v in run if not math.isfinite(v))}")
-            self.count += len(run)
-            low = min(run)
-            if low < self._min:
-                self._min = low
-            high = max(run)
-            if high > self._max:
-                self._max = high
-            self._levels[0].extend(run)
-            self._size += len(run)
-            position += len(run)
-            if self._size > self._total_capacity:
-                self._compress()
+        array = np.asarray(values, dtype=np.float64)
+        if not array.size:
+            return
+        finite = np.isfinite(array)
+        if not finite.all():
+            raise SimulationError(
+                "quantile sketch values must be finite: "
+                f"{float(array[finite.argmin()])}")
+        self.count += array.size
+        low = float(array[array.argmin()])
+        if low < self._min:
+            self._min = low
+        high = float(array[array.argmax()])
+        if high > self._max:
+            self._max = high
+        self._compact(array)
 
     def add_repeated(self, value: float, weight: int) -> None:
         """Record *value* ``weight`` times in O(log weight) inserts.
@@ -159,10 +164,17 @@ class QuantileSketch:
             self._levels[level].append(value)
             self._size += 1
             remaining -= 1 << level
-        self._compress()
+        self._compact()
 
     def merge(self, other: "QuantileSketch") -> None:
-        """Fold *other* into this sketch (level-wise concatenation)."""
+        """Fold *other* into this sketch (level-wise concatenation).
+
+        Both sketches must share ``k``: the capacity schedule, and with
+        it the rank-error envelope, is a function of ``k``.
+        """
+        if other.k != self.k:
+            raise SimulationError(
+                f"cannot merge a k={other.k} sketch into a k={self.k} sketch")
         if other.count == 0:
             return
         self.count += other.count
@@ -172,7 +184,7 @@ class QuantileSketch:
         for level, items in enumerate(other._levels):
             self._levels[level].extend(items)
         self._size += other._size
-        self._compress()
+        self._compact()
 
     # -- compaction --------------------------------------------------------
 
@@ -192,36 +204,51 @@ class QuantileSketch:
             for level in range(len(self._levels))]
         self._total_capacity = sum(self._capacities)
 
-    def _compress(self) -> None:
-        while self._size > self._total_capacity:
-            capacities = self._capacities
-            for level, items in enumerate(self._levels):
-                if len(items) >= capacities[level] and len(items) >= 2:
-                    self._compact(level)
-                    break
-            else:  # nothing compactable (all levels tiny): accept the size
-                break
+    def _compact(self, values=()) -> None:
+        """Append the checked float64 array *values* (none by default) to
+        level 0 and compact to capacity.
 
-    def _compact(self, level: int) -> None:
-        """Halve one level: sort, keep every other value one level up.
-
-        An odd-sized buffer keeps its largest value in place so weights
-        stay exact; the even remainder is promoted from an alternating
-        offset, flipped every compaction — deterministic, but unbiased
-        over repeated compactions the same way KLL's coin flip is in
-        expectation.
+        The one compaction loop.  It compacts while the sketch holds more
+        than its total capacity, and otherwise appends the next run of
+        *values* — a run that ends on the value whose :meth:`add` would
+        overflow the capacity, so every compaction sees the buffers the
+        loop of :meth:`add` calls would.  A compaction halves the lowest
+        level holding at least its capacity (one always does while the
+        sketch is over capacity, since every capacity is at least two):
+        the level is sorted in place, an odd-sized level keeps its
+        largest value so weights stay exact, and every other value of
+        the rest moves one level up from an alternating offset, flipped
+        every compaction — deterministic, but unbiased over repeated
+        compactions the same way KLL's coin flip is in expectation.
         """
-        items = sorted(self._levels[level])
-        leftover: list[float] = []
-        if len(items) % 2:
-            leftover.append(items.pop())
-        offset = 1 if self._flips[level] else 0
-        self._flips[level] = not self._flips[level]
-        promoted = items[offset::2]
-        self._levels[level] = leftover
-        self._ensure_level(level + 1)
-        self._levels[level + 1].extend(promoted)
-        self._size -= len(items) - len(promoted)
+        levels, flips = self._levels, self._flips
+        capacities, total = self._capacities, self._total_capacity
+        bottom, size = levels[0], self._size
+        position, end = 0, len(values)
+        while True:
+            if size > total:
+                level = 0
+                while len(levels[level]) < capacities[level]:
+                    level += 1
+                items = levels[level]
+                items.sort()
+                even = len(items) & ~1
+                flip = flips[level]
+                flips[level] = not flip
+                if level + 1 == len(levels):
+                    self._ensure_level(level + 1)
+                    capacities, total = self._capacities, self._total_capacity
+                levels[level + 1] += items[flip:even:2]
+                del items[:even]
+                size -= even >> 1
+            elif position < end:
+                stop = min(position + total - size + 1, end)
+                bottom += values[position:stop].tolist()
+                size += stop - position
+                position = stop
+            else:
+                break
+        self._size = size
 
     # -- queries -----------------------------------------------------------
 

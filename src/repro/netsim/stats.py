@@ -23,7 +23,6 @@ state regardless of how long the simulation runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Mapping
 
@@ -133,40 +132,41 @@ class LatencyAccumulator:
         the same sample, with the same observed extrema, and the rest
         reaches the backend in arrival order (running total by
         sequential float additions, sketch by
-        :meth:`~repro.cohort.sketch.QuantileSketch.add_many`).  All
-        samples are checked before any is recorded: negative ones always,
-        non-finite ones on the sketch backend whenever they (or the
-        window they spill) would reach the sketch.
+        :meth:`~repro.cohort.sketch.QuantileSketch.add_many`).  The
+        samples become one float64 array, checked once before any is
+        recorded: negative ones always, non-finite ones on the sketch
+        backend whenever they (or the window they spill) would reach the
+        sketch.
         """
-        values = list(map(float, values))
-        if not values:
+        array = np.asarray(values, dtype=np.float64)
+        if not array.size:
             return
-        array = np.asarray(values)
-        if np.any(array < 0.0):
+        negative = array < 0.0
+        if negative.any():
             raise SimulationError(
                 "latency must be non-negative: "
-                f"{next(value for value in values if value < 0.0)}")
+                f"{float(array[negative.argmax()])}")
         if self.backend == "sketch":
             self._refuse_non_finite(array)
         if self._samples is not None:
             space = self.exact_capacity + 1 - len(self._samples)
-            head, values = values[:space], values[space:]
+            head, array = array[:space], array[space:]
             self._record(head)
-            self._samples.extend(head)
+            self._samples.extend(head.tolist())
             if len(self._samples) > self.exact_capacity:
                 self._spill()
-            if not values:
+            if not array.size:
                 return
-        self._record(values)
+        self._record(array)
         self._flush_pending()
-        total = self._total
-        for value in values:
-            total += value
-        self._total = total
+        # ``accumulate`` adds in sequence: bit for bit the loop of
+        # ``total += value`` that ``_flush_pending`` runs.
+        self._total = float(np.add.accumulate(
+            np.concatenate(((self._total,), array)))[-1])
         if self._sketch is not None:
-            self._sketch.add_many(values)
+            self._sketch.add_many(array)
         else:
-            indices = np.searchsorted(self._edges, values, side="right")
+            indices = np.searchsorted(self._edges, array, side="right")
             np.add.at(self._counts, indices, 1)
 
     def _refuse_non_finite(self, values) -> None:
@@ -188,16 +188,24 @@ class LatencyAccumulator:
                 "quantile sketch values must be finite: "
                 f"{np.asarray(values)[np.argmin(finite)]}")
 
-    def _record(self, values: list[float]) -> None:
-        """Count a run of samples and widen the extrema.
+    def _record(self, values: np.ndarray) -> None:
+        """Count a run of samples and widen the extrema as :meth:`add` does.
 
-        ``min``/``max`` seeded with the current extrema compare each value
-        against the running one in arrival order, exactly as :meth:`add`
-        does (NaN included).
+        :meth:`add` replaces an extremum only on a strictly smaller (or
+        larger) value, so NaN never becomes one and, among equal values
+        (``-0.0`` and ``0.0``), the earliest stays: the first occurrence
+        that ``argmin``/``argmax`` return over the non-NaN samples.
         """
-        self.count += len(values)
-        self._min = min(itertools.chain((self._min,), values))
-        self._max = max(itertools.chain((self._max,), values))
+        self.count += values.size
+        numbers = values[~np.isnan(values)]
+        if not numbers.size:
+            return
+        low = float(numbers[numbers.argmin()])
+        if low < self._min:
+            self._min = low
+        high = float(numbers[numbers.argmax()])
+        if high > self._max:
+            self._max = high
 
     def add_batch(self, values, counts) -> None:
         """Record ``values[i]`` repeated ``counts[i]`` times, in order.

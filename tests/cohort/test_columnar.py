@@ -37,8 +37,12 @@ from repro.cohort.analytic import (
 from repro.cohort.streams import StreamBlock
 from repro.errors import ScenarioError, SimulationError
 from repro.netsim.stats import LatencyAccumulator
+from repro.runner.artifacts import canonical_json
 
-VALUES = st.lists(st.floats(0.0, 1e6, allow_nan=False), max_size=1500)
+ZEROS = st.sampled_from([0.0, -0.0])
+VALUES = st.lists(st.one_of(st.floats(0.0, 1e6, allow_nan=False), ZEROS),
+                  max_size=1500)
+SIGNED = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), ZEROS)
 CHUNKS = st.lists(st.integers(1, 400), min_size=1, max_size=20)
 
 
@@ -52,16 +56,21 @@ def chunked(values: list[float], sizes: list[int]):
         step += 1
 
 
-@given(VALUES, CHUNKS, st.integers(8, 64))
+@given(st.lists(SIGNED, min_size=1, max_size=600),
+       st.lists(SIGNED, max_size=1500), CHUNKS, st.integers(8, 200))
 @settings(max_examples=80, deadline=None)
-def test_sketch_add_many_equals_sequential_add(values, sizes, k):
-    sequential = QuantileSketch(k)
+def test_sketch_add_many_equals_sequential_add(prefix, values, sizes, k):
+    start = QuantileSketch(k)
+    for value in prefix:
+        start.add(value)
+    sequential = QuantileSketch.from_state(start.to_state())
     for value in values:
         sequential.add(value)
-    batched = QuantileSketch(k)
+    batched = QuantileSketch.from_state(start.to_state())
     for run in chunked(values, sizes):
         batched.add_many(run)
-    assert batched.to_state() == sequential.to_state()
+    assert canonical_json(batched.to_state()) == \
+        canonical_json(sequential.to_state())
     assert batched.retained == sequential.retained
 
 
@@ -76,7 +85,8 @@ def test_accumulator_add_many_equals_add_across_spill(values, sizes,
     batched = LatencyAccumulator(exact_capacity=capacity, backend=backend)
     for run in chunked(values, sizes):
         batched.add_many(run)
-    assert batched.to_state() == sequential.to_state()
+    assert canonical_json(batched.to_state()) == \
+        canonical_json(sequential.to_state())
 
 
 def test_add_many_tracks_extrema_like_add_around_nan():

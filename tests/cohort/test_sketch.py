@@ -179,6 +179,22 @@ class TestValidation:
             with pytest.raises(SimulationError):
                 sketch.add_repeated(bad, 3)
 
+    def test_rejected_add_many_records_nothing(self):
+        sketch = QuantileSketch()
+        sketch.add_many([3.0, -1.0])
+        before = sketch.to_state()
+        with pytest.raises(SimulationError):
+            sketch.add_many([1.0] * 500 + [float("nan")])
+        assert sketch.to_state() == before
+        assert sketch.retained == 2
+
+    def test_merge_rejects_a_different_k(self):
+        coarse, fine = QuantileSketch(k=50), QuantileSketch(k=200)
+        fine.add_many(np.linspace(0.0, 1.0, 1000))
+        with pytest.raises(SimulationError, match="k=200"):
+            coarse.merge(fine)
+        assert coarse.is_empty
+
     def test_empty_sketch_refuses_queries(self):
         with pytest.raises(SimulationError):
             QuantileSketch().quantile(0.5)
