@@ -209,12 +209,7 @@ class MacroTickEngine:
         refuses — the caller then runs an exact kernel chunk instead.
         """
         self.exact_until = None
-        if not self.eligible:
-            return None
-        bus = self.bus
-        if bus._chain is not None or bus._busy:
-            return None
-        if self.policy.pending_count() != 0:
+        if not self.eligible or self.transient_blocked():
             return None
 
         reliability = self.reliability

@@ -521,8 +521,10 @@ class BodyNetworkSimulator:
         A successful attempt's frame energy flows through the kernel's
         delivery accounting; here it only pays for its ack (leaf
         receives, hub transmits).  A corrupted attempt pays the full
-        wasted frame — leaf transmit under ``wir_retx``, hub receive —
-        and gets no ack (the leaf times out).
+        wasted frame as leaf transmit under ``wir_retx`` and gets no ack
+        (the leaf times out).  The hub's ``wir_rx`` for the frame is
+        posted by the kernel's completion step, once per attempt,
+        corrupted or delivered.
         """
         node = self.nodes[packet.source]
         now = self.queue.now
@@ -551,9 +553,6 @@ class BodyNetworkSimulator:
             energy.drain("wir_retx", tx_energy, now)
             if energy.death_seconds is not None:
                 self._record_death(node)
-        # The hub listened to the corrupted frame for its full length.
-        self.hub_ledger.post_fast(
-            "wir_rx", packet.bits * node.technology.rx_energy_per_bit(), now)
 
     def _account_loss(self, packet: Packet) -> None:
         """A packet the link gave up on: goodput and airtime bookkeeping.
@@ -721,13 +720,12 @@ class BodyNetworkSimulator:
         heappush_ = heappush
 
         # Per-node state, flattened into index-addressed tables (the
-        # delivery path resolves the index from ``packet._node``).  The
+        # completion step resolves the index from ``packet._node``).  The
         # traffic counters start from the node attributes and replay
         # their additions in the legacy order, so the written-back floats
         # are bit-identical.
         node_list = list(nodes.values())
         n_nodes = len(node_list)
-        node_index = {node.name: i for i, node in enumerate(node_list)}
         # (period, bits, service, name) for plain periodic sources —
         # their draws consume no randomness and every packet serialises
         # in the same time, so both lookups can be skipped outright.
@@ -850,10 +848,10 @@ class BodyNetworkSimulator:
             tick_key = (queue._now + tick_interval, claim())
         settle = self._settle_energy
 
-        # On a lossy medium the attempt accounting posts to the hub too
-        # (wasted frames, ack transmissions); the hub can only go fast
-        # if every node does, otherwise a method-path attempt would
-        # interleave hub posts with the accumulated ones.
+        # On a lossy medium the attempt accounting posts ack
+        # transmissions to the hub too; the hub can only go fast if every
+        # node does, otherwise a method-path attempt would interleave hub
+        # posts with the accumulated ones.
         hub_fast = (hub_ledger.entries is None
                     and hub_ledger._posted_count == 0
                     and (reliability is None or all(fast_flags)))
@@ -865,9 +863,10 @@ class BodyNetworkSimulator:
         hub_trace = hub_ledger._trace
         hub_w = hub_ledger.trace_bucket_seconds
         hub_last = hub_ledger.trace_buckets - 1
-        # Delivery times are nondecreasing, so the hub's trace bucket
-        # only ever moves forward: cache it and recompute only when the
-        # time crosses the cached bucket's upper edge.
+        # Completion times are nondecreasing, so the hub's trace bucket
+        # only ever moves forward: cache it and recompute (once per
+        # completion) only when the time crosses the cached bucket's
+        # upper edge.
         hub_bucket = 0
         hub_limit = 0.0
 
@@ -1115,50 +1114,43 @@ class BodyNetworkSimulator:
             if barrier is chain_key:
                 chain_key = sentinel
                 if chain_kind:
-                    # Transmission completes.
+                    # Transmission completes.  Every packet on the medium
+                    # was built by this kernel, which set its ``_node``.
                     packet = chain_packet
+                    idx = packet._node
+                    bits = packet.bits
+                    if hub_fast:
+                        # One bucket serves every hub post at ``t``.
+                        q = t / hub_w
+                        if q >= hub_limit:
+                            hub_bucket = int_(q)
+                            if hub_bucket >= hub_last:
+                                hub_bucket = hub_last
+                                hub_limit = inf_
+                            else:
+                                hub_limit = hub_bucket + 1.0
+                    erased = False
                     if reliability is not None:
                         packet.attempts += 1
-                        ridx = packet._node
-                        if ridx is None:
-                            ridx = node_index[packet.source]
-                        if reliability.draw_erasure(packet.source):
+                        erased = reliability.draw_erasure(packet.source)
+                        if erased:
                             stats.erased_attempts += 1
-                            node_list[ridx].erased_attempts += 1
-                            if fast_flags[ridx]:
+                            node_list[idx].erased_attempts += 1
+                            if fast_flags[idx]:
                                 # Inline failed-attempt accounting
                                 # (mirrors ``_account_attempt``): a
                                 # batteryless node has no drain/brownout
-                                # branch, so the wasted frame is exactly
-                                # two posts, accumulated like the
-                                # delivery path's.
-                                rbits = packet.bits
-                                node_list[ridx].retx_bits += rbits
-                                value = rbits * tx_e[ridx]
-                                retx_acc[ridx] += value
-                                grand_acc[ridx] += value
-                                retx_posts_l[ridx] += 1
-                                bucket = int_(t / trace_w_l[ridx])
-                                last = trace_last_l[ridx]
-                                trace_l[ridx][bucket if bucket < last
-                                              else last] += value
-                                value = rbits * rx_e[ridx]
-                                if hub_fast:
-                                    hub_rx_acc += value
-                                    hub_grand += value
-                                    hub_posts += 1
-                                    q = t / hub_w
-                                    if q >= hub_limit:
-                                        hub_bucket = int_(q)
-                                        if hub_bucket >= hub_last:
-                                            hub_bucket = hub_last
-                                            hub_limit = inf_
-                                        else:
-                                            hub_limit = hub_bucket + 1.0
-                                    hub_trace[hub_bucket] += value
-                                else:
-                                    hub_ledger.post_fast("wir_rx", value,
-                                                         t)
+                                # branch, so the wasted frame is one
+                                # accumulated post, like a delivery's.
+                                node_list[idx].retx_bits += bits
+                                value = bits * tx_e[idx]
+                                retx_acc[idx] += value
+                                grand_acc[idx] += value
+                                retx_posts_l[idx] += 1
+                                bucket = int_(t / trace_w_l[idx])
+                                last = trace_last_l[idx]
+                                trace_l[idx][bucket if bucket < last
+                                             else last] += value
                             else:
                                 queue._now = t  # the accounting reads it
                                 if slotted_fast:  # the drain may purge
@@ -1174,139 +1166,32 @@ class BodyNetworkSimulator:
                                     # The source is a known node, so
                                     # ``enqueue`` reduces to an append
                                     # and a pending bump.
-                                    node_queues[ridx].append(packet)
+                                    node_queues[idx].append(packet)
                                     slot_pending += 1
                                 else:
                                     enqueue(packet)
                             else:
                                 stats.lost_packets += 1
                                 self._account_loss(packet)
-                            # Grant the next transmission — the same
-                            # inline slot-ring walk as the delivery
-                            # site.
-                            packet2 = None
-                            if ring_ok:
-                                if slot_pending == 0:
-                                    bus._busy = False
-                                else:
-                                    frame_start = (floor_(t / superframe)
-                                                   * superframe)
-                                    anchor = bisect_(ring_starts,
-                                                     t - frame_start) - 1
-                                    if anchor >= 0:
-                                        offset, width, nq = ring[anchor]
-                                        if nq and t < (frame_start
-                                                       + offset + width):
-                                            slot_pending -= 1
-                                            packet2 = nq.popleft()
-                                            access_delay = \
-                                                max_(t, frame_start
-                                                     + offset) - t
-                                    if packet2 is None:
-                                        count = len_(ring)
-                                        for step in range(1, count + 1):
-                                            offset, width, nq = \
-                                                ring[(anchor + step)
-                                                     % count]
-                                            if nq:
-                                                start = (frame_start
-                                                         + offset)
-                                                if t < start + width:
-                                                    access = (t
-                                                              if t > start
-                                                              else start)
-                                                else:
-                                                    start = (frame_start
-                                                             + superframe
-                                                             + offset)
-                                                    if t < start + width:
-                                                        access = (
-                                                            t if t > start
-                                                            else start)
-                                                    else:
-                                                        access = (
-                                                            frame_start
-                                                            + 2.0
-                                                            * superframe
-                                                            + offset)
-                                                slot_pending -= 1
-                                                packet2 = nq.popleft()
-                                                access_delay = access - t
-                                                break
-                                        else:
-                                            raise SimulationError(
-                                                "pending count out of "
-                                                "sync with queues")
-                            else:
-                                if slotted_fast:
-                                    policy._pending = slot_pending
-                                grant = next_grant(t)
-                                if slotted_fast:
-                                    slot_pending = policy._pending
-                                    _rehoist_ring()
-                                if grant is None:
-                                    bus._busy = False
-                                else:
-                                    packet2, access_delay = grant
-                            if packet2 is not None:
-                                service = packet2._service
-                                if service is None:
-                                    service = service_cache.get(
-                                        (packet2.source, packet2.bits))
-                                    if service is None:
-                                        service = \
-                                            bus.service_time_seconds(packet2)
-                                busy_s += service
-                                chain_packet = packet2
-                                chain_service = service
-                                if access_delay == 0.0:
-                                    packet2.queued_at = t
-                                    chain_key = (t + service, seq)
-                                    chain_kind = 1
-                                    seq += 1
-                                else:
-                                    begin_t = t + access_delay
-                                    if (begin_t <= end_time
-                                            and ctrl_key[0] > begin_t
-                                            and (gen_heap[0][0] if gen_heap
-                                                 else inf_) > begin_t):
-                                        packet2.queued_at = begin_t
-                                        chain_key = (begin_t + service,
-                                                     seq + 1)
-                                        chain_kind = 1
-                                        seq += 2
-                                    else:
-                                        chain_key = (begin_t, seq)
-                                        chain_kind = 0
-                                        seq += 1
-                            continue
-                        if fast_flags[ridx]:
+                        elif fast_flags[idx]:
                             if ack_posting:
                                 # Inline successful-attempt accounting:
                                 # the frame energy flows through the
-                                # delivery path below; only the ack pair
-                                # posts here.
-                                value = ack_e_l[ridx]
-                                ack_acc[ridx] += value
-                                grand_acc[ridx] += value
-                                ack_posts_l[ridx] += 1
-                                bucket = int_(t / trace_w_l[ridx])
-                                last = trace_last_l[ridx]
-                                trace_l[ridx][bucket if bucket < last
-                                              else last] += value
+                                # delivery accounting below; only the
+                                # ack pair posts here.
+                                value = ack_e_l[idx]
+                                ack_acc[idx] += value
+                                grand_acc[idx] += value
+                                ack_posts_l[idx] += 1
+                                bucket = int_(t / trace_w_l[idx])
+                                last = trace_last_l[idx]
+                                trace_l[idx][bucket if bucket < last
+                                             else last] += value
                                 if hub_fast:
                                     hub_ack_acc += hub_ack_e
                                     hub_grand += hub_ack_e
                                     hub_posts += 1
                                     hub_ack_posts += 1
-                                    q = t / hub_w
-                                    if q >= hub_limit:
-                                        hub_bucket = int_(q)
-                                        if hub_bucket >= hub_last:
-                                            hub_bucket = hub_last
-                                            hub_limit = inf_
-                                        else:
-                                            hub_limit = hub_bucket + 1.0
                                     hub_trace[hub_bucket] += hub_ack_e
                                 else:
                                     hub_ledger.post_fast("ack_tx",
@@ -1318,85 +1203,76 @@ class BodyNetworkSimulator:
                             self._account_attempt(packet, True)
                             if slotted_fast:
                                 slot_pending = policy._pending
-                    packet.delivered_at = t
-                    bits = packet.bits
-                    delivered_cnt += 1
-                    delivered_bits_sum += bits
-                    cnt += 1
-                    value = t - packet.created_at
-                    if lat_list is not None:
-                        lat_list.append(value)
-                        if len_(lat_list) > lat_cap:
-                            # The spill reads the shared extrema; fold the
-                            # window's (min/max are order-independent) and
-                            # sync first.
-                            low = min(lat_list)
-                            if low < lat_min:
-                                lat_min = low
-                            high = max(lat_list)
-                            if high > lat_max:
-                                lat_max = high
-                            latency.count = cnt
-                            latency._min = lat_min
-                            latency._max = lat_max
-                            latency._spill()
-                            lat_list = None
-                    else:
-                        lat_pending.append(value)
-                        if len_(lat_pending) >= lat_flush:
-                            # The flush clears the buffer; fold its
-                            # extrema before they are gone.
-                            low = min(lat_pending)
-                            if low < lat_min:
-                                lat_min = low
-                            high = max(lat_pending)
-                            if high > lat_max:
-                                lat_max = high
-                            latency._flush_pending()
-                    idx = packet._node
-                    if idx is None:
-                        idx = node_index[packet.source]
-                    tx_energy = bits * tx_e[idx]
-                    if fast_flags[idx]:
-                        wir_acc[idx] += tx_energy
-                        grand_acc[idx] += tx_energy
-                        tx_posts_l[idx] += 1
-                        bucket = int_(t / trace_w_l[idx])
-                        last = trace_last_l[idx]
-                        trace_l[idx][bucket if bucket < last else last] \
-                            += tx_energy
-                        deliv_counts[idx] += 1
-                    else:
-                        node = node_list[idx]
-                        state = node.energy
-                        if state is None:
-                            node.ledger.post_fast("wir_tx", tx_energy, t)
-                            node.packets_delivered += 1
-                        elif state.death_seconds is None:
-                            node.packets_delivered += 1
-                            state.drain("wir_tx", tx_energy, t)
-                            if state.death_seconds is not None:
-                                if slotted_fast:  # the death purges
-                                    policy._pending = slot_pending
-                                self._record_death(node)
-                                if slotted_fast:
-                                    slot_pending = policy._pending
+                    if not erased:
+                        packet.delivered_at = t
+                        delivered_cnt += 1
+                        delivered_bits_sum += bits
+                        cnt += 1
+                        value = t - packet.created_at
+                        if lat_list is not None:
+                            lat_list.append(value)
+                            if len_(lat_list) > lat_cap:
+                                # The spill reads the shared extrema; fold
+                                # the window's (min/max are
+                                # order-independent) and sync first.
+                                low = min(lat_list)
+                                if low < lat_min:
+                                    lat_min = low
+                                high = max(lat_list)
+                                if high > lat_max:
+                                    lat_max = high
+                                latency.count = cnt
+                                latency._min = lat_min
+                                latency._max = lat_max
+                                latency._spill()
+                                lat_list = None
+                        else:
+                            lat_pending.append(value)
+                            if len_(lat_pending) >= lat_flush:
+                                # The flush clears the buffer; fold its
+                                # extrema before they are gone.
+                                low = min(lat_pending)
+                                if low < lat_min:
+                                    lat_min = low
+                                high = max(lat_pending)
+                                if high > lat_max:
+                                    lat_max = high
+                                latency._flush_pending()
+                        tx_energy = bits * tx_e[idx]
+                        if fast_flags[idx]:
+                            wir_acc[idx] += tx_energy
+                            grand_acc[idx] += tx_energy
+                            tx_posts_l[idx] += 1
+                            bucket = int_(t / trace_w_l[idx])
+                            last = trace_last_l[idx]
+                            trace_l[idx][bucket if bucket < last else last] \
+                                += tx_energy
+                            deliv_counts[idx] += 1
+                        else:
+                            node = node_list[idx]
+                            state = node.energy
+                            if state is None:
+                                node.ledger.post_fast("wir_tx", tx_energy, t)
+                                node.packets_delivered += 1
+                            elif state.death_seconds is None:
+                                node.packets_delivered += 1
+                                state.drain("wir_tx", tx_energy, t)
+                                if state.death_seconds is not None:
+                                    if slotted_fast:  # the death purges
+                                        policy._pending = slot_pending
+                                    self._record_death(node)
+                                    if slotted_fast:
+                                        slot_pending = policy._pending
+                    # The hub listened to the frame for its full length,
+                    # erased or not.
+                    value = bits * rx_e[idx]
                     if hub_fast:
-                        rx_energy = bits * rx_e[idx]
-                        hub_rx_acc += rx_energy
-                        hub_grand += rx_energy
+                        hub_rx_acc += value
+                        hub_grand += value
                         hub_posts += 1
-                        q = t / hub_w
-                        if q >= hub_limit:
-                            hub_bucket = int_(q)
-                            if hub_bucket >= hub_last:
-                                hub_bucket = hub_last
-                                hub_limit = inf_
-                            else:
-                                hub_limit = hub_bucket + 1.0
-                        hub_trace[hub_bucket] += rx_energy
+                        hub_trace[hub_bucket] += value
                     else:
-                        hub_ledger.post_fast("wir_rx", bits * rx_e[idx], t)
+                        hub_ledger.post_fast("wir_rx", value, t)
                     # Grant the next transmission.  The TDMA slot-ring
                     # walk is replicated inline (same expressions, same
                     # association order as ``TDMAArbitration.next_grant``);
@@ -1562,16 +1438,12 @@ class BodyNetworkSimulator:
         # Fast-path ledgers were fresh at loop entry, so the write-back
         # totals equal the posts replayed from zero in arrival order —
         # the same floats the per-post path would have produced.
+        _publish_nodes()
         for i in range(n_nodes):
-            nd = node_list[i]
-            nd.generated_count = gen_counts[i]
-            nd.packets_sent = sent_counts[i]
-            nd.bits_sent = bits_l[i]
             if fast_flags[i]:
-                nd.packets_delivered = deliv_counts[i]
                 posts = tx_posts_l[i] + retx_posts_l[i] + ack_posts_l[i]
                 if posts:
-                    ledger = nd.ledger
+                    ledger = node_list[i].ledger
                     if tx_posts_l[i]:
                         ledger._totals["wir_tx"] = wir_acc[i]
                     if retx_posts_l[i]:

@@ -169,17 +169,21 @@ class LatencyAccumulator:
             indices = np.searchsorted(self._edges, array, side="right")
             np.add.at(self._counts, indices, 1)
 
-    def _refuse_non_finite(self, values) -> None:
+    def _refuse_non_finite(self, values, added: int | None = None) -> None:
         """Sketch backend: raise, before anything is recorded, if this call
         would hand the sketch a non-finite sample.
 
         The exact window may hold NaN/inf (a dead member's NaN mean
         latency), so only samples that reach the sketch are checked: all
         of *values* once the window has spilled, and the window itself
-        too when these values make it spill.
+        too when this call makes it spill.  *added* is the number of
+        samples the call records (``len(values)`` unless *values* are
+        the distinct values of a weighted batch).
         """
         if self._samples is not None:
-            if len(self._samples) + len(values) <= self.exact_capacity:
+            if added is None:
+                added = len(values)
+            if len(self._samples) + added <= self.exact_capacity:
                 return
             values = np.concatenate((self._samples, values))
         finite = np.isfinite(values)
@@ -217,7 +221,8 @@ class LatencyAccumulator:
         backend with weighted inserts (``QuantileSketch.add_repeated``,
         or one vectorised histogram update), costing O(distinct values)
         instead of O(total weight).  The macro-tick fast path ingests a
-        whole steady-state segment's latencies this way.
+        whole steady-state segment's latencies this way.  The batch is
+        checked like :meth:`add_many`'s before any of it is recorded.
         """
         if len(values) != len(counts):
             raise SimulationError(
@@ -229,6 +234,10 @@ class LatencyAccumulator:
             if count < 0:
                 raise SimulationError(
                     f"count must be non-negative: {count}")
+        if self.backend == "sketch":
+            self._refuse_non_finite(
+                [value for value, count in zip(values, counts) if int(count)],
+                sum(int(count) for count in counts))
         spilled: list[tuple[float, int]] = []
         for value, count in zip(values, counts):
             count = int(count)

@@ -419,6 +419,42 @@ class TestSketchBackend:
         assert self.snapshot(accumulator) == before
         assert accumulator.is_exact
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_batch_after_spill_rejected_before_recording(
+            self, bad):
+        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator.add_many([1.0, 2.0, 3.0, 4.0, 5.0])
+        before = self.snapshot(accumulator)
+        with pytest.raises(SimulationError, match="finite"):
+            accumulator.add_batch([2.0, bad], [3, 2])
+        assert self.snapshot(accumulator) == before
+        assert accumulator.count == 5
+        assert accumulator._total == 15.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_batch_spilling_a_non_finite_value_rejected_before_recording(
+            self, bad):
+        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        before = self.snapshot(accumulator)
+        with pytest.raises(SimulationError, match="finite"):
+            accumulator.add_batch([1.0, bad], [3, 3])
+        assert self.snapshot(accumulator) == before
+        assert accumulator.count == 0
+        assert accumulator.is_exact
+
+    def test_non_finite_batch_that_reaches_no_sketch_accepted(self):
+        # The window may keep a non-finite value, and a zero count
+        # records nothing at all.
+        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator.add_batch([1.0, math.nan, math.inf], [2, 2, 0])
+        assert accumulator.count == 4
+        assert accumulator.is_exact
+        spilled = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        spilled.add_many([1.0, 2.0, 3.0, 4.0, 5.0])
+        spilled.add_batch([math.inf, 2.0], [0, 2])
+        assert spilled.count == 7
+        assert spilled._sketch.count == 7
+
 
 class TestStateRoundTrip:
     def round_trip(self, accumulator: LatencyAccumulator):
