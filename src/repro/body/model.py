@@ -12,11 +12,13 @@ radiates 5--10 m is checked against this model in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import PlacementError
 from .landmarks import BodyLandmark
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 #: Anatomical segments (landmark pairs) with lengths expressed as a
 #: fraction of body height.  Derived from standard anthropometric segment
@@ -93,6 +95,10 @@ class BodyModel:
             raise PlacementError(
                 f"body height must be positive, got {self.height_metres}"
             )
+        # networkx is imported where it is used, so importing the body
+        # package (every scenario does) does not load it.
+        import networkx as nx
+
         graph = nx.Graph()
         for left, right, fraction in _SEGMENT_FRACTIONS:
             graph.add_edge(left, right, length=fraction * self.height_metres)
@@ -119,12 +125,16 @@ class BodyModel:
         self._require_landmark(b)
         if a == b:
             return 0.0
+        import networkx as nx
+
         return nx.shortest_path_length(self._graph, a, b, weight="length")
 
     def channel_path(self, a: BodyLandmark, b: BodyLandmark) -> list[BodyLandmark]:
         """Sequence of landmarks along the shortest on-body path."""
         self._require_landmark(a)
         self._require_landmark(b)
+        import networkx as nx
+
         return nx.shortest_path(self._graph, a, b, weight="length")
 
     def place(self, device_name: str, landmark: BodyLandmark) -> Placement:
@@ -157,6 +167,8 @@ class BodyModel:
         The paper quotes typical IoB channel lengths of 1--2 m; this is
         the upper end for an adult body.
         """
+        import networkx as nx
+
         lengths = dict(nx.all_pairs_dijkstra_path_length(self._graph, weight="length"))
         return max(max(row.values()) for row in lengths.values())
 

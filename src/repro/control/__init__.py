@@ -6,7 +6,7 @@ packet-error rate, state of charge and MAC backlog, and actuates its
 transmit-power offset, traffic stride, and (as recorded requests) its
 coding rate and slot share; a :class:`ControllerRuntime` binds the
 policy to a live :class:`~repro.netsim.simulator.BodyNetworkSimulator`
-with a deterministic evaluation cadence on the event queue's control
+with a deterministic evaluation cadence on the kernel's cadence
 stream.
 
 Shipped policies: :class:`StaticController` (the exactly-neutral

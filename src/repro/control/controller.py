@@ -8,20 +8,20 @@ action through the simulator's mid-run actuation surface.  The shape
 follows the FSM-actor pattern of SCADA supervisors: controllers are
 small, synchronous state machines whose only side channel is the
 returned action — they never touch the simulator directly, which is
-what keeps their evaluation cadence deterministic on the event queue's
-control stream.
+what keeps their evaluation cadence deterministic on the kernel's
+cadence stream.
 
 Two observation sources exist:
 
 * a **cadence** observation, emitted every
-  ``Controller.cadence_seconds`` on the control stream (windowed
+  ``Controller.cadence_seconds`` on the cadence stream (windowed
   erasure/delivery deltas since the previous evaluation);
 * a **low_battery** observation, emitted exactly at the simulator's
   state-of-charge threshold crossing (the energy tick that first sees
   ``is_low_battery()``).
 
-A controller with ``cadence_seconds = None`` schedules *nothing* on the
-queue: it can only react to threshold crossings, and attaching it to a
+A controller with ``cadence_seconds = None`` schedules *nothing*: it
+can only react to threshold crossings, and attaching it to a
 node perturbs no event ordering — the property the default
 :class:`~repro.control.controllers.StaticController` relies on for
 exact neutrality.
@@ -30,7 +30,8 @@ Actuation limits are part of the contract, not an implementation
 accident: the batched kernel hoists per-bit energies and service times
 once per run, so ``tx_power_offset_db`` changes the *link budget*
 (re-derived erasure probability) immediately but its energy premium is
-settled into the ledger only at run end.  See
+settled in arrears (from the cell at each energy settlement, or into a
+batteryless node's ledger at run end).  See
 ``docs/multi-body-control.md`` for the accepted approximations.
 """
 
@@ -100,10 +101,10 @@ class Controller(Protocol):
     """One node's closed-loop policy.
 
     ``cadence_seconds`` is the deterministic evaluation period on the
-    control stream (``None`` = no periodic evaluation; the controller
-    only sees threshold crossings).  ``evaluate`` must be pure apart
-    from the controller's own state: all effects flow through the
-    returned :class:`Action`.
+    cadence stream: ``None`` (no periodic evaluation; the controller
+    only sees threshold crossings) or positive and finite.
+    ``evaluate`` must be pure apart from the controller's own state:
+    all effects flow through the returned :class:`Action`.
     """
 
     cadence_seconds: float | None

@@ -2,24 +2,29 @@
 
 One :class:`ControllerRuntime` binds one controller instance to one
 simulated node.  It owns everything the controller protocol deliberately
-excludes: scheduling the evaluation ticks on the simulator's event
-queue (the *control stream*, so evaluations interleave deterministically
-with energy ticks and scenario events), assembling windowed
-observations from the node's monotone counters, and applying the
-returned actions through the simulator's mid-run actuation surface.
+excludes: arming the evaluation ticks on the simulator's *cadence
+stream* (a heap the batched kernel merges by ``(time, sequence)`` with
+its other streams, so evaluations interleave deterministically with
+energy ticks and scenario events), assembling windowed observations
+from the node's monotone counters, and applying the returned actions
+through the simulator's mid-run actuation surface.
 
 Energy accounting of the tx-power actuator follows the kernel's
 settlement discipline: the batched kernel hoists per-bit transmit
 energy once per run, so a mid-run boost cannot re-price frames as they
 serialise.  Instead the runtime meters the bits serialised under each
 offset and settles the premium — ``(10^(offset/10) - 1)`` of the
-nominal frame energy — into the node's ledger at run end, through the
-simulator's pre-account hooks (after the kernel's ledger write-back,
-before the power accounting reads the totals).
+nominal frame energy — in arrears.  A battery or harvester node pays
+it from its cell at every energy settlement (so a boost can brown the
+node out); a node without one gets the whole premium posted to its
+ledger at run end, through the simulator's pre-account hooks (after
+the kernel's ledger write-back, before the power accounting reads the
+totals).
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from .controller import Action, Controller, Observation
@@ -27,7 +32,7 @@ from .controller import Action, Controller, Observation
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..netsim.simulator import BodyNetworkSimulator, SimulatedNode
 
-#: Ledger component the run-end tx-power premium is posted under.
+#: Ledger component the tx-power premium is posted under.
 TX_BOOST_COMPONENT = "tx_boost"
 
 
@@ -63,28 +68,34 @@ class ControllerRuntime:
         self._last_delivered = node.packets_delivered
         self._last_time = simulator.queue.now
         self._premium_joules = 0.0
+        #: Premium settled but not yet drained from the node's cell.
+        self._premium_owed = 0.0
+        #: Evaluation period, fixed when :meth:`schedule` arms the ticks.
+        self.cadence_seconds: float | None = None
         self._premium_bits_mark = node.bits_sent + node.retx_bits
 
     # -- scheduling --------------------------------------------------------
 
     def schedule(self) -> None:
-        """Arm the periodic evaluation on the simulator's control stream.
+        """Arm the periodic evaluation on the simulator's cadence stream.
 
         A ``cadence_seconds = None`` controller (static, SoC throttle)
-        schedules nothing — the neutrality contract.  The tick re-arms
-        itself unconditionally; occurrences beyond the run horizon are
-        simply never dispatched by the kernel.
+        schedules nothing — the neutrality contract.  Otherwise the
+        first ``(time, sequence, runtime)`` entry goes on the
+        simulator's cadence heap one period from now, its sequence
+        number claimed from the event queue's counter; the kernel
+        evaluates each entry and re-arms it one period later,
+        unconditionally — occurrences beyond the run horizon are simply
+        never dispatched.
         """
         cadence = self.controller.cadence_seconds
         if cadence is None:
             return
-        queue = self.simulator.queue
-
-        def tick() -> None:
-            self.evaluate_cadence(queue.now)
-            queue.schedule_in(cadence, tick)
-
-        queue.schedule_in(cadence, tick)
+        self.cadence_seconds = cadence
+        simulator = self.simulator
+        queue = simulator.queue
+        heappush(simulator._cadence_heap,
+                 (queue.now + cadence, queue.claim_sequence(), self))
 
     # -- observation -------------------------------------------------------
 
@@ -149,21 +160,42 @@ class ControllerRuntime:
         if delta_bits <= 0.0 or self.offset_db == 0.0:
             return
         factor = 10.0 ** (self.offset_db / 10.0) - 1.0
-        self._premium_joules += (factor * delta_bits
-                                 * node.technology.tx_energy_per_bit())
+        premium = factor * delta_bits * node.technology.tx_energy_per_bit()
+        self._premium_joules += premium
+        self._premium_owed += premium
+
+    def drain_premium(self, now: float) -> None:
+        """Drain the premium accrued since the last drain from the cell.
+
+        Called for battery and harvester nodes at every energy
+        settlement; the caller records a brownout if this empties the
+        cell.
+        """
+        self._settle_premium()
+        owed = self._premium_owed
+        if owed > 0.0:
+            self._premium_owed = 0.0
+            self.node.energy.drain(TX_BOOST_COMPONENT, owed, now)
 
     def finalize(self, duration_seconds: float) -> None:
         """Run-end settlement (registered as a simulator pre-account hook).
 
-        Posts the accumulated tx-power premium to the node's ledger.
-        The premium is accounted as consumption only — it does not
-        drain a battery retroactively, so it cannot manufacture a
-        brownout after the fact (a documented approximation).
+        Settles the premium of the bits serialised since the last
+        energy settlement: a battery or harvester node pays it from its
+        cell (possibly browning out at the horizon); any other node gets
+        the whole run's premium posted to its ledger.
         """
+        node = self.node
+        energy = node.energy
+        if energy is not None:
+            self.drain_premium(duration_seconds)
+            if energy.death_seconds is not None:
+                self.simulator._record_death(node)
+            return
         self._settle_premium()
         if self._premium_joules > 0.0:
-            self.node.ledger.post(TX_BOOST_COMPONENT, self._premium_joules,
-                                  timestamp_seconds=duration_seconds)
+            node.ledger.post(TX_BOOST_COMPONENT, self._premium_joules,
+                             timestamp_seconds=duration_seconds)
 
     @property
     def tx_boost_energy_joules(self) -> float:

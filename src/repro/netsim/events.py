@@ -21,9 +21,10 @@ property in ``tests/netsim/test_calendar_queue.py`` drives both queues
 with the same operation sequence and asserts identical pop order.
 
 The batched simulator kernel (:meth:`BodyNetworkSimulator.run`) merges
-this queue with its generation and transmission streams by ``(time,
-sequence)`` key; :meth:`EventQueue.peek_key` and
-:meth:`EventQueue.claim_sequence` exist for that merge.  All streams
+this queue with its generation, transmission, energy-tick and
+controller-cadence streams by ``(time, sequence)`` key;
+:meth:`EventQueue.peek_key` and :meth:`EventQueue.claim_sequence` exist
+for that merge.  All streams
 draw sequence numbers from this queue's counter, so the total order is
 identical to scheduling every event here.
 """
@@ -268,10 +269,11 @@ class EventQueue:
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` when the queue is empty.
 
-        The macro-tick segment detector uses this as the control-stream
-        horizon: no scheduled callback (scenario event, energy tick) can
-        fire strictly before this instant, so a closed-form leap that
-        ends at or before it cannot skip over control work.
+        The hybrid driver takes the earlier of this and the next
+        controller cadence tick as the control horizon: no scheduled
+        callback (a scenario event, a queued attach) can fire strictly
+        before this instant, so a closed-form leap that ends at or before
+        the horizon cannot skip over control work.
         """
         head = self._peek()
         if head is None:

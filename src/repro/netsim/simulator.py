@@ -30,7 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -404,6 +404,10 @@ class BodyNetworkSimulator:
         self._death_records: dict[str, tuple[float, int]] = {}
         #: Per-node controller runtimes, keyed by node name.
         self.controllers: dict[str, ControllerRuntime] = {}
+        #: The cadence stream: one ``(time, sequence, runtime)`` entry per
+        #: ticking controller, merged by the kernel with its other
+        #: streams.  Like queued events, it persists across kernel entries.
+        self._cadence_heap: list[tuple[float, int, ControllerRuntime]] = []
         #: Callables ``hook(duration_seconds)`` run by :meth:`run` after
         #: the kernel's ledger write-back and before the static-power
         #: accounting — the only safe point for post-hoc ledger posts
@@ -464,11 +468,13 @@ class BodyNetworkSimulator:
         erasure probability; without it, tx-power actions settle their
         energy premium but cannot move the link.
 
-        A controller with a cadence schedules its evaluation ticks on
-        the simulator's control stream immediately (deterministically
-        interleaved with energy ticks and scenario events); a
+        A controller with a cadence arms its first evaluation tick on
+        the simulator's cadence stream immediately (the kernel merges it
+        deterministically with energy ticks and scenario events); a
         cadence-free controller perturbs nothing until a low-battery
-        crossing observes it.
+        crossing observes it.  A cadence that is neither ``None`` nor
+        positive and finite raises :class:`~repro.errors.SimulationError`
+        before anything is registered.
         """
         try:
             node = self.nodes[name]
@@ -480,6 +486,12 @@ class BodyNetworkSimulator:
         if not isinstance(controller, Controller):
             # None, a bare kind name, or a ControllerSpec: instantiate.
             controller = make_controller(controller)
+        cadence = controller.cadence_seconds
+        # NaN-safe: a NaN cadence fails both comparisons.
+        if cadence is not None and not 0.0 < cadence < math.inf:
+            raise SimulationError(
+                f"controller cadence must be None or positive and finite, "
+                f"got {cadence!r}")
         runtime = ControllerRuntime(self, node, controller,
                                     error_rate_fn=error_rate_fn)
         node.controller = controller
@@ -588,7 +600,8 @@ class BodyNetworkSimulator:
             state_of_charge_fraction=0.0))
 
     def _settle_energy(self, node: SimulatedNode, now: float) -> None:
-        """Serve a node's static loads since its last settlement."""
+        """Serve a node's static loads and its controller's tx-power
+        premium since its last settlement."""
         state = node.energy
         assert state is not None
         elapsed = now - node.energy_settled_seconds
@@ -612,6 +625,10 @@ class BodyNetworkSimulator:
         if node.coding_power_watts > 0.0:
             loads["coding"] = node.coding_power_watts
         state.advance(loads, elapsed, now)
+        runtime = self.controllers.get(node.name)
+        if runtime is not None:
+            # The interval's tx-power premium drains the same cell.
+            runtime.drain_premium(now)
         if state.death_seconds is not None:
             self._record_death(node)
         elif state.is_low_battery() and node.tx_stride == 1:
@@ -635,9 +652,9 @@ class BodyNetworkSimulator:
                         state_of_charge_fraction))
 
     def _run_kernel(self, end_time: float) -> None:
-        """Drain the simulation with the batched four-stream merge loop.
+        """Drain the simulation with the batched five-stream merge loop.
 
-        The kernel merges four event streams by ``(time, sequence)``:
+        The kernel merges five event streams by ``(time, sequence)``:
 
         * **generation** — one heap entry per node holding its next
           packet-generation instant;
@@ -647,10 +664,13 @@ class BodyNetworkSimulator:
         * **energy tick** — one local ``(time, sequence)`` key, every
           ``energy_update_interval_seconds`` while any node carries a
           battery or harvester, that settles those nodes' static loads;
-        * **control** — the :class:`EventQueue` proper: posture events,
-          controller cadence, anything callers scheduled directly.
+        * **cadence** — the simulator's heap of ``(time, sequence,
+          runtime)`` controller ticks; each evaluates one node's closed
+          loop and re-arms one cadence later;
+        * **control** — the :class:`EventQueue` proper: posture events
+          and anything else callers scheduled directly.
 
-        All four claim sequence numbers from one shared counter, at the
+        All five claim sequence numbers from one shared counter, at the
         points where a one-event-per-dispatch schedule (a begin, then a
         completion, per transmission) would claim them, so the merged
         total order — and therefore every RNG draw, float addition and
@@ -672,7 +692,11 @@ class BodyNetworkSimulator:
         addition replayed in the legacy order.  Control-stream events
         observe consistent per-node traffic counters and queue state
         (synced around ``queue.step()``); an energy tick syncs only the
-        energy nodes' serialised bits and strides; aggregate statistics
+        energy nodes' serialised bits and strides; a cadence tick syncs
+        only its own node's serialised bits, its delivered count and the
+        slotted backlog, and reloads that node's stride (an evaluation
+        reads its node and the arbiter, and acts only through the
+        node's stride and erasure rate); aggregate statistics
         and fast-path ledger totals otherwise sync lazily.  The in-flight
         chain event crosses the horizon through ``bus._chain``: taken
         over on entry, handed back on exit.
@@ -684,6 +708,17 @@ class BodyNetworkSimulator:
         latency = stats.latency
         reliability = bus.reliability
         arq = reliability.arq if reliability is not None else None
+        # ``ARQPolicy.may_retry`` is ``attempts < max_attempts``; without
+        # ARQ no attempt count (always >= 1) passes the comparison.
+        max_attempts = arq.max_attempts if arq is not None else 0
+        if reliability is not None:
+            # The erasure draw is read inline from the node's prefetched
+            # block (``LinkReliability.draw_erasure`` without the call);
+            # the method runs only to create or refill a block.
+            error_rates = reliability._error_rates
+            default_error_rate = reliability.default_error_rate
+            prefetched = reliability._draws
+            draw_erasure = reliability.draw_erasure
         rng = self.rng
         nodes = self.nodes
         hub_ledger = self.hub_ledger
@@ -718,6 +753,7 @@ class BodyNetworkSimulator:
         max_ = max
         heappop_ = heappop
         heappush_ = heappush
+        heapreplace_ = heapreplace
 
         # Per-node state, flattened into index-addressed tables (the
         # completion step resolves the index from ``packet._node``).  The
@@ -726,6 +762,7 @@ class BodyNetworkSimulator:
         # are bit-identical.
         node_list = list(nodes.values())
         n_nodes = len(node_list)
+        node_slot = {node_list[i].name: i for i in range(n_nodes)}
         # (period, bits, service, name) for plain periodic sources —
         # their draws consume no randomness and every packet serialises
         # in the same time, so both lookups can be skipped outright.
@@ -900,7 +937,11 @@ class BodyNetworkSimulator:
             chain_packet = handoff[3]
             chain_service = handoff[4]
         queue_key = queue.peek_key() or sentinel
+        cadence_heap = self._cadence_heap
+        cad_key = cadence_heap[0] if cadence_heap else sentinel
         ctrl_key = tick_key if tick_key < queue_key else queue_key
+        if cad_key < ctrl_key:
+            ctrl_key = cad_key
         # Hoisted after the setup claims above — every in-loop claim is
         # an inline increment, written back around control events.
         seq = queue._seq
@@ -1132,7 +1173,20 @@ class BodyNetworkSimulator:
                     erased = False
                     if reliability is not None:
                         packet.attempts += 1
-                        erased = reliability.draw_erasure(packet.source)
+                        source_name = packet.source
+                        rate = error_rates.get(source_name,
+                                               default_error_rate)
+                        if rate >= 1.0:
+                            erased = True
+                        elif rate > 0.0:
+                            block = prefetched.get(source_name)
+                            if block is not None \
+                                    and block[0] < len_(block[1]):
+                                position = block[0]
+                                block[0] = position + 1
+                                erased = block[1][position] < rate
+                            else:
+                                erased = draw_erasure(source_name)
                         if erased:
                             stats.erased_attempts += 1
                             node_list[idx].erased_attempts += 1
@@ -1158,9 +1212,8 @@ class BodyNetworkSimulator:
                                 self._account_attempt(packet, False)
                                 if slotted_fast:
                                     slot_pending = policy._pending
-                            if (arq is not None
-                                    and arq.may_retry(packet.attempts)
-                                    and packet.source not in purged):
+                            if (packet.attempts < max_attempts
+                                    and source_name not in purged):
                                 stats.retransmissions += 1
                                 if slotted_fast:
                                     # The source is a known node, so
@@ -1400,10 +1453,34 @@ class BodyNetworkSimulator:
                 else:
                     tick_key = sentinel
                 ctrl_key = tick_key if tick_key < queue_key else queue_key
+                if cad_key < ctrl_key:
+                    ctrl_key = cad_key
+            elif ctrl_key is cad_key:
+                # Cadence tick: one controller evaluates its node at
+                # ``t`` and re-arms one cadence later, claiming after the
+                # evaluation as a queued callback would.
+                runtime = cad_key[2]
+                queue._now = t  # the clock a queue dispatch would set
+                i = node_slot[runtime.node.name]
+                nd = node_list[i]
+                nd.bits_sent = bits_l[i]
+                if fast_flags[i]:
+                    nd.packets_delivered = deliv_counts[i]
+                if slotted_fast:
+                    policy._pending = slot_pending
+                runtime.evaluate_cadence(t)
+                stride_l[i] = nd.tx_stride
+                heapreplace_(cadence_heap,
+                             (t + runtime.cadence_seconds, seq, runtime))
+                seq += 1
+                cad_key = cadence_heap[0]
+                ctrl_key = tick_key if tick_key < queue_key else queue_key
+                if cad_key < ctrl_key:
+                    ctrl_key = cad_key
             else:
-                # Control callbacks (posture events, controller cadence)
-                # see consistent per-node traffic counters and may
-                # schedule or claim; sync the counters around the
+                # Control callbacks (posture events, a controller attached
+                # mid-run) see consistent per-node traffic counters and
+                # may schedule or claim; sync the counters around the
                 # dispatch.
                 queue._seq = seq
                 if slotted_fast:
@@ -1416,7 +1493,10 @@ class BodyNetworkSimulator:
                 _rehoist_ring()
                 _reload_nodes()
                 queue_key = queue.peek_key() or sentinel
+                cad_key = cadence_heap[0] if cadence_heap else sentinel
                 ctrl_key = tick_key if tick_key < queue_key else queue_key
+                if cad_key < ctrl_key:
+                    ctrl_key = cad_key
 
         stats.delivered_packets = delivered_cnt
         stats.delivered_bits = delivered_bits_sum
@@ -1472,8 +1552,9 @@ class BodyNetworkSimulator:
 
         Builds a :class:`~repro.netsim.macrotick.MacroTickEngine` and, at
         every point where the bus is quiescent, asks it to leap toward
-        the next control event (``EventQueue.peek_time``) or the run end,
-        whichever is nearer.  When the engine refuses — transient queue
+        the next control event (the earlier of ``EventQueue.peek_time``
+        and the next controller cadence tick) or the run end, whichever
+        is nearer.  When the engine refuses — transient queue
         state, non-stationary PER, a battery approaching a threshold —
         the exact kernel runs a short settle chunk and the detector tries
         again.  A statically ineligible workload (Poisson sources, a
@@ -1486,6 +1567,7 @@ class BodyNetworkSimulator:
 
         engine = MacroTickEngine(self)
         queue = self.queue
+        cadence_heap = self._cadence_heap
         if not engine.eligible:
             self._run_kernel(end_time)
             return
@@ -1497,6 +1579,8 @@ class BodyNetworkSimulator:
                 self._run_kernel(end_time)
                 break
             ctrl = queue.peek_time()
+            if cadence_heap and (ctrl is None or cadence_heap[0][0] < ctrl):
+                ctrl = cadence_heap[0][0]
             horizon = end_time if ctrl is None or ctrl > end_time else ctrl
             if horizon - now >= engine.min_leap_seconds:
                 leap_end = engine.try_leap(now, horizon)
