@@ -7,6 +7,11 @@ loop lifetime sweep (battery endgames force exact chunks, so the floor
 is lower).  Both floors are asserted against an exact-kernel run timed
 in the same process, alongside the documented agreement envelope —
 a fast-but-wrong kernel must fail here, not in a notebook.
+
+Both sides of each ratio are timed with ``time.perf_counter``, best of
+three runs.  pytest-benchmark still records the hybrid rounds when it
+is enabled, but under ``--benchmark-disable`` it calls the target once
+and keeps no statistics, so the floors never read them.
 """
 
 from __future__ import annotations
@@ -28,24 +33,49 @@ LIFETIME_MIN_SPEEDUP = 10.0
 SLEEP_NIGHT_SECONDS = 8.0 * 3600.0
 
 
+def timed(function, seconds: list[float]):
+    """Wrap *function* so that every call appends its wall time."""
+    def run():
+        started = time.perf_counter()
+        result = function()
+        seconds.append(time.perf_counter() - started)
+        return result
+    return run
+
+
+def best_of_three(run, seconds: list[float]) -> float:
+    """Call *run* until three timings exist; the fastest of them.
+
+    Best-of: the floor asserts the kernel's capability, and a single
+    measured run is at the mercy of whatever GC pause or cache eviction
+    the preceding test left behind.
+    """
+    while len(seconds) < 3:
+        run()
+    return min(seconds)
+
+
 def run_sleep_night_hybrid():
     spec = get_scenario("sleep_night")
     simulator = spec.build(seed=0)
     return simulator.run(SLEEP_NIGHT_SECONDS, fast_path="hybrid")
 
 
-def test_bench_hybrid_sleep_night_8h(benchmark):
-    # Three rounds, best-of: the floor asserts the kernel's capability,
-    # and a single measured round is at the mercy of whatever GC pause
-    # or cache eviction the preceding benchmark left behind.
-    hybrid = benchmark.pedantic(run_sleep_night_hybrid, rounds=3,
-                                iterations=1, warmup_rounds=1)
+def run_sleep_night_exact():
+    return get_scenario("sleep_night").build(seed=0).run(SLEEP_NIGHT_SECONDS)
 
-    spec = get_scenario("sleep_night")
-    started = time.perf_counter()
-    exact = spec.build(seed=0).run(SLEEP_NIGHT_SECONDS)
-    exact_seconds = time.perf_counter() - started
-    hybrid_seconds = benchmark.stats.stats.min
+
+def test_bench_hybrid_sleep_night_8h(benchmark):
+    hybrid_times: list[float] = []
+    run_hybrid = timed(run_sleep_night_hybrid, hybrid_times)
+    hybrid = benchmark.pedantic(run_hybrid, rounds=3, iterations=1,
+                                warmup_rounds=1)
+    hybrid_seconds = best_of_three(run_hybrid, hybrid_times)
+
+    exact_times: list[float] = []
+    run_exact = timed(run_sleep_night_exact, exact_times)
+    exact = run_exact()
+    exact_seconds = best_of_three(run_exact, exact_times)
     speedup = exact_seconds / hybrid_seconds
 
     emit("macro-tick hybrid — sleep_night, 8 simulated hours",
@@ -83,13 +113,16 @@ def run_lifetime_hybrid():
 
 
 def test_bench_hybrid_lifetime_sweep(benchmark):
-    hybrid = benchmark.pedantic(run_lifetime_hybrid, rounds=3, iterations=1,
+    hybrid_times: list[float] = []
+    run_hybrid = timed(run_lifetime_hybrid, hybrid_times)
+    hybrid = benchmark.pedantic(run_hybrid, rounds=3, iterations=1,
                                 warmup_rounds=1)
+    hybrid_seconds = best_of_three(run_hybrid, hybrid_times)
 
-    started = time.perf_counter()
-    exact = lifetime.run()
-    exact_seconds = time.perf_counter() - started
-    hybrid_seconds = benchmark.stats.stats.min
+    exact_times: list[float] = []
+    run_exact = timed(lifetime.run, exact_times)
+    exact = run_exact()
+    exact_seconds = best_of_three(run_exact, exact_times)
     speedup = exact_seconds / hybrid_seconds
 
     emit("macro-tick hybrid — E15 closed-loop lifetime sweep",

@@ -38,6 +38,7 @@ from ..errors import SimulationError
 from ..comm.link import CommTechnology
 from ..control import (Controller, ControllerRuntime, Observation,
                        SoCThrottleController, make_controller)
+from ..energy.battery import Battery
 from ..energy.harvester import HarvestingEnvironment
 from ..energy.ledger import EnergyLedger
 from ..energy.runtime import NodeEnergyState
@@ -599,11 +600,47 @@ class BodyNetworkSimulator:
             time_seconds=node.energy.death_seconds,
             state_of_charge_fraction=0.0))
 
-    def _settle_energy(self, node: SimulatedNode, now: float) -> None:
-        """Serve a node's static loads and its controller's tx-power
-        premium since its last settlement."""
+    @staticmethod
+    def _settle_record(node: SimulatedNode) -> tuple:
+        """Constants :meth:`_settle_energy` reads for one energy node.
+
+        ``(inline, state, battery, ledger, data rate, sleep power,
+        leakage, empty threshold, low-battery fraction, harvester)``.
+        ``inline`` is true for a stock :class:`NodeEnergyState` whose
+        cell (if any) is a stock :class:`~repro.energy.battery.Battery`
+        and whose ledger keeps no entries; any other node settles
+        through the checked :meth:`NodeEnergyState.advance`.
+        """
         state = node.energy
-        assert state is not None
+        battery = state.battery
+        inline = (type(state) is NodeEnergyState
+                  and (battery is None or type(battery) is Battery)
+                  and state.ledger.entries is None)
+        return (inline, state, battery, state.ledger,
+                node.technology.data_rate_bps(),
+                node.technology.sleep_power(), state.leakage_power_watts,
+                battery.spec.empty_threshold_joules if battery else 0.0,
+                state.low_battery_fraction if battery else None,
+                state.harvester)
+
+    def _settle_energy(self, node: SimulatedNode, now: float,
+                       record: tuple | None = None) -> None:
+        """Serve an energy node's loads since its last settlement.
+
+        The one settlement routine: energy ticks, :meth:`run`'s final
+        settlement and macro-tick leaps all call it.  It serves the
+        static loads, then the controller's tx-power premium, records a
+        brownout and lets the node's policy observe a low-battery
+        crossing.  *record* is the node's :meth:`_settle_record`, which
+        the kernel hoists at entry; other callers leave it to be built
+        here.  A stock node's interval runs
+        :meth:`NodeEnergyState.advance`'s arithmetic inline, adding the
+        loads in its order (sensing, isa, wir_sleep, coding).
+        """
+        if record is None:
+            record = self._settle_record(node)
+        (inline, state, battery, ledger, data_rate, sleep_power, leakage,
+         empty, low, harvester) = record
         elapsed = now - node.energy_settled_seconds
         node.energy_settled_seconds = now
         if elapsed <= 0.0 or state.death_seconds is not None:
@@ -614,24 +651,85 @@ class BodyNetworkSimulator:
         serialised_bits = node.bits_sent + node.retx_bits
         delta_bits = serialised_bits - node.accounted_bits
         node.accounted_bits = serialised_bits
-        tx_time = delta_bits / node.technology.data_rate_bps()
-        sleep_time = max(elapsed - tx_time, 0.0)
-        loads = {
-            "sensing": node.sensing_power_watts,
-            "isa": node.isa_power_watts,
-            "wir_sleep": (node.technology.sleep_power()
-                          * sleep_time / elapsed),
-        }
-        if node.coding_power_watts > 0.0:
-            loads["coding"] = node.coding_power_watts
-        state.advance(loads, elapsed, now)
-        runtime = self.controllers.get(node.name)
-        if runtime is not None:
-            # The interval's tx-power premium drains the same cell.
-            runtime.drain_premium(now)
+        sleep_time = max(elapsed - delta_bits / data_rate, 0.0)
+        sensing = node.sensing_power_watts
+        isa = node.isa_power_watts
+        sleep = sleep_power * sleep_time / elapsed
+        coding = node.coding_power_watts
+        load = sensing + isa + sleep
+        if coding > 0.0:
+            load += coding
+        harvest = (harvester.power_watts(state.environment)
+                   if harvester is not None else 0.0)
+        if inline and 0.0 <= load < math.inf and 0.0 <= harvest < math.inf:
+            sustained = elapsed
+            if battery is not None:
+                # ``Battery.run_fast`` over the load plus leakage.
+                net = load + leakage - harvest
+                if net <= 0.0:
+                    battery.charge(-net * elapsed)
+                else:
+                    required = net * elapsed
+                    soc = battery.state_of_charge_joules
+                    if required <= soc:
+                        battery.state_of_charge_joules = soc - required
+                    else:
+                        battery.state_of_charge_joules = 0.0
+                        sustained = soc / net
+            if harvester is not None:
+                state.harvested_joules += harvest * sustained
+            stamp = now - elapsed + sustained
+            # ``EnergyLedger.post_powers_fast``: one trace bucket, and
+            # every total, the grand total and the bucket take the
+            # loads' energies in order.
+            bucket = int(stamp / ledger.trace_bucket_seconds)
+            if bucket >= ledger.trace_buckets:
+                bucket = ledger.trace_buckets - 1
+            elif bucket < 0:
+                bucket = 0
+            totals = ledger._totals
+            trace = ledger._trace
+            energy = sensing * sustained
+            totals["sensing"] = totals.get("sensing", 0.0) + energy
+            grand = ledger._grand_total + energy
+            cell = trace[bucket] + energy
+            energy = isa * sustained
+            totals["isa"] = totals.get("isa", 0.0) + energy
+            grand += energy
+            cell += energy
+            energy = sleep * sustained
+            totals["wir_sleep"] = totals.get("wir_sleep", 0.0) + energy
+            grand += energy
+            cell += energy
+            posts = 3
+            if coding > 0.0:
+                energy = coding * sustained
+                totals["coding"] = totals.get("coding", 0.0) + energy
+                grand += energy
+                cell += energy
+                posts = 4
+            ledger._grand_total = grand
+            trace[bucket] = cell
+            ledger._posted_count += posts
+            if (battery is not None
+                    and battery.state_of_charge_joules <= empty):
+                state.death_seconds = stamp
+        else:
+            # Loads or harvest that fail the check make ``advance`` raise.
+            loads = {"sensing": sensing, "isa": isa, "wir_sleep": sleep}
+            if coding > 0.0:
+                loads["coding"] = coding
+            state.advance(loads, elapsed, now)
+        if self.controllers:
+            runtime = self.controllers.get(node.name)
+            if runtime is not None:
+                # The interval's tx-power premium drains the same cell.
+                runtime.drain_premium(now)
         if state.death_seconds is not None:
             self._record_death(node)
-        elif state.is_low_battery() and node.tx_stride == 1:
+        elif node.tx_stride == 1 and (
+                low is not None and battery.state_of_charge_fraction < low
+                if inline else state.is_low_battery()):
             # The threshold crossing is a controller observation: the
             # node's policy (default: the legacy 1-in-stride throttle,
             # bit-identically) decides the throttled stride.
@@ -700,6 +798,14 @@ class BodyNetworkSimulator:
         and fast-path ledger totals otherwise sync lazily.  The in-flight
         chain event crosses the horizon through ``bus._chain``: taken
         over on entry, handed back on exit.
+
+        The stock objects' per-event methods run inline, under exact
+        type checks, so a subclass keeps the method path: the FIFO,
+        TDMA and polling grants (admission, the idle-bus grant at
+        generation and the re-grant at completion), a stock battery
+        node's per-delivery ``NodeEnergyState.drain``, and — through
+        :meth:`_settle_energy` with per-node constants hoisted at entry
+        — each energy tick's ``NodeEnergyState.advance``.
         """
         queue = self.queue
         bus = self.bus
@@ -739,11 +845,12 @@ class BodyNetworkSimulator:
         policy_type = type(policy)
         fifo_fast = policy_type is FIFOArbitration
         slotted_fast = policy_type in (TDMAArbitration, HubPollingArbitration)
-        # The TDMA slot-ring grant is additionally inlined at the
-        # completion site (the dense-body hour grants once per packet).
-        # The ring and its validity flags are re-read per grant, so a
+        # The grants are inlined too, at both grant sites: the FIFO head
+        # pop, the TDMA slot-ring walk and the polling ring walk.  The
+        # TDMA ring and its validity flags are re-read per grant, so a
         # mid-run slot-table rebuild falls back to the method safely.
         tdma_fast = policy_type is TDMAArbitration
+        polling_fast = policy_type is HubPollingArbitration
         superframe = policy.superframe_seconds if tdma_fast else 0.0
         floor_ = math.floor
         bisect_ = bisect_right
@@ -794,6 +901,10 @@ class BodyNetworkSimulator:
         bits_l: list[float] = []
         deliv_counts: list[int] = []
         stride_l: list[int] = []
+        # ``(battery, ledger, empty threshold)`` of a stock battery node,
+        # whose delivery drain runs ``NodeEnergyState.drain`` inline;
+        # ``None`` for every other node.
+        drain_l: list[tuple[Battery, EnergyLedger, float] | None] = []
         # Ack energies are fixed products, precomputed once (the same
         # two floats the per-attempt multiplication would produce).
         arq_ack_bits = arq.ack_bits if arq is not None else 0.0
@@ -825,6 +936,12 @@ class BodyNetworkSimulator:
             bits_l.append(node.bits_sent)
             deliv_counts.append(node.packets_delivered)
             stride_l.append(node.tx_stride)
+            state = node.energy
+            battery = state.battery if state is not None else None
+            drain_l.append(
+                (battery, state.ledger, battery.spec.empty_threshold_joules)
+                if type(state) is NodeEnergyState
+                and type(battery) is Battery else None)
             if type(source) is PeriodicSource:
                 bits = source.bits_per_packet
                 probe = Packet(node.name, "hub", bits, 0.0)
@@ -857,18 +974,49 @@ class BodyNetworkSimulator:
         # identity instead of rebuilding the table on every re-hoist.
         win_l: list[tuple[float, float] | None] = [None] * n_nodes
         win_src = None
+        # The polling ring's queues in ring order, each kernel node's
+        # position in it, and the per-poll cost.  The walk is inline once
+        # the cost is known (the first method grant computes it), and the
+        # ring only ever grows by appending, so its length tells whether
+        # a control event registered a node.
+        poll_queues: list = []
+        poll_pos = [0] * n_nodes
+        poll_size = 0
+        poll_cost = 0.0
+        poll_ok = False
+
+        def _rehoist_rings() -> None:
+            nonlocal ring, ring_starts, ring_ok, win_src, poll_size, \
+                poll_cost, poll_ok
+            if polling_fast:
+                poll_ok = slotted_fast and policy._poll_cost is not None
+                if poll_ok:
+                    poll_cost = policy._poll_cost
+                    names = policy._ring
+                    if len_(names) != poll_size:
+                        poll_size = len_(names)
+                        poll_queues[:] = [policy._queues[name]
+                                          for name in names]
+                        position = {name: k for k, name in enumerate(names)}
+                        for i in range(n_nodes):
+                            poll_pos[i] = position[node_list[i].name]
+                return
+            ring_ok = (slotted_fast and tdma_fast
+                       and policy._windows is not None and policy._ring_fast)
+            if ring_ok:
+                ring = policy._ring
+                ring_starts = policy._ring_starts
+                if policy._windows is not win_src:
+                    win_src = policy._windows
+                    for i in range(n_nodes):
+                        win_l[i] = win_src.get(node_list[i].name)
+
         if tdma_fast and slotted_fast:
             try:
                 policy._slot_table()
             except SimulationError:
                 pass
-            ring_ok = policy._windows is not None and policy._ring_fast
-            if ring_ok:
-                ring = policy._ring
-                ring_starts = policy._ring_starts
-                win_src = policy._windows
-                for i in range(n_nodes):
-                    win_l[i] = win_src.get(node_list[i].name)
+        _rehoist_rings()
         # The energy tick claims its first sequence number here, after
         # the generation heap, and each later one after its settles.  It
         # is anchored one interval past the *current* clock, not at the
@@ -877,11 +1025,12 @@ class BodyNetworkSimulator:
         # past.  At a cold start ``now`` is 0.0 and ``0.0 + interval ==
         # interval`` exactly.
         sentinel = (inf_, inf_)
-        energy_idx = [i for i in range(n_nodes)
-                      if node_list[i].energy is not None]
+        energy_rows = [(i, node_list[i], self._settle_record(node_list[i]))
+                       for i in range(n_nodes)
+                       if node_list[i].energy is not None]
         tick_interval = self.energy_update_interval_seconds
         tick_key = sentinel
-        if energy_idx and queue._now + tick_interval <= end_time:
+        if energy_rows and queue._now + tick_interval <= end_time:
             tick_key = (queue._now + tick_interval, claim())
         settle = self._settle_energy
 
@@ -964,18 +1113,6 @@ class BodyNetworkSimulator:
                 stride_l[i] = nd.tx_stride
                 if fast_flags[i]:
                     deliv_counts[i] = nd.packets_delivered
-
-        def _rehoist_ring() -> None:
-            nonlocal ring, ring_starts, ring_ok, win_src
-            ring_ok = (slotted_fast and tdma_fast
-                       and policy._windows is not None and policy._ring_fast)
-            if ring_ok:
-                ring = policy._ring
-                ring_starts = policy._ring_starts
-                if policy._windows is not win_src:
-                    win_src = policy._windows
-                    for i in range(n_nodes):
-                        win_l[i] = win_src.get(node_list[i].name)
 
         # Empty streams are represented by the (inf, inf) sentinel rather
         # than None so head selection is two plain comparisons.  The
@@ -1061,7 +1198,23 @@ class BodyNetworkSimulator:
                     if accepted:
                         if not bus._busy:
                             bus._busy = True
-                            if (ring_ok and slot_pending == 1
+                            if fifo_fast and len_(fifo_queue) == 1:
+                                # The packet just queued is alone: the FIFO
+                                # grant pops it with no access delay.
+                                fifo_queue.popleft()
+                                grant = (packet, 0.0)
+                            elif poll_ok and slot_pending == 1:
+                                # Alone on the polling ring: the walk from
+                                # the cursor skips every leaf before it.
+                                node_queues[index].popleft()
+                                slot_pending = 0
+                                cursor = policy._cursor
+                                skipped = (poll_pos[index] - cursor) \
+                                    % poll_size
+                                policy._cursor = ((cursor + skipped + 1)
+                                                  % poll_size)
+                                grant = (packet, (skipped + 1) * poll_cost)
+                            elif (ring_ok and slot_pending == 1
                                     and win_l[index] is not None):
                                 # The bus was idle, so nothing else is
                                 # backlogged: the packet just queued is
@@ -1093,7 +1246,7 @@ class BodyNetworkSimulator:
                                 grant = next_grant(t)
                                 if slotted_fast:
                                     slot_pending = policy._pending
-                                    _rehoist_ring()
+                                    _rehoist_rings()
                             if grant is None:
                                 bus._busy = False
                             else:
@@ -1309,7 +1462,30 @@ class BodyNetworkSimulator:
                                 node.packets_delivered += 1
                             elif state.death_seconds is None:
                                 node.packets_delivered += 1
-                                state.drain("wir_tx", tx_energy, t)
+                                cell = drain_l[idx]
+                                if cell is not None \
+                                        and 0.0 <= tx_energy < inf_:
+                                    # ``NodeEnergyState.drain`` inline: clip
+                                    # at the charge, post what the cell
+                                    # delivered, die at the empty threshold.
+                                    # Bad energy takes the checked method,
+                                    # which raises.
+                                    battery = cell[0]
+                                    soc = battery.state_of_charge_joules
+                                    if tx_energy <= soc:
+                                        soc -= tx_energy
+                                        delivered = tx_energy
+                                    else:
+                                        delivered = soc
+                                        soc = 0.0
+                                    battery.state_of_charge_joules = soc
+                                    if delivered > 0.0:
+                                        cell[1].post_fast("wir_tx", delivered,
+                                                          t)
+                                    if soc <= cell[2]:
+                                        state.death_seconds = t
+                                else:
+                                    state.drain("wir_tx", tx_energy, t)
                                 if state.death_seconds is not None:
                                     if slotted_fast:  # the death purges
                                         policy._pending = slot_pending
@@ -1326,14 +1502,40 @@ class BodyNetworkSimulator:
                         hub_trace[hub_bucket] += value
                     else:
                         hub_ledger.post_fast("wir_rx", value, t)
-                    # Grant the next transmission.  The TDMA slot-ring
-                    # walk is replicated inline (same expressions, same
-                    # association order as ``TDMAArbitration.next_grant``);
-                    # anything else — including a TDMA whose slot table
-                    # was invalidated or failed the disjoint-windows
-                    # check — takes the method call.
+                    # Grant the next transmission.  The stock grants are
+                    # replicated inline (same expressions, same association
+                    # order as their ``next_grant``); anything else —
+                    # including a TDMA whose slot table was invalidated or
+                    # failed the disjoint-windows check, and a polling
+                    # ring whose poll cost is not yet known — takes the
+                    # method call.
                     packet2 = None
-                    if ring_ok:
+                    if fifo_fast:
+                        fifo_queue = policy._pending
+                        if fifo_queue:
+                            packet2 = fifo_queue.popleft()
+                            access_delay = 0.0
+                        else:
+                            bus._busy = False
+                    elif poll_ok:
+                        if slot_pending == 0:
+                            bus._busy = False
+                        else:
+                            cursor = policy._cursor
+                            for skipped in range(poll_size):
+                                nq = poll_queues[(cursor + skipped)
+                                                 % poll_size]
+                                if nq:
+                                    policy._cursor = ((cursor + skipped + 1)
+                                                      % poll_size)
+                                    slot_pending -= 1
+                                    packet2 = nq.popleft()
+                                    access_delay = (skipped + 1) * poll_cost
+                                    break
+                            else:
+                                raise SimulationError(
+                                    "pending count out of sync with queues")
+                    elif ring_ok:
                         if slot_pending == 0:
                             bus._busy = False
                         else:
@@ -1380,7 +1582,7 @@ class BodyNetworkSimulator:
                         grant = next_grant(t)
                         if slotted_fast:
                             slot_pending = policy._pending
-                            _rehoist_ring()
+                            _rehoist_rings()
                         if grant is None:
                             bus._busy = False
                         else:
@@ -1437,15 +1639,14 @@ class BodyNetworkSimulator:
                 if slotted_fast:
                     policy._pending = slot_pending
                 purges = len_(purged)
-                for i in energy_idx:
-                    nd = node_list[i]
+                for i, nd, record in energy_rows:
                     nd.bits_sent = bits_l[i]
-                    settle(nd, t)
+                    settle(nd, t, record)
                     stride_l[i] = nd.tx_stride
                 if len_(purged) != purges:
                     if slotted_fast:
                         slot_pending = policy._pending
-                    _rehoist_ring()
+                    _rehoist_rings()
                 t += tick_interval
                 if t <= end_time:
                     tick_key = (t, seq)
@@ -1490,7 +1691,7 @@ class BodyNetworkSimulator:
                 seq = queue._seq
                 if slotted_fast:
                     slot_pending = policy._pending
-                _rehoist_ring()
+                _rehoist_rings()
                 _reload_nodes()
                 queue_key = queue.peek_key() or sentinel
                 cad_key = cadence_heap[0] if cadence_heap else sentinel
