@@ -993,8 +993,8 @@ class BodyNetworkSimulator:
                 if poll_ok:
                     poll_cost = policy._poll_cost
                     names = policy._ring
-                    if len_(names) != poll_size:
-                        poll_size = len_(names)
+                    if len(names) != poll_size:
+                        poll_size = len(names)
                         poll_queues[:] = [policy._queues[name]
                                           for name in names]
                         position = {name: k for k, name in enumerate(names)}
@@ -1025,9 +1025,11 @@ class BodyNetworkSimulator:
         # past.  At a cold start ``now`` is 0.0 and ``0.0 + interval ==
         # interval`` exactly.
         sentinel = (inf_, inf_)
-        energy_rows = [(i, node_list[i], self._settle_record(node_list[i]))
-                       for i in range(n_nodes)
-                       if node_list[i].energy is not None]
+        energy_rows = []
+        for i in range(n_nodes):
+            if node_list[i].energy is not None:
+                energy_rows.append(
+                    (i, node_list[i], self._settle_record(node_list[i])))
         tick_interval = self.energy_update_interval_seconds
         tick_key = sentinel
         if energy_rows and queue._now + tick_interval <= end_time:
@@ -1198,23 +1200,7 @@ class BodyNetworkSimulator:
                     if accepted:
                         if not bus._busy:
                             bus._busy = True
-                            if fifo_fast and len_(fifo_queue) == 1:
-                                # The packet just queued is alone: the FIFO
-                                # grant pops it with no access delay.
-                                fifo_queue.popleft()
-                                grant = (packet, 0.0)
-                            elif poll_ok and slot_pending == 1:
-                                # Alone on the polling ring: the walk from
-                                # the cursor skips every leaf before it.
-                                node_queues[index].popleft()
-                                slot_pending = 0
-                                cursor = policy._cursor
-                                skipped = (poll_pos[index] - cursor) \
-                                    % poll_size
-                                policy._cursor = ((cursor + skipped + 1)
-                                                  % poll_size)
-                                grant = (packet, (skipped + 1) * poll_cost)
-                            elif (ring_ok and slot_pending == 1
+                            if (ring_ok and slot_pending == 1
                                     and win_l[index] is not None):
                                 # The bus was idle, so nothing else is
                                 # backlogged: the packet just queued is
@@ -1240,6 +1226,22 @@ class BodyNetworkSimulator:
                                                   + 2.0 * superframe
                                                   + offset)
                                 grant = (packet, access - t)
+                            elif fifo_fast and len_(fifo_queue) == 1:
+                                # The packet just queued is alone: the FIFO
+                                # grant pops it with no access delay.
+                                fifo_queue.popleft()
+                                grant = (packet, 0.0)
+                            elif poll_ok and slot_pending == 1:
+                                # Alone on the polling ring: the walk from
+                                # the cursor skips every leaf before it.
+                                node_queues[index].popleft()
+                                slot_pending = 0
+                                cursor = policy._cursor
+                                skipped = (poll_pos[index] - cursor) \
+                                    % poll_size
+                                policy._cursor = ((cursor + skipped + 1)
+                                                  % poll_size)
+                                grant = (packet, (skipped + 1) * poll_cost)
                             else:
                                 if slotted_fast:
                                     policy._pending = slot_pending
@@ -1510,32 +1512,7 @@ class BodyNetworkSimulator:
                     # ring whose poll cost is not yet known — takes the
                     # method call.
                     packet2 = None
-                    if fifo_fast:
-                        fifo_queue = policy._pending
-                        if fifo_queue:
-                            packet2 = fifo_queue.popleft()
-                            access_delay = 0.0
-                        else:
-                            bus._busy = False
-                    elif poll_ok:
-                        if slot_pending == 0:
-                            bus._busy = False
-                        else:
-                            cursor = policy._cursor
-                            for skipped in range(poll_size):
-                                nq = poll_queues[(cursor + skipped)
-                                                 % poll_size]
-                                if nq:
-                                    policy._cursor = ((cursor + skipped + 1)
-                                                      % poll_size)
-                                    slot_pending -= 1
-                                    packet2 = nq.popleft()
-                                    access_delay = (skipped + 1) * poll_cost
-                                    break
-                            else:
-                                raise SimulationError(
-                                    "pending count out of sync with queues")
-                    elif ring_ok:
+                    if ring_ok:
                         if slot_pending == 0:
                             bus._busy = False
                         else:
@@ -1576,6 +1553,31 @@ class BodyNetworkSimulator:
                                     raise SimulationError(
                                         "pending count out of sync "
                                         "with queues")
+                    elif fifo_fast:
+                        fifo_queue = policy._pending
+                        if fifo_queue:
+                            packet2 = fifo_queue.popleft()
+                            access_delay = 0.0
+                        else:
+                            bus._busy = False
+                    elif poll_ok:
+                        if slot_pending == 0:
+                            bus._busy = False
+                        else:
+                            cursor = policy._cursor
+                            for skipped in range(poll_size):
+                                nq = poll_queues[(cursor + skipped)
+                                                 % poll_size]
+                                if nq:
+                                    policy._cursor = ((cursor + skipped + 1)
+                                                      % poll_size)
+                                    slot_pending -= 1
+                                    packet2 = nq.popleft()
+                                    access_delay = (skipped + 1) * poll_cost
+                                    break
+                            else:
+                                raise SimulationError(
+                                    "pending count out of sync with queues")
                     else:
                         if slotted_fast:
                             policy._pending = slot_pending
