@@ -95,8 +95,6 @@ class LatencyAccumulator:
         self._sketch = None
         #: Post-spill samples awaiting their vectorised backend fold.
         self._pending: list[float] = []
-        #: ``(window list, its array)`` from the last exact query.
-        self._window_cache: tuple[list[float], np.ndarray] | None = None
 
     # -- recording ---------------------------------------------------------
 
@@ -463,32 +461,33 @@ class LatencyAccumulator:
         self._require_data()
         return self._max
 
-    def _window(self) -> np.ndarray:
-        """The exact window as a float64 array, converted once per size.
-
-        The conversion is most of a short run's result queries, and
-        :meth:`mean` and :meth:`percentile` usually ask back to back.
-        The window only grows by appending, so the array stays valid
-        while the list is the same object at the same length.
-        ``np.fromiter`` builds the array ``np.asarray`` would, without
-        first scanning the list for a common type.
-        """
-        samples = self._samples
-        cache = self._window_cache
-        if (cache is None or cache[0] is not samples
-                or len(cache[1]) != len(samples)):
-            cache = self._window_cache = (samples, np.fromiter(
-                samples, dtype=np.float64, count=len(samples)))
-        return cache[1]
-
     @property
     def mean(self) -> float:
         """Mean latency (exact in the warm-up window, running sum after)."""
         self._require_data()
         if self._samples is not None:
-            return float(np.mean(self._window()))
+            return float(np.mean(self._samples))
         self._flush_pending()
         return self._total / self.count
+
+    def mean_and_percentile(self, percentile: float) -> tuple[float, float]:
+        """``(mean, percentile(percentile))``, converting an exact window
+        to an array once for both.
+
+        That conversion is most of a short run's result queries.
+        ``np.fromiter`` builds the array ``np.asarray`` would, without
+        first scanning the list for a common type, so both values are
+        the ones :attr:`mean` and :meth:`percentile` return.
+        """
+        samples = self._samples
+        if samples is None:
+            return self.mean, self.percentile(percentile)
+        self._require_data()
+        if not 0.0 <= percentile <= 100.0:
+            raise SimulationError("percentile must be in [0, 100]")
+        window = np.fromiter(samples, dtype=np.float64, count=len(samples))
+        return (float(np.mean(window)),
+                float(np.percentile(window, percentile)))
 
     def percentile(self, percentile: float) -> float:
         """Latency percentile; exact before the spill, backend after."""
@@ -496,7 +495,7 @@ class LatencyAccumulator:
         if not 0.0 <= percentile <= 100.0:
             raise SimulationError("percentile must be in [0, 100]")
         if self._samples is not None:
-            return float(np.percentile(self._window(), percentile))
+            return float(np.percentile(self._samples, percentile))
         self._flush_pending()
         if self._sketch is not None:
             estimate = self._sketch.percentile(percentile)

@@ -27,6 +27,24 @@ class TestExactWindow:
             assert accumulator.percentile(percentile) == \
                 float(np.percentile(samples, percentile))
 
+    @pytest.mark.parametrize("backend", ("histogram", "sketch"))
+    @pytest.mark.parametrize("size", (1, 500, 1500))
+    def test_mean_and_percentile_match_the_separate_queries(self, backend,
+                                                            size):
+        # 1500 samples spill the 1000-sample window.
+        accumulator = LatencyAccumulator(exact_capacity=1000,
+                                         backend=backend)
+        rng = np.random.default_rng(1)
+        for sample in rng.exponential(0.01, size=size).tolist():
+            accumulator.add(sample)
+        for percentile in (0.0, 50.0, 99.0, 100.0):
+            assert accumulator.mean_and_percentile(percentile) == (
+                accumulator.mean, accumulator.percentile(percentile))
+        with pytest.raises(SimulationError):
+            accumulator.mean_and_percentile(101.0)
+        with pytest.raises(SimulationError):
+            LatencyAccumulator().mean_and_percentile(50.0)
+
     def test_min_max_tracked(self):
         accumulator = LatencyAccumulator()
         for value in (0.3, 0.1, 0.2):
