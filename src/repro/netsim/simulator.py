@@ -619,8 +619,10 @@ class BodyNetworkSimulator:
         return (inline, state, battery, state.ledger,
                 node.technology.data_rate_bps(),
                 node.technology.sleep_power(), state.leakage_power_watts,
-                battery.spec.empty_threshold_joules if battery else 0.0,
-                state.low_battery_fraction if battery else None,
+                (battery.spec.empty_threshold_joules
+                 if battery is not None else 0.0),
+                (state.low_battery_fraction
+                 if battery is not None else None),
                 state.harvester)
 
     def _settle_energy(self, node: SimulatedNode, now: float,
