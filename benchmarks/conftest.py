@@ -27,10 +27,9 @@ from repro.netsim.simulator import BodyNetworkSimulator
 def synthetic_slowdown(monkeypatch):
     """Optionally slow the DES hot path for benchmark-gate dry runs.
 
-    Wraps ``BodyNetworkSimulator.run`` — the batched kernel's single
-    entry point — rather than ``EventQueue.run_until``: the merged
-    three-stream loop drives the calendar queue directly, so only a
-    fraction of kernel time flows through ``run_until`` now.
+    Wraps ``BodyNetworkSimulator.run``, the single entry point of the
+    batched kernel: the kernel merges its own streams with the event
+    queue, so every discrete-event run passes through it.
     """
     factor = float(os.environ.get("REPRO_BENCH_SYNTHETIC_SLOWDOWN", "0") or 0.0)
     if factor > 1.0:

@@ -1,22 +1,16 @@
-"""DES hot-path benchmarks: the simulator kernel under sustained load.
+"""DES hot-path benchmark: the simulator kernel under sustained load.
 
-Two timings guard the discrete-event hot path:
-
-* ``dense_50_leaf`` — the 1-hour, 50-leaf TDMA stress scenario
-  (~175k delivered packets).  It runs past the latency accumulator's
-  exact window, so this benchmark also asserts the streaming/bounded
-  memory contract: raw sample retention stays at zero after the spill
-  while count, mean and percentiles keep working.
-* event-queue churn — schedule/cancel pressure on the
-  :class:`~repro.netsim.events.EventQueue`, guarding the lazy-compaction
-  bound (cancelled events can never exceed half the heap).
+``dense_50_leaf`` — the 1-hour, 50-leaf TDMA stress scenario (~175k
+delivered packets) — times the discrete-event hot path.  It runs past
+the latency accumulator's exact window, so this benchmark also asserts
+the streaming/bounded memory contract: raw sample retention stays at
+zero after the spill while count, mean and percentiles keep working.
 """
 
 from __future__ import annotations
 
 from conftest import emit
 
-from repro.netsim.events import EventQueue
 from repro.scenarios import get_scenario
 
 
@@ -49,21 +43,3 @@ def test_bench_dense_50_leaf_hour(benchmark):
     assert accumulator.count == result.delivered_packets
     assert 0.0 < result.mean_latency_seconds < result.p99_latency_seconds
 
-
-def churn_queue(events: int = 20_000) -> int:
-    queue = EventQueue()
-    handles = [queue.schedule_at(float(index), lambda: None)
-               for index in range(events)]
-    # Cancel every other event; lazy compaction must keep the heap from
-    # carrying more cancelled entries than live ones.
-    for handle in handles[::2]:
-        handle.cancel()
-    fired = 0
-    while queue.step():
-        fired += 1
-    return fired
-
-
-def test_bench_event_queue_churn(benchmark):
-    fired = benchmark(churn_queue)
-    assert fired == 10_000

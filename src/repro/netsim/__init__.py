@@ -6,8 +6,8 @@ leaf node see when many leaves share the body medium, how bursty traffic
 interacts with TDMA slots or hub polling, and how the per-node energy
 ledger evolves over a simulated day.  The kernel is layered:
 
-* :mod:`repro.netsim.events` — the event queue (lazy compaction of
-  cancelled events, O(1) length).
+* :mod:`repro.netsim.events` — the event queue (a binary heap keyed
+  by ``(time, sequence)``).
 * :mod:`repro.netsim.stats` — bounded/streaming latency statistics.
 * :mod:`repro.netsim.bus` — the :class:`Medium` serialisation resource
   (per-node link rates, bounded buffer, statistics).

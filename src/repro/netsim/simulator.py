@@ -415,6 +415,9 @@ class BodyNetworkSimulator:
         #: against fast-path nodes (the kernel write-back would clobber
         #: anything posted mid-run).
         self._pre_account_hooks: list[Callable[[float], None]] = []
+        #: Set once :meth:`run` returns: the static and hub power it
+        #: posts cover the whole run, so a second run would double them.
+        self._has_run = False
 
     def attach(self, config: NodeConfig) -> SimulatedNode:
         """Attach a leaf node described by a :class:`NodeConfig`.
@@ -1830,6 +1833,9 @@ class BodyNetworkSimulator:
             only within the analytic envelope (see
             :mod:`repro.netsim.macrotick`), not bit-for-bit.
         """
+        if self._has_run:
+            raise SimulationError(
+                "simulator has already run; build a new one to run again")
         if duration_seconds <= 0 or not np.isfinite(duration_seconds):
             raise SimulationError("duration must be positive and finite")
         if not self.nodes:
@@ -1904,6 +1910,7 @@ class BodyNetworkSimulator:
         coding_enabled = any(
             node.coding_power_watts > 0.0 or node.coding_rate != 1.0
             for node in self.nodes.values())
+        self._has_run = True
         return SimulationResult(
             duration_seconds=duration_seconds,
             delivered_packets=stats.delivered_packets,

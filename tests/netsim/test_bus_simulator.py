@@ -13,6 +13,7 @@ from repro.netsim.bus import BusStats, Medium
 from repro.netsim.simulator import BodyNetworkSimulator
 from repro.netsim.traffic import PeriodicSource, PoissonSource
 from repro.netsim.config import NodeConfig
+from repro.scenarios import get_scenario
 
 
 def make_simulator(overhead: float = 0.0,
@@ -207,6 +208,16 @@ class TestBodyNetworkSimulator:
     def test_run_requires_nodes(self):
         with pytest.raises(SimulationError):
             self.make_simulator().run(1.0)
+
+    def test_second_run_rejected(self):
+        # Static and hub power are posted for the whole duration when a
+        # run returns; a second run would post them again on top.
+        simulator = get_scenario("sleep_night").build(seed=0)
+        simulator.run(60.0)
+        with pytest.raises(SimulationError, match="already run"):
+            simulator.run(60.0)
+        with pytest.raises(SimulationError, match="already run"):
+            simulator.run(30.0)
 
     def test_describe(self):
         simulator = self.make_simulator()

@@ -239,7 +239,7 @@ class TestEnergyAccountingConsistency:
 
 
 class TestEnergyTickStream:
-    """Energy ticks are a kernel stream, never calendar-queue events."""
+    """Energy ticks are a kernel stream, never queued events."""
 
     def test_no_tick_waits_in_the_event_queue(self):
         simulator = build(duration_budget_joules=10.0)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.netsim.events import EventQueue
 from repro.netsim.packet import Packet
 from repro.netsim.traffic import PeriodicSource, PoissonSource
+
+#: A coarse time grid, so scheduled events often tie.
+_tie_times = st.integers(min_value=0, max_value=8).map(lambda t: t * 0.25)
 
 
 class TestEventQueue:
@@ -39,21 +44,6 @@ class TestEventQueue:
         queue.run_until(6.0)
         assert fired == ["too late"]
 
-    def test_schedule_in_is_relative(self):
-        queue = EventQueue()
-        times = []
-        queue.schedule_in(1.0, lambda: times.append(queue.now))
-        queue.run_until(5.0)
-        assert times == [pytest.approx(1.0)]
-
-    def test_cancelled_events_do_not_fire(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_at(1.0, lambda: fired.append("x"))
-        event.cancel()
-        queue.run_until(2.0)
-        assert fired == []
-
     def test_cannot_schedule_in_the_past(self):
         queue = EventQueue()
         queue.schedule_at(1.0, lambda: None)
@@ -61,11 +51,31 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             queue.schedule_at(2.0, lambda: None)
 
+    def test_past_scheduling_is_rejected(self):
+        queue = EventQueue()
+        queue.schedule_at(5.0, lambda: None)
+        queue.run_until(5.0)
+        with pytest.raises(SimulationError):
+            queue.schedule_at(4.0, lambda: None)
+
     def test_cannot_run_backwards(self):
         queue = EventQueue()
         queue.run_until(3.0)
         with pytest.raises(SimulationError):
             queue.run_until(1.0)
+
+    @pytest.mark.parametrize("end_time", [math.nan, math.inf])
+    def test_run_until_rejects_non_finite_end_time(self, end_time):
+        queue = EventQueue()
+        fired = []
+        queue.schedule_at(1e5, lambda: fired.append("far"))
+        with pytest.raises(SimulationError, match="finite"):
+            queue.run_until(end_time)
+        # Nothing fired and the clock did not move, so the past stays
+        # in the past.
+        assert fired == []
+        assert queue.now == 0.0
+        assert len(queue) == 1
 
     def test_events_can_schedule_more_events(self):
         queue = EventQueue()
@@ -74,7 +84,7 @@ class TestEventQueue:
         def chain() -> None:
             fired.append(queue.now)
             if len(fired) < 5:
-                queue.schedule_in(1.0, chain)
+                queue.schedule_at(queue.now + 1.0, chain)
 
         queue.schedule_at(0.0, chain)
         queue.run_until(10.0)
@@ -86,63 +96,19 @@ class TestEventQueue:
     def test_len_counts_pending_events(self):
         queue = EventQueue()
         queue.schedule_at(1.0, lambda: None)
-        event = queue.schedule_at(2.0, lambda: None)
-        event.cancel()
+        queue.schedule_at(2.0, lambda: None)
+        assert len(queue) == 2
+        queue.run_until(1.5)
         assert len(queue) == 1
 
     def test_len_is_constant_time_bookkeeping(self):
-        """len() reads counters; cancelling updates them incrementally."""
+        """len() reads the store's size; firing updates it incrementally."""
         queue = EventQueue()
-        handles = [queue.schedule_at(float(index), lambda: None)
-                   for index in range(100)]
+        for index in range(100):
+            queue.schedule_at(float(index), lambda: None)
         assert len(queue) == 100
-        for handle in handles[:30]:
-            handle.cancel()
+        queue.run_until(29.5)
         assert len(queue) == 70
-
-    def test_cancelled_majority_triggers_compaction(self):
-        """The store never carries more cancelled entries than live ones."""
-        queue = EventQueue()
-        handles = [queue.schedule_at(float(index), lambda: None)
-                   for index in range(1000)]
-        for handle in handles[:501]:
-            handle.cancel()
-        # Compaction has physically removed the cancelled events.
-        assert queue.stored_events == 499
-        assert len(queue) == 499
-
-    def test_double_cancel_counts_once(self):
-        queue = EventQueue()
-        keep = queue.schedule_at(1.0, lambda: None)
-        event = queue.schedule_at(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert len(queue) == 1
-        assert keep is not None
-
-    def test_cancel_after_firing_does_not_corrupt_count(self):
-        queue = EventQueue()
-        fired = []
-        early = queue.schedule_at(1.0, lambda: fired.append("early"))
-        queue.schedule_at(2.0, lambda: fired.append("late"))
-        queue.run_until(1.5)
-        early.cancel()  # stale handle: the event already fired
-        queue.run_until(3.0)
-        assert fired == ["early", "late"]
-        assert len(queue) == 0
-
-    def test_compaction_preserves_firing_order(self):
-        queue = EventQueue()
-        fired: list[int] = []
-        handles = [queue.schedule_at(float(index % 7),
-                                     lambda index=index: fired.append(index))
-                   for index in range(50)]
-        for handle in handles[::2]:
-            handle.cancel()
-        queue.run_until(10.0)
-        survivors = [index for index in range(50) if index % 2 == 1]
-        expected = sorted(survivors, key=lambda index: (index % 7, index))
-        assert fired == expected
 
     def test_many_simultaneous_events_fire_in_scheduling_order(self):
         """Determinism satellite: equal-time events keep insertion order."""
@@ -153,20 +119,93 @@ class TestEventQueue:
         queue.run_until(2.0)
         assert fired == list(range(200))
 
+    def test_interleaved_ties_fire_in_scheduling_order(self):
+        queue = EventQueue()
+        fired = []
+        # Every event lands on one of only three timestamps.
+        for i in range(600):
+            queue.schedule_at(float(i % 3), lambda i=i: fired.append(i))
+        queue.run_until(10.0)
+        expected = ([i for i in range(600) if i % 3 == 0]
+                    + [i for i in range(600) if i % 3 == 1]
+                    + [i for i in range(600) if i % 3 == 2])
+        assert fired == expected
+
+    def test_ties_resolve_on_claimed_sequences(self):
+        # The kernel interleaves externally sequenced streams with the
+        # control queue; a tie between a scheduled event and a claimed
+        # sequence must resolve by sequence number.
+        queue = EventQueue()
+        fired = []
+        first = queue.schedule_at(1.0, lambda: fired.append("first"))
+        claimed = queue.claim_sequence()
+        second = queue.schedule_at(1.0, lambda: fired.append("second"))
+        assert first.sequence < claimed < second.sequence
+        assert queue.peek_key() == (1.0, first.sequence)
+        assert queue.step()
+        assert queue.peek_key() == (1.0, second.sequence)
+        assert queue.step()
+        assert fired == ["first", "second"]
+        assert queue.peek_key() is None
+
     def test_simultaneous_events_deterministic_across_runs(self):
         def run_once() -> list[int]:
             queue = EventQueue()
             fired: list[int] = []
             for index in range(64):
                 queue.schedule_at(0.5, lambda index=index: fired.append(index))
-            handles = [queue.schedule_at(0.5, lambda: fired.append(-1))
-                       for _ in range(8)]
-            for handle in handles[::2]:
-                handle.cancel()
+            for _ in range(8):
+                queue.schedule_at(0.5, lambda: fired.append(-1))
             queue.run_until(1.0)
             return fired
 
         assert run_once() == run_once()
+
+    @given(
+        before=st.lists(st.one_of(st.none(), _tie_times), max_size=40),
+        after=st.lists(st.one_of(st.none(), _tie_times), max_size=20),
+        horizon=_tie_times,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_step_order_matches_sorted_oracle(self, before, after, horizon):
+        """Pop order is ``sorted`` by ``(time, sequence)``.
+
+        ``None`` entries claim a sequence without scheduling, as the
+        kernel's own streams do; the small time grid forces ties.  A
+        ``run_until(horizon)`` prefix fires first, then events scheduled
+        from the horizon on join the remainder.
+        """
+        queue = EventQueue()
+        fired: list[tuple[float, int]] = []
+        scheduled: list[tuple[float, int]] = []
+        claimed: list[int] = []
+
+        def apply(ops: list[float | None], offset: float) -> None:
+            for time in ops:
+                if time is None:
+                    claimed.append(queue.claim_sequence())
+                    continue
+                event = queue.schedule_at(
+                    time + offset,
+                    lambda n=len(scheduled): fired.append(scheduled[n]))
+                scheduled.append((event.time, event.sequence))
+
+        apply(before, 0.0)
+        queue.run_until(horizon)
+        oracle = sorted(scheduled)
+        prefix = [key for key in oracle if key[0] <= horizon]
+        assert fired == prefix
+        assert queue.now == horizon
+        assert len(queue) == len(scheduled) - len(prefix)
+
+        apply(after, horizon)
+        while queue.step():
+            pass
+        assert fired == prefix + sorted(set(scheduled) - set(prefix))
+        assert len(queue) == 0
+        # Scheduled and claimed sequences come from one counter.
+        sequences = sorted([key[1] for key in scheduled] + claimed)
+        assert sequences == list(range(len(sequences)))
 
 
 class TestPacket:
