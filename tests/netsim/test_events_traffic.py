@@ -161,51 +161,73 @@ class TestEventQueue:
 
         assert run_once() == run_once()
 
+    @staticmethod
+    def _schedule(queue, ops, offset, scheduled, claimed, fired):
+        """Schedule ``ops`` on ``queue``; ``None`` claims a sequence.
+
+        Each fired event appends its ``(time, sequence)`` key to
+        ``fired``, so order can be compared with ``sorted(scheduled)``.
+        """
+        for time in ops:
+            if time is None:
+                claimed.append(queue.claim_sequence())
+                continue
+            event = queue.schedule_at(
+                time + offset,
+                lambda n=len(scheduled): fired.append(scheduled[n]))
+            scheduled.append((event.time, event.sequence))
+
+    @given(ops=st.lists(st.one_of(st.none(), _tie_times), max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_step_order_matches_sorted_oracle(self, ops):
+        """Pop order is ``sorted`` by ``(time, sequence)``.
+
+        ``None`` entries claim a sequence without scheduling, as the
+        kernel's own streams do; the small time grid forces ties.
+        """
+        queue = EventQueue()
+        fired: list[tuple[float, int]] = []
+        scheduled: list[tuple[float, int]] = []
+        claimed: list[int] = []
+        self._schedule(queue, ops, 0.0, scheduled, claimed, fired)
+        while queue.step():
+            pass
+        assert fired == sorted(scheduled)
+        assert len(queue) == 0
+        if scheduled:
+            assert queue.now == max(scheduled)[0]
+        # Scheduled and claimed sequences come from one counter.
+        sequences = sorted([key[1] for key in scheduled] + claimed)
+        assert sequences == list(range(len(sequences)))
+
     @given(
         before=st.lists(st.one_of(st.none(), _tie_times), max_size=40),
         after=st.lists(st.one_of(st.none(), _tie_times), max_size=20),
         horizon=_tie_times,
     )
     @settings(max_examples=80, deadline=None)
-    def test_step_order_matches_sorted_oracle(self, before, after, horizon):
-        """Pop order is ``sorted`` by ``(time, sequence)``.
+    def test_run_until_fires_the_sorted_prefix(self, before, after, horizon):
+        """``run_until(horizon)`` fires exactly the sorted prefix.
 
-        ``None`` entries claim a sequence without scheduling, as the
-        kernel's own streams do; the small time grid forces ties.  A
-        ``run_until(horizon)`` prefix fires first, then events scheduled
-        from the horizon on join the remainder.
+        The clock then reads ``horizon``, and events scheduled from the
+        horizon on join the remainder in ``(time, sequence)`` order.
         """
         queue = EventQueue()
         fired: list[tuple[float, int]] = []
         scheduled: list[tuple[float, int]] = []
         claimed: list[int] = []
-
-        def apply(ops: list[float | None], offset: float) -> None:
-            for time in ops:
-                if time is None:
-                    claimed.append(queue.claim_sequence())
-                    continue
-                event = queue.schedule_at(
-                    time + offset,
-                    lambda n=len(scheduled): fired.append(scheduled[n]))
-                scheduled.append((event.time, event.sequence))
-
-        apply(before, 0.0)
+        self._schedule(queue, before, 0.0, scheduled, claimed, fired)
         queue.run_until(horizon)
-        oracle = sorted(scheduled)
-        prefix = [key for key in oracle if key[0] <= horizon]
+        prefix = [key for key in sorted(scheduled) if key[0] <= horizon]
         assert fired == prefix
         assert queue.now == horizon
         assert len(queue) == len(scheduled) - len(prefix)
 
-        apply(after, horizon)
+        self._schedule(queue, after, horizon, scheduled, claimed, fired)
         while queue.step():
             pass
         assert fired == prefix + sorted(set(scheduled) - set(prefix))
         assert len(queue) == 0
-        # Scheduled and claimed sequences come from one counter.
-        sequences = sorted([key[1] for key in scheduled] + claimed)
-        assert sequences == list(range(len(sequences)))
 
 
 class TestPacket:
