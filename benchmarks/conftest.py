@@ -3,7 +3,8 @@
 Every benchmark regenerates one of the paper's figures/tables via the
 corresponding :mod:`repro.experiments` driver, prints the reproduced rows
 (the same rows/series the paper reports) and asserts the shape checks
-documented in DESIGN.md, while pytest-benchmark records the runtime.
+of its experiment (README.md, Experiments table E1–E18), while
+pytest-benchmark records the runtime.
 Run with ``pytest benchmarks/ --benchmark-only``.
 
 Setting ``REPRO_BENCH_SYNTHETIC_SLOWDOWN`` (e.g. ``2.0``) inflates the

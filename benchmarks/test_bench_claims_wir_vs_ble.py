@@ -14,7 +14,7 @@ def test_bench_claims_wir_vs_ble(benchmark):
     emit("Link technology comparison", result.technology_rows)
     emit("Physical security (leakage range)", result.security_rows)
 
-    # Shape checks (DESIGN.md E4).
+    # Shape checks (README.md E4).
     assert result.all_hold
     assert result.check("Wi-R data rate vs BLE").measured_value >= 10.0
     assert result.check("BLE communication power vs Wi-R").measured_value >= 20.0

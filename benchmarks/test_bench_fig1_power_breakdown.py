@@ -14,7 +14,7 @@ def test_bench_fig1_power_breakdown(benchmark):
          result.rows())
 
     reductions = result.reduction_factors()
-    # Shape checks (DESIGN.md E1): microwatt-class sensing nodes gain >= 50x;
+    # Shape checks (README.md E1): microwatt-class sensing nodes gain >= 50x;
     # the camera node is sensor-dominated and gains only modestly.
     assert reductions["ECG patch"] >= 50.0
     assert reductions["audio AI pin"] >= 50.0

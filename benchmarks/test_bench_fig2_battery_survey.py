@@ -16,7 +16,7 @@ def test_bench_fig2_battery_survey(benchmark):
                   "life_hours", "life_days", "band", "claimed_band",
                   "matches_claim"])
 
-    # Shape check (DESIGN.md E2): every surveyed device class lands in the
+    # Shape check (README.md E2): every surveyed device class lands in the
     # battery-life band the paper's figure claims for it.
     assert result.agreement_fraction == 1.0
     assert result.device_count >= 10

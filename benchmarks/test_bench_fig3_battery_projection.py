@@ -16,7 +16,7 @@ def test_bench_fig3_battery_projection(benchmark):
     emit("Fig. 3 — device-class placements",
          result.device_rows())
 
-    # Shape checks (DESIGN.md E3): the three bands the paper annotates.
+    # Shape checks (README.md E3): the three bands the paper annotates.
     assert result.bands_match_paper()
     # Perpetual region covers biopotential patches, rings, fitness trackers.
     assert result.perpetual_rate_limit_bps() >= units.kilobit_per_second(10.0)

@@ -15,7 +15,7 @@ def test_bench_isa_ablation(benchmark):
 
     wir_name = "Wi-R (EQS-HBC)"
     ble_name = "BLE 1M PHY"
-    # Shape checks (DESIGN.md E7): over Wi-R, compression is marginal (which
+    # Shape checks (README.md E7): over Wi-R, compression is marginal (which
     # is why the paper can neglect ISA power); over BLE it is a 2x+ lever,
     # and raw video does not fit on BLE at all.
     for node in ("ECG patch", "audio AI node"):

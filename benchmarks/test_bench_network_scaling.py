@@ -18,7 +18,7 @@ def test_bench_network_scaling(benchmark):
     emit("Body-bus scaling — 64 kb/s leaves sharing one Wi-R hub",
          result.rows())
 
-    # Shape checks (DESIGN.md E8): tens of audio-feature-class leaves fit;
+    # Shape checks (README.md E8): tens of audio-feature-class leaves fit;
     # utilisation and latency grow monotonically with the population.
     assert result.max_feasible_nodes() >= 16
     utilizations = [point.tdma_utilization for point in result.points]

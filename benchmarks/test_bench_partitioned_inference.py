@@ -19,7 +19,7 @@ def test_bench_partitioned_inference(benchmark):
     for workload in ("keyword_spotting", "ecg_arrhythmia", "vision_tiny"):
         over_wir = result.for_workload(workload, wir_name)
         over_ble = result.for_workload(workload, ble_name)
-        # Shape checks (DESIGN.md E5): Wi-R pushes the optimum toward the hub
+        # Shape checks (README.md E5): Wi-R pushes the optimum toward the hub
         # and cuts the leaf's energy; BLE pushes compute back onto the leaf.
         assert over_wir.offload_fraction >= over_ble.offload_fraction
         assert over_wir.best_leaf_energy_joules < over_ble.best_leaf_energy_joules

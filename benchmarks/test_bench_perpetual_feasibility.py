@@ -14,7 +14,7 @@ def test_bench_perpetual_feasibility(benchmark):
     emit("Perpetual-operation feasibility vs harvested power (10-200 uW indoor)",
          result.rows())
 
-    # Shape checks (DESIGN.md E6): the classes the paper lists become
+    # Shape checks (README.md E6): the classes the paper lists become
     # perpetual within the indoor harvesting range; video nodes do not.
     perpetual_at_100uw = " ".join(
         result.perpetual_classes(units.microwatt(100.0))

@@ -1,10 +1,11 @@
-"""Regenerate every reproduced figure/table (E1-E15) and print the rows.
+"""Regenerate every reproduced figure/table (E1-E18) and print the rows.
 
-This is the one-shot driver behind EXPERIMENTS.md: it walks the central
-experiment registry (:mod:`repro.runner`) — the same code path the CLI,
-the benchmarks and the tests use — runs every registered experiment and
-prints its table plus summary lines, so the paper-versus-measured
-comparison can be refreshed after any model change.
+This is the one-shot driver behind README.md's Experiments table: it
+walks the central experiment registry (:mod:`repro.runner`) — the same
+code path the CLI, the benchmarks and the tests use — runs every
+registered experiment and prints its table plus summary lines, so the
+paper-versus-measured comparison can be refreshed after any model
+change.
 
 Run with::
 

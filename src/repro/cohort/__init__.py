@@ -23,7 +23,6 @@ Backed by ``repro cohort run/summarize`` on the CLI and the
 """
 
 from .aggregate import (
-    DEFAULT_METRIC_BACKEND,
     MEMBER_METRIC_FIELDS,
     CohortAccumulator,
     MemberColumns,
@@ -54,7 +53,6 @@ from .spec import DEFAULT_ADOPTION, CohortMember, CohortSpec, MemberDraws
 
 __all__ = [
     "DEFAULT_ADOPTION",
-    "DEFAULT_METRIC_BACKEND",
     "MEMBER_METRIC_FIELDS",
     "SHARD_CODEC_VERSION",
     "Bernoulli",

@@ -45,12 +45,6 @@ MEMBER_METRIC_FIELDS = (
 #: Percentiles reported for each member metric.
 SUMMARY_PERCENTILES = (50.0, 90.0, 99.0)
 
-#: Post-spill backend of the cohort's metric accumulators.  Sketches
-#: keep cross-member p50/p99 within their documented rank error through
-#: a million-member merge without retaining one value per member.
-DEFAULT_METRIC_BACKEND = "sketch"
-
-
 @dataclass(frozen=True)
 class MemberMetrics:
     """One member's outcome, reduced to the scalars the cohort keeps."""
@@ -223,17 +217,13 @@ class CohortAccumulator:
     Counters are integers (exactly associative); every float metric lives
     in a :class:`LatencyAccumulator` so merging shard accumulators in
     member order reproduces the serial statistics bit-for-bit while the
-    population fits the exact window, and degrades to the backend's
-    documented approximation beyond it (a mergeable quantile sketch by
-    default).
+    population fits the exact window, and degrades to the mergeable
+    quantile sketch's documented rank error beyond it.
 
     Parameters
     ----------
     exact_capacity:
         Exact-window size of every metric accumulator.
-    backend:
-        Post-spill percentile backend (``"sketch"`` default;
-        ``"histogram"`` preserves the pre-codec behaviour).
     keep_members:
         Retain the raw :class:`MemberMetrics` rows in :attr:`members`
         (and ship them inside encoded shard frames) for debugging.
@@ -242,7 +232,6 @@ class CohortAccumulator:
     """
 
     def __init__(self, exact_capacity: int = DEFAULT_EXACT_CAPACITY,
-                 backend: str = DEFAULT_METRIC_BACKEND,
                  keep_members: bool = False) -> None:
         self.population = 0
         self.node_count = 0
@@ -253,19 +242,17 @@ class CohortAccumulator:
         self.first_death_seconds = math.inf
         self.by_policy: dict[str, int] = {}
         self.by_source: dict[str, int] = {}
-        self.backend = backend
         self.keep_members = keep_members
         #: Raw member rows, retained only when ``keep_members`` is set.
         self.members: list[MemberMetrics] = []
         self.metrics: dict[str, LatencyAccumulator] = {
-            name: LatencyAccumulator(exact_capacity=exact_capacity,
-                                     backend=backend)
+            name: LatencyAccumulator(exact_capacity=exact_capacity)
             for name in MEMBER_METRIC_FIELDS
         }
         #: Packet-level latency distribution, merged from the per-run
         #: accumulators of members that executed on the DES (the analytic
         #: path has no packets to contribute).
-        self.packet_latency = LatencyAccumulator(backend=backend)
+        self.packet_latency = LatencyAccumulator()
 
     # -- recording ---------------------------------------------------------
 

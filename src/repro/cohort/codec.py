@@ -31,9 +31,9 @@ Sections:
 ``aggregates``
     The faithful :meth:`LatencyAccumulator.to_state` of every member
     metric plus the packet-latency distribution: raw ``float64`` columns
-    while an accumulator is still exact, histogram edges/counts or
-    quantile-sketch levels after the spill.  Decoding and merging these
-    is bit-identical to merging the in-memory accumulators.
+    while an accumulator is still exact, quantile-sketch levels after the
+    spill.  Decoding and merging these is bit-identical to merging the
+    in-memory accumulators.
 ``validations``
     Columnar analytic-vs-DES validation records (delta+zigzag varint
     index column, dictionary-coded strings, raw ``float64`` columns).
@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from ..errors import CodecError
-from ..netsim.stats import LatencyAccumulator
+from ..netsim.stats import STATE_BACKEND, STATE_BINS, LatencyAccumulator
 from .aggregate import (
     MEMBER_METRIC_FIELDS,
     CohortAccumulator,
@@ -109,7 +109,9 @@ _VALIDATION_FLOAT_FIELDS = (
     "des_alive_fraction",
 )
 
-_ACCUMULATOR_MODES = {"exact": 0, "histogram": 1, "sketch": 2}
+#: Accumulator mode ids.  Id 1 carried the retired log-spaced histogram
+#: and is refused on read; it stays unassigned.
+_ACCUMULATOR_MODES = {"exact": 0, "sketch": 2}
 _ACCUMULATOR_MODE_NAMES = {value: key
                            for key, value in _ACCUMULATOR_MODES.items()}
 
@@ -322,13 +324,6 @@ def _write_accumulator(writer: _Writer,
         writer.f64_column(state["samples"])
         return
     writer.f64(float(state["total"]))
-    if mode == "histogram":
-        writer.f64_column(state["edges"])
-        counts = state["counts"]
-        writer.varint(len(counts))
-        for count in counts:
-            writer.varint(int(count))
-        return
     sketch = state["sketch"]
     writer.varint(int(sketch["k"]))
     writer.varint(int(sketch["count"]))
@@ -356,14 +351,14 @@ def _read_accumulator(reader: _Reader) -> LatencyAccumulator:
         "min": reader.f64(),
         "max": reader.f64(),
     }
+    if state["backend"] != STATE_BACKEND or state["bins"] != STATE_BINS:
+        raise CodecError(
+            f"unsupported accumulator backend {state['backend']!r} with "
+            f"{state['bins']} bins")
     if mode == "exact":
         state["samples"] = reader.f64_column()
         return LatencyAccumulator.from_state(state)
     state["total"] = reader.f64()
-    if mode == "histogram":
-        state["edges"] = reader.f64_column()
-        state["counts"] = [reader.varint() for _ in range(reader.varint())]
-        return LatencyAccumulator.from_state(state)
     sketch: dict[str, object] = {
         "k": reader.varint(),
         "count": reader.varint(),

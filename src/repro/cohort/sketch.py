@@ -1,12 +1,10 @@
-"""Mergeable quantile sketches for million-member cohort statistics.
+"""Mergeable quantile sketches for long-run latency and cohort statistics.
 
-Cross-member percentiles used to rely on
-:class:`~repro.netsim.stats.LatencyAccumulator`'s exact sample window
-(bit-identical, but one retained float per member) followed by a
-log-spaced histogram whose resolution is fixed at spill time.  For a
-cohort of 10^6 members neither regime is ideal: the window costs memory
-proportional to the population and the histogram's rank error depends on
-how lucky the spill-time value range was.
+:class:`~repro.netsim.stats.LatencyAccumulator` keeps an exact sample
+window (bit-identical, but one retained float per sample) and spills
+into this sketch beyond it: the DES packet latencies of a long run and
+the per-member metrics of a 10^6-member cohort alike.  Its rank error
+does not depend on the value range seen before the spill.
 
 :class:`QuantileSketch` is a KLL-style compactor sketch (Karnin, Lang &
 Liberty, FOCS'16) with *deterministic* alternating compaction offsets
@@ -141,8 +139,8 @@ class QuantileSketch:
         """Record *value* ``weight`` times in O(log weight) inserts.
 
         Decomposes the weight into powers of two and inserts the value
-        directly at the matching levels — how histogram bins fold into a
-        sketch without a per-sample loop.
+        directly at the matching levels — how the macro-tick fast path's
+        weighted latency batches fold in without a per-sample loop.
         """
         if weight < 0:
             raise SimulationError(f"weight must be non-negative: {weight}")

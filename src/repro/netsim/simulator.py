@@ -1425,18 +1425,15 @@ class BodyNetworkSimulator:
                         if lat_list is not None:
                             lat_list.append(value)
                             if len_(lat_list) > lat_cap:
-                                # The spill reads the shared extrema; fold
-                                # the window's (min/max are
-                                # order-independent) and sync first.
+                                # The spill drops the window; fold its
+                                # extrema (min/max are order-independent)
+                                # first.
                                 low = min(lat_list)
                                 if low < lat_min:
                                     lat_min = low
                                 high = max(lat_list)
                                 if high > lat_max:
                                     lat_max = high
-                                latency.count = cnt
-                                latency._min = lat_min
-                                latency._max = lat_max
                                 latency._spill()
                                 lat_list = None
                         else:

@@ -44,8 +44,10 @@ from repro.cohort import (
     split_frames,
     write_frames,
 )
+from repro.cohort import codec
 from repro.cohort.engine import _run_shard
 from repro.errors import CodecError
+from repro.netsim import stats
 
 # Exercises zeros, denormals, round numbers and huge magnitudes — every
 # one must survive the frame bit-exactly (raw binary64 columns).
@@ -350,6 +352,24 @@ class TestCorruption:
         blob[-1] ^= 0xFF
         with pytest.raises(CodecError, match="CRC|corrupt"):
             decode_shard(bytes(blob))
+
+    def test_histogram_accumulator_mode_rejected(self, monkeypatch):
+        # Mode id 1 carried the retired log-spaced histogram backend.
+        monkeypatch.setitem(codec._ACCUMULATOR_MODES, "exact", 1)
+        blob = self.make_blob()
+        monkeypatch.undo()
+        with pytest.raises(CodecError, match="mode id 1"):
+            decode_shard(blob)
+
+    @pytest.mark.parametrize("field, value", [("STATE_BACKEND", "histogram"),
+                                              ("STATE_BINS", 64)])
+    def test_unknown_accumulator_backend_rejected(self, monkeypatch, field,
+                                                  value):
+        monkeypatch.setattr(stats, field, value)
+        blob = self.make_blob()
+        monkeypatch.undo()
+        with pytest.raises(CodecError, match="unsupported accumulator"):
+            decode_shard(blob)
 
     def test_zstd_without_package_raises_codec_error(self):
         try:

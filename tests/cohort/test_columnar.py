@@ -74,15 +74,14 @@ def test_sketch_add_many_equals_sequential_add(prefix, values, sizes, k):
     assert batched.retained == sequential.retained
 
 
-@given(VALUES, CHUNKS, st.integers(1, 40),
-       st.sampled_from(["sketch", "histogram"]))
+@given(VALUES, CHUNKS, st.integers(1, 40))
 @settings(max_examples=80, deadline=None)
 def test_accumulator_add_many_equals_add_across_spill(values, sizes,
-                                                      capacity, backend):
-    sequential = LatencyAccumulator(exact_capacity=capacity, backend=backend)
+                                                      capacity):
+    sequential = LatencyAccumulator(exact_capacity=capacity)
     for value in values:
         sequential.add(value)
-    batched = LatencyAccumulator(exact_capacity=capacity, backend=backend)
+    batched = LatencyAccumulator(exact_capacity=capacity)
     for run in chunked(values, sizes):
         batched.add_many(run)
     assert canonical_json(batched.to_state()) == \

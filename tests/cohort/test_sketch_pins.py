@@ -87,7 +87,7 @@ def test_merged_and_weighted_sketch_pinned():
 
 
 def test_sketch_accumulator_add_many_across_spill_pinned():
-    accumulator = LatencyAccumulator(backend="sketch", exact_capacity=1000)
+    accumulator = LatencyAccumulator(exact_capacity=1000)
     values = [-0.0 if value == 0.0 and index % 2 else abs(value)
               for index, value in enumerate(stream(120_000, seed=20))]
     for run in chunked(values):

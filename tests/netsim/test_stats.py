@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.netsim.stats import LatencyAccumulator
+from repro.scenarios import get_scenario
 
 
 class TestExactWindow:
@@ -27,13 +29,11 @@ class TestExactWindow:
             assert accumulator.percentile(percentile) == \
                 float(np.percentile(samples, percentile))
 
-    @pytest.mark.parametrize("backend", ("histogram", "sketch"))
-    @pytest.mark.parametrize("size", (1, 500, 1500))
-    def test_mean_and_percentile_match_the_separate_queries(self, backend,
-                                                            size):
-        # 1500 samples spill the 1000-sample window.
-        accumulator = LatencyAccumulator(exact_capacity=1000,
-                                         backend=backend)
+    @pytest.mark.parametrize("size", (1, 500, 1500),
+                             ids=lambda size: f"{size}-sketch")
+    def test_mean_and_percentile_match_the_separate_queries(self, size):
+        # 1500 samples spill the 1000-sample window into the sketch.
+        accumulator = LatencyAccumulator(exact_capacity=1000)
         rng = np.random.default_rng(1)
         for sample in rng.exponential(0.01, size=size).tolist():
             accumulator.add(sample)
@@ -62,8 +62,6 @@ class TestExactWindow:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(SimulationError):
             LatencyAccumulator(exact_capacity=0)
-        with pytest.raises(SimulationError):
-            LatencyAccumulator(bins=1)
         accumulator = LatencyAccumulator()
         with pytest.raises(SimulationError):
             accumulator.add(-1.0)
@@ -95,14 +93,13 @@ class TestStreamingSpill:
 
     def test_streaming_percentiles_close_to_exact(self):
         accumulator, samples = self.make_spilled()
-        # Interior bins interpolate by rank: near-exact.
         for percentile in (50.0, 90.0):
             exact = float(np.percentile(samples, percentile))
             assert accumulator.percentile(percentile) == \
                 pytest.approx(exact, rel=0.05)
-        # p99 falls in the open-ended top bin (the warm-up window saw
-        # only ~98.7% of the distribution): coarser, but bounded by the
-        # frozen top edge and the exactly tracked max.
+        # p99 sits in the sparse upper tail, where the sketch's rank
+        # error moves the value most; it stays bounded by the exactly
+        # tracked max.
         exact_p99 = float(np.percentile(samples, 99.0))
         estimate_p99 = accumulator.percentile(99.0)
         assert estimate_p99 == pytest.approx(exact_p99, rel=0.35)
@@ -129,8 +126,8 @@ class TestStreamingSpill:
         for _ in range(100):
             accumulator.add(1.0)
         assert accumulator.percentile(100.0) == 1.0
-        # The 1000x tail is visible (the frozen warm-up edges top out at
-        # 0.001; the open bin reaches towards the tracked max).
+        # The 1000x tail is visible, though the warm-up window saw only
+        # 0.001.
         assert accumulator.percentile(99.0) > 0.5
         assert accumulator.percentile(0.0) == 0.001
 
@@ -144,7 +141,7 @@ class TestStreamingSpill:
 
 
 class TestMerge:
-    """Shard-merge semantics: exact concatenation, then histogram folds."""
+    """Shard-merge semantics: exact concatenation, then sketch merges."""
 
     def fill(self, samples, capacity=1000) -> LatencyAccumulator:
         accumulator = LatencyAccumulator(exact_capacity=capacity)
@@ -223,20 +220,16 @@ class TestMerge:
                                              rel=1e-9)
 
     def test_merge_spilled_outliers_stay_in_the_tail(self):
-        """Regression: samples in the open-ended outer bins of a spilled
-        accumulator merge at the observed min/max, not at a 'geometric
-        midpoint' of the artificial clamped span.
-
-        Before the fix, an outlier landing in the open top bin after the
-        spill (e.g. 500 s over ~2 ms edges) was re-binned at
-        sqrt(edge * max) — hundreds of times below its true value — and
-        the merged tail percentiles collapsed toward the warm-up range.
+        """Regression: outliers added after the spill, far outside the
+        warm-up range (e.g. 500 s over ~2 ms samples), keep their true
+        values through a merge, so the merged tail percentiles do not
+        collapse toward the warm-up range.
         """
         left = self.fill([0.001] * 40, capacity=32)
-        left.add(100.0)     # open top bin of left
+        left.add(100.0)     # above left's warm-up range
         right = self.fill([0.002] * 40, capacity=32)
-        right.add(500.0)    # open top bin of right
-        right.add(1e-12)    # open bottom bin of right
+        right.add(500.0)    # above right's warm-up range
+        right.add(1e-12)    # below right's warm-up range
         assert not left.is_exact and not right.is_exact
         left.merge(right)
         assert left.count == 83
@@ -245,7 +238,7 @@ class TestMerge:
         # ~2.4% of the mass sits at 100/500 s: p99 must stay far above
         # the ~millisecond bulk instead of collapsing below it.
         assert left.percentile(99.0) > 1.0
-        # The exact running total is untouched by the re-binning.
+        # The exact running total is untouched by the merge.
         expected_mean = ([0.001] * 40 + [100.0] + [0.002] * 40
                          + [500.0] + [1e-12])
         assert left.mean == pytest.approx(
@@ -254,7 +247,7 @@ class TestMerge:
     def test_merge_bottom_open_bin_uses_observed_min(self):
         left = self.fill(np.linspace(0.01, 0.02, 40).tolist(), capacity=32)
         right = self.fill(np.linspace(0.01, 0.02, 40).tolist(), capacity=32)
-        right.add(1e-7)     # far below right's frozen bottom edge
+        right.add(1e-7)     # far below right's warm-up range
         left.merge(right)
         assert left.min_seconds == 1e-7
         assert left.percentile(0.0) == pytest.approx(1e-7, rel=1e-6)
@@ -269,16 +262,14 @@ class TestMerge:
         assert target.count == 2000
         assert target.mean == pytest.approx(float(np.mean(samples)),
                                             rel=1e-9)
-        # The adopted histogram is a copy, not a shared buffer.
+        # The adopted sketch is a copy, not a shared buffer.
         target.add(1.0)
         assert spilled.count == 2000
 
 
 class TestZeroLatencySamples:
-    """Exact zeros survive the spill: a log-spaced histogram cannot hold
-    zero, so zeros land in the bottom open bin whose bounds clamp to the
-    tracked minimum — queries must keep reporting them as (effectively)
-    zero rather than promoting them to the 1 ns edge floor."""
+    """Exact zeros survive the spill: queries keep reporting them as
+    (effectively) zero rather than promoting them to a positive floor."""
 
     def spill_with_zeros(self, zeros, others, capacity=32):
         accumulator = LatencyAccumulator(exact_capacity=capacity)
@@ -297,8 +288,8 @@ class TestZeroLatencySamples:
     def test_mixed_zeros_keep_low_percentiles_at_zero(self):
         accumulator = self.spill_with_zeros(30, [0.01] * 10)
         assert accumulator.percentile(0.0) == 0.0
-        # Half the mass is exactly zero; the median estimate may sit
-        # anywhere inside the bottom open bin but never above its edge.
+        # Half the mass is exactly zero, and the median estimate lands
+        # in it rather than on a positive floor.
         assert accumulator.percentile(50.0) <= 1e-9
         assert accumulator.percentile(99.0) == pytest.approx(0.01, rel=0.05)
         assert accumulator.mean == pytest.approx(0.0025, rel=1e-9)
@@ -321,8 +312,7 @@ class TestZeroLatencySamples:
 
 class TestSketchBackend:
     def spilled(self, values, capacity: int = 16) -> LatencyAccumulator:
-        accumulator = LatencyAccumulator(exact_capacity=capacity,
-                                         backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=capacity)
         for value in values:
             accumulator.add(float(value))
         return accumulator
@@ -330,17 +320,16 @@ class TestSketchBackend:
     def test_exact_window_behaviour_unchanged(self):
         rng = np.random.default_rng(1)
         samples = rng.uniform(0.0, 1.0, 50)
-        histogram = LatencyAccumulator(backend="histogram")
-        sketch = LatencyAccumulator(backend="sketch")
+        accumulator = LatencyAccumulator()
         for value in samples:
-            histogram.add(float(value))
-            sketch.add(float(value))
-        # Below the exact window the backend is irrelevant: both answer
-        # from the same sample list, bit for bit.
+            accumulator.add(float(value))
+        # Below the exact window no sketch exists: queries answer from
+        # the sample list, bit for bit.
+        assert accumulator._sketch is None
         for percentile in (1.0, 50.0, 99.0):
-            assert (sketch.percentile(percentile)
-                    == histogram.percentile(percentile))
-        assert sketch.mean == histogram.mean
+            assert (accumulator.percentile(percentile)
+                    == float(np.percentile(samples, percentile)))
+        assert accumulator.mean == float(np.mean(samples))
 
     def test_spilled_percentiles_within_rank_error(self):
         rng = np.random.default_rng(8)
@@ -369,34 +358,15 @@ class TestSketchBackend:
                                             rel=1e-9)
         assert merged.percentile(50.0) == pytest.approx(0.5, abs=0.03)
 
-    def test_sketch_merges_with_histogram(self):
-        rng = np.random.default_rng(4)
-        samples = rng.uniform(0.0, 1.0, 2000)
-        sketch_side = self.spilled(samples[:1000])
-        histogram_side = LatencyAccumulator(exact_capacity=16,
-                                            backend="histogram")
-        for value in samples[1000:]:
-            histogram_side.add(float(value))
-        sketch_side.merge(histogram_side)
-        assert sketch_side.count == 2000
-        assert sketch_side.percentile(50.0) == pytest.approx(0.5, abs=0.05)
-
-    def test_histogram_absorbs_sketch(self):
-        rng = np.random.default_rng(5)
-        samples = rng.uniform(0.0, 1.0, 2000)
-        histogram_side = LatencyAccumulator(exact_capacity=16,
-                                            backend="histogram")
-        for value in samples[:1000]:
-            histogram_side.add(float(value))
-        sketch_side = self.spilled(samples[1000:])
-        histogram_side.merge(sketch_side)
-        assert histogram_side.count == 2000
-        assert histogram_side.percentile(50.0) == pytest.approx(0.5,
-                                                                abs=0.05)
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError):
-            LatencyAccumulator(backend="theodolite")
+        # The state keeps its fixed backend/bins fields; any other value
+        # names a backend this accumulator does not have.
+        state = self.spilled(np.linspace(0.0, 1.0, 100)).to_state()
+        for field, value in (("backend", "theodolite"),
+                             ("backend", "histogram"), ("bins", 64)):
+            with pytest.raises(SimulationError, match="unsupported"):
+                LatencyAccumulator.from_state({**state, field: value})
+        assert LatencyAccumulator.from_state(state).to_state() == state
 
     @staticmethod
     def snapshot(accumulator: LatencyAccumulator) -> tuple:
@@ -407,7 +377,7 @@ class TestSketchBackend:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_after_spill_rejected_before_recording(
             self, bad):
-        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=4)
         accumulator.add_many([1.0, 2.0, 3.0, 4.0, 5.0])
         before = self.snapshot(accumulator)
         with pytest.raises(SimulationError, match="finite"):
@@ -426,7 +396,7 @@ class TestSketchBackend:
             self, add_many):
         # The exact window keeps a dead member's NaN; the sample that
         # would fold it into the sketch is refused instead.
-        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=4)
         accumulator.add_many([1.0, math.nan, 2.0, 3.0])
         before = self.snapshot(accumulator)
         with pytest.raises(SimulationError, match="finite"):
@@ -440,7 +410,7 @@ class TestSketchBackend:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_batch_after_spill_rejected_before_recording(
             self, bad):
-        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=4)
         accumulator.add_many([1.0, 2.0, 3.0, 4.0, 5.0])
         before = self.snapshot(accumulator)
         with pytest.raises(SimulationError, match="finite"):
@@ -452,7 +422,7 @@ class TestSketchBackend:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_batch_spilling_a_non_finite_value_rejected_before_recording(
             self, bad):
-        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=4)
         before = self.snapshot(accumulator)
         with pytest.raises(SimulationError, match="finite"):
             accumulator.add_batch([1.0, bad], [3, 3])
@@ -463,15 +433,73 @@ class TestSketchBackend:
     def test_non_finite_batch_that_reaches_no_sketch_accepted(self):
         # The window may keep a non-finite value, and a zero count
         # records nothing at all.
-        accumulator = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=4)
         accumulator.add_batch([1.0, math.nan, math.inf], [2, 2, 0])
         assert accumulator.count == 4
         assert accumulator.is_exact
-        spilled = LatencyAccumulator(exact_capacity=4, backend="sketch")
+        spilled = LatencyAccumulator(exact_capacity=4)
         spilled.add_many([1.0, 2.0, 3.0, 4.0, 5.0])
         spilled.add_batch([math.inf, 2.0], [0, 2])
         assert spilled.count == 7
         assert spilled._sketch.count == 7
+
+    def test_rejected_merge_into_spilled_records_nothing(self):
+        accumulator = LatencyAccumulator(exact_capacity=4)
+        accumulator.add_many([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        other = LatencyAccumulator()
+        other.add_many([0.7, math.nan])
+        before = self.snapshot(accumulator)
+        with pytest.raises(SimulationError, match="finite"):
+            accumulator.merge(other)
+        assert self.snapshot(accumulator) == before
+        assert accumulator.count == accumulator._sketch.count == 6
+
+    def test_rejected_merge_of_a_spilling_exact_union_records_nothing(self):
+        # Both sides exact, but the union overflows the window: every
+        # sample of both would reach the sketch, so the NaN is refused.
+        accumulator = LatencyAccumulator(exact_capacity=4)
+        accumulator.add_many([0.1, 0.2])
+        other = LatencyAccumulator()
+        other.add_many([math.nan, 0.7, 0.8])
+        before = self.snapshot(accumulator)
+        with pytest.raises(SimulationError, match="finite"):
+            accumulator.merge(other)
+        assert self.snapshot(accumulator) == before
+        assert accumulator.is_exact
+        # An empty accumulator replays the window it would spill.
+        empty = LatencyAccumulator(exact_capacity=2)
+        before = self.snapshot(empty)
+        with pytest.raises(SimulationError, match="finite"):
+            empty.merge(other)
+        assert self.snapshot(empty) == before
+
+
+class TestDesPostSpillAccuracy:
+    """A spilled DES run reports percentiles within the sketch's rank
+    error of the same run's exact samples."""
+
+    @pytest.mark.parametrize("arbitration", ("fifo", "tdma", "polling"))
+    def test_dense_body_percentiles_within_rank_error(self, arbitration):
+        spec = dataclasses.replace(get_scenario("dense_50_leaf"),
+                                   arbitration=arbitration)
+        spilled = spec.build(seed=0, duration_seconds=60.0,
+                             latency_exact_capacity=512)
+        result = spilled.run(60.0)
+        exact = spec.build(seed=0, duration_seconds=60.0)
+        exact.run(60.0)
+        accumulator = spilled.bus.stats.latency
+        reference = exact.bus.stats.latency
+        assert not accumulator.is_exact and reference.is_exact
+        assert accumulator.count == reference.count > 4 * 512
+        assert result.p99_latency_seconds == accumulator.percentile(99.0)
+        samples = np.sort(reference._samples)
+        bound = accumulator._sketch.rank_error_bound
+        for percentile in (50.0, 99.0):
+            estimate = accumulator.percentile(percentile)
+            below = np.searchsorted(samples, estimate, "left") / len(samples)
+            above = np.searchsorted(samples, estimate, "right") / len(samples)
+            target = percentile / 100.0
+            assert below - bound <= target <= above + bound
 
 
 class TestStateRoundTrip:
@@ -486,19 +514,18 @@ class TestStateRoundTrip:
         assert restored.to_state() == accumulator.to_state()
         assert restored.percentile(50.0) == accumulator.percentile(50.0)
 
-    def test_histogram_state_round_trips(self):
-        accumulator = LatencyAccumulator(exact_capacity=8,
-                                         backend="histogram")
+    def test_histogram_state_rejected(self):
+        accumulator = LatencyAccumulator(exact_capacity=8)
         for value in np.linspace(0.001, 1.0, 100):
             accumulator.add(float(value))
-        restored = self.round_trip(accumulator)
-        assert restored.to_state() == accumulator.to_state()
-        for percentile in (10.0, 50.0, 99.0):
-            assert (restored.percentile(percentile)
-                    == accumulator.percentile(percentile))
+        state = accumulator.to_state()
+        del state["sketch"]
+        state.update(mode="histogram", edges=[0.5] * 511, counts=[0] * 512)
+        with pytest.raises(SimulationError, match="mode 'histogram'"):
+            LatencyAccumulator.from_state(state)
 
     def test_sketch_state_round_trips(self):
-        accumulator = LatencyAccumulator(exact_capacity=8, backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=8)
         for value in np.linspace(0.001, 1.0, 100):
             accumulator.add(float(value))
         restored = self.round_trip(accumulator)
@@ -520,7 +547,7 @@ class TestStateRoundTrip:
             LatencyAccumulator.from_state(state)
 
     def test_restored_accumulator_keeps_accumulating(self):
-        accumulator = LatencyAccumulator(exact_capacity=8, backend="sketch")
+        accumulator = LatencyAccumulator(exact_capacity=8)
         for value in np.linspace(0.01, 1.0, 50):
             accumulator.add(float(value))
         restored = self.round_trip(accumulator)
@@ -533,9 +560,8 @@ class TestAddBatch:
     """add_batch(values, counts) must equal the equivalent add() loop."""
 
     @staticmethod
-    def loop_reference(pairs, capacity, backend):
-        reference = LatencyAccumulator(exact_capacity=capacity,
-                                       backend=backend)
+    def loop_reference(pairs, capacity):
+        reference = LatencyAccumulator(exact_capacity=capacity)
         for value, count in pairs:
             for _ in range(count):
                 reference.add(value)
@@ -546,23 +572,22 @@ class TestAddBatch:
         st.tuples(st.floats(min_value=1e-6, max_value=10.0,
                             allow_nan=False, allow_infinity=False),
                   st.integers(min_value=1, max_value=40)),
-        min_size=1, max_size=30),
-        st.sampled_from(["sketch", "histogram"]))
-    def test_batch_matches_loop(self, pairs, backend):
+        min_size=1, max_size=30))
+    def test_batch_matches_loop(self, pairs):
         # Capacity 16 exercises all three regimes in one strategy:
         # staying exact, spilling mid-batch, and all-streaming.
-        batched = LatencyAccumulator(exact_capacity=16, backend=backend)
+        batched = LatencyAccumulator(exact_capacity=16)
         batched.add_batch([value for value, _ in pairs],
                           [count for _, count in pairs])
-        reference = self.loop_reference(pairs, 16, backend)
+        reference = self.loop_reference(pairs, 16)
         assert batched.count == reference.count
         assert batched.min_seconds == reference.min_seconds
         assert batched.max_seconds == reference.max_seconds
         assert batched.mean == pytest.approx(reference.mean)
         assert batched.is_exact == reference.is_exact
-        if backend == "histogram" or batched.is_exact:
-            # Deterministic binning (and the exact window) admit strict
-            # equality with the per-sample loop.
+        if batched.is_exact:
+            # The exact window admits strict equality with the
+            # per-sample loop.
             for percentile in (10.0, 50.0, 90.0, 99.0):
                 assert batched.percentile(percentile) == \
                     reference.percentile(percentile)
