@@ -1,6 +1,6 @@
 """Plain-text and Markdown table formatting for experiment outputs.
 
-The benchmark harness prints "the same rows the paper reports"; these
+The CLI and the examples print "the same rows the paper reports"; these
 helpers turn lists of dicts into aligned ASCII or Markdown tables without
 pulling in any plotting or tabulation dependency.
 """

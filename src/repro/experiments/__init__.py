@@ -2,9 +2,8 @@
 
 Each module exposes a ``run(...)`` function returning a plain result
 object and registers an :class:`repro.runner.ExperimentSpec` into the
-central registry, so the CLI, the unit tests, the examples, the sweep
-runner and the pytest-benchmark harness all execute exactly the same
-code path.  Importing this package populates the registry; resolve
+central registry, so the CLI, the unit tests, the examples and the
+sweep runner all execute exactly the same code path.  Importing this package populates the registry; resolve
 experiments with :func:`repro.runner.resolve` (by CLI name, module name
 or paper id) instead of importing driver modules directly.
 

@@ -244,3 +244,33 @@ class TestEncodedFrames:
                              validate_stride=0, compression="none")
         assert zlib_run.rows() == raw_run.rows()
         assert zlib_run.encoded_bytes < raw_run.encoded_bytes
+
+
+class TestPopulationScale:
+    def test_10k_analytic_cohort_in_seconds_with_flat_memory(self):
+        """The headline acceptance target: 10 000 wearers through the
+        vectorised fast path, a sampled subset cross-validated on the
+        DES, everything streamed into bounded accumulators."""
+        spec = CohortSpec(population=10_000, seed=0)
+        result = run_cohort(spec, fast_path="analytic", shard_count=8,
+                            parallel=1, validate_stride=2500)
+        assert result.accumulator.population == 10_000
+        assert result.elapsed_seconds < 60.0
+        # No per-member result list: every metric accumulator is bounded
+        # by its exact window regardless of population.
+        for accumulator in result.accumulator.metrics.values():
+            assert accumulator.retained_samples <= accumulator.exact_capacity
+        errors = result.max_validation_errors()
+        assert errors["leaf_power_rel_error"] < 0.10
+        assert errors["delivered_fraction_abs_error"] < 0.05
+        assert errors["mean_latency_factor"] < 3.0
+
+    def test_sharded_des_cohort_keeps_packet_latencies(self):
+        spec = CohortSpec(population=60, seed=1, member_duration_seconds=30.0)
+        result = run_cohort(spec, fast_path="des", shard_count=4, parallel=1)
+        assert result.accumulator.population == 60
+        assert result.accumulator.by_source == {"des": 60}
+        # Shard-merged packet statistics stay live across the merge.
+        packets = result.accumulator.packet_latency
+        assert packets.count == result.accumulator.delivered_packets
+        assert packets.percentile(99.0) > packets.percentile(50.0) > 0.0

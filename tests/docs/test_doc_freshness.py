@@ -10,8 +10,8 @@ docstring of the Python sources cites to exist.
 
 Setting ``REPRO_DOCS_SYNTHETIC_BREAK=1`` injects one deliberately
 broken command, one dangling link and one dangling citation, proving in
-CI that the checks actually fail on drift (mirroring
-``REPRO_BENCH_SYNTHETIC_SLOWDOWN`` for the benchmark gate).
+CI that the checks actually fail on drift (as
+``tools/perf_gate.py --slow-layer`` proves the perf gate can fail).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ DOC_FILES = sorted(
     [REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")])
 
 #: Python source trees whose comments and docstrings may cite docs.
-CODE_DIRS = ("src", "tests", "benchmarks", "examples")
+CODE_DIRS = ("src", "tests", "tools", "examples")
 
 _FENCE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -166,7 +166,7 @@ def test_code_actually_cites_docs():
     citations = code_citations()
     assert len(citations) >= 10
     assert {source.split("/", 1)[0] for source, _ in citations} >= {
-        "src", "tests", "benchmarks", "examples"}
+        "src", "tests", "tools", "examples"}
 
 
 @pytest.mark.parametrize(("source", "name"),

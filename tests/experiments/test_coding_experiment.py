@@ -105,3 +105,14 @@ class TestSummary:
                             simulated_seconds=10.0)
         assert result.max_leaf_power_rel_error() < 0.05
         assert len(result.rows()) == len(coding.DEFAULT_RATES) + 1
+
+
+class TestDefaultSweep:
+    def test_default_sweep_acceptance(self):
+        """The registry defaults (30 simulated seconds per point): an
+        interior optimum that saves real energy, with the closed form
+        tracking every DES point."""
+        result = coding.run()
+        assert result.optimal_is_interior()
+        assert result.savings_fraction() > 0.05
+        assert result.max_leaf_power_rel_error() < 0.02

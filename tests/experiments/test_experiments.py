@@ -52,6 +52,11 @@ class TestE1PowerBreakdown:
         radio = comparison.conventional.component_power("radio")
         assert units.milliwatt(5.0) <= radio <= units.milliwatt(50.0)
 
+    def test_ecg_patch_radio_bound_and_sub_mw(self, result):
+        ecg = result.comparisons["ECG patch"]
+        assert ecg.conventional.dominant_component().name == "radio"
+        assert ecg.human_inspired.total_watts() < 1e-3
+
     def test_rows_are_table_ready(self, result):
         rows = result.rows()
         assert any(row["component"] == "TOTAL" for row in rows)
@@ -103,6 +108,15 @@ class TestE3BatteryProjection:
         high = result.wir_life_advantage_at(units.kilobit_per_second(300.0))
         assert high > low >= 1.0
 
+    def test_default_sweep_keeps_the_paper_bands(self):
+        """The registry's default 61-point sweep, not the test's 31."""
+        result = fig3_battery_projection.run()
+        assert result.bands_match_paper()
+        assert result.perpetual_rate_limit_bps() \
+            >= units.kilobit_per_second(10.0)
+        assert result.wir_life_advantage_at(units.kilobit_per_second(300.0)) \
+            > result.wir_life_advantage_at(units.kilobit_per_second(1.0))
+
     def test_curve_rows_have_expected_columns(self, result):
         row = result.curve_rows()[0]
         for key in ("data_rate_bps", "sensing_power_uw", "comm_power_uw",
@@ -127,6 +141,12 @@ class TestE4Claims:
         rf_range = result.check("RF radiation range").measured_value
         body_channel = result.check("On-body channel length").measured_value
         assert rf_range > 2.0 * body_channel
+
+    def test_ble_power_and_rf_range_claims(self, result):
+        assert result.check("BLE communication power vs Wi-R") \
+            .measured_value >= 20.0
+        assert result.check("RF radiation range").measured_value >= 5.0
+        assert result.check("On-body channel length").measured_value <= 2.5
 
     def test_security_rows_mark_only_body_confined_links_secure(self, result):
         secure = {row["name"] for row in result.security_rows
@@ -167,6 +187,11 @@ class TestE5PartitionedInference:
         for workload in ("keyword_spotting", "ecg_arrhythmia"):
             assert result.for_workload(workload, "Wi-R (EQS-HBC)") \
                 .leaf_energy_reduction >= 100.0
+
+    def test_wir_cuts_leaf_energy_50x(self, result):
+        for workload in ("keyword_spotting", "ecg_arrhythmia", "vision_tiny"):
+            assert result.for_workload(workload, "Wi-R (EQS-HBC)") \
+                .leaf_energy_reduction >= 50.0
 
     def test_always_on_leaf_power_stays_microwatt_class_over_wir(self, result):
         for workload in ("keyword_spotting", "ecg_arrhythmia", "imu_har"):
@@ -271,6 +296,16 @@ class TestE8NetworkScaling:
     def test_delivery_fraction_high_while_feasible(self, result):
         for point in result.points:
             if point.tdma_feasible:
+                assert point.delivered_fraction > 0.95
+
+    def test_sweep_to_32_leaves(self):
+        result = network_scaling.run(node_counts=(1, 2, 4, 8, 16, 32),
+                                     simulated_seconds=1.0)
+        assert result.max_feasible_nodes() >= 16
+        utilizations = [point.tdma_utilization for point in result.points]
+        assert utilizations == sorted(utilizations)
+        for point in result.points:
+            if point.tdma_feasible and point.simulated is not None:
                 assert point.delivered_fraction > 0.95
 
     def test_analytical_only_mode(self):

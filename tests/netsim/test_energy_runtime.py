@@ -20,6 +20,7 @@ from repro.comm.eqs_hbc import wir_commercial
 from repro.netsim.simulator import BodyNetworkSimulator
 from repro.netsim.traffic import PeriodicSource
 from repro.netsim.config import NodeConfig
+from repro.scenarios import get_scenario
 
 
 def small_cell(joules: float) -> BatterySpec:
@@ -259,3 +260,25 @@ class TestEnergyTickStream:
         assert pending == [(2.5, 1), (3.0, 0)]
         assert settled == [2.0, 2.0]
         assert simulator.nodes["leaf"].energy_settled_seconds == 5.0
+
+
+class TestWeekWearHour:
+    def test_brownout_and_flat_ledger_memory(self):
+        """week_wear: one simulated hour of the dense body on 1/168-scaled
+        cells.  A node browns out, the IMU pods throttle, and every
+        streaming ledger keeps running totals only, with no retained
+        entry however many postings the hour makes."""
+        spec = get_scenario("week_wear")
+        simulator = spec.build(seed=0)
+        result = simulator.run(spec.duration_seconds)
+        assert result.dead_node_count >= 1
+        assert result.first_death_seconds < result.duration_seconds
+        assert any(event.kind == "low_battery"
+                   for event in result.energy_events)
+        for node in simulator.nodes.values():
+            assert node.ledger.retained_entries == 0
+            assert node.ledger.posted_count > 0
+        assert simulator.hub_ledger.retained_entries == 0
+        assert simulator.hub_ledger.posted_count > result.delivered_packets - 1
+        # The energy loop must not distort traffic for surviving nodes.
+        assert result.delivered_fraction > 0.95

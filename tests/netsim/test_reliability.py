@@ -27,6 +27,7 @@ from repro.netsim import (
 )
 from repro.energy.battery import BatterySpec
 from repro.netsim.config import NodeConfig
+from repro.scenarios import get_scenario
 
 
 def build_simulator(error_rate: float | None = None,
@@ -395,3 +396,31 @@ class TestEventualDelivery:
         assert result.lost_packets == 0
         assert result.offered_packets > 0
         assert result.delivered_packets >= result.offered_packets - 1
+
+
+class TestCommuteWalkHour:
+    def test_bounded_retransmission_and_flat_memory(self):
+        """commute_walk stretched to one simulated hour: the posture
+        cycle erases frames and ARQ recovers them, the attempt factor
+        stays near the closed form, and no ledger or latency window
+        grows with the run."""
+        spec = get_scenario("commute_walk")
+        simulator = spec.build(seed=0, duration_seconds=units.hours(1.0),
+                               latency_exact_capacity=4096)
+        result = simulator.run(units.hours(1.0))
+        assert result.erased_attempts > 100
+        assert result.retransmissions > 100
+        assert result.delivered_fraction > 0.99
+        # The sitting segments erase ~18% of frames, so the whole-run
+        # attempt factor must sit well under the retry limit's worst
+        # case, near the time-averaged closed form.
+        profile = spec.reliability_profile()
+        expected_attempts = max(attempts for _, attempts in profile.values())
+        assert 1.0 < result.attempts_per_delivered < expected_attempts + 0.1
+        for node in simulator.nodes.values():
+            assert node.ledger.retained_entries == 0
+        assert simulator.hub_ledger.retained_entries == 0
+        accumulator = simulator.bus.stats.latency
+        assert not accumulator.is_exact
+        assert accumulator.retained_samples == 0
+        assert accumulator.count == result.delivered_packets

@@ -111,7 +111,7 @@ class TestStreamingSpill:
         assert accumulator.percentile(0.0) >= min(samples)
         assert accumulator.percentile(100.0) <= max(samples)
 
-    def test_out_of_range_samples_after_spill_land_in_edge_bins(self):
+    def test_out_of_range_samples_after_spill_move_the_max(self):
         accumulator, samples = self.make_spilled(capacity=128)
         accumulator.add(min(samples) / 100.0)
         accumulator.add(max(samples) * 100.0)
@@ -191,7 +191,7 @@ class TestMerge:
         assert left.percentile(50.0) == pytest.approx(
             float(np.percentile(samples, 50.0)), rel=0.05)
 
-    def test_merging_two_spilled_histograms_rebins(self):
+    def test_merging_two_spilled_sketches_keeps_moments_and_median(self):
         rng = np.random.default_rng(6)
         low = rng.lognormal(mean=-7.0, sigma=0.4, size=2000).tolist()
         high = rng.lognormal(mean=-5.0, sigma=0.4, size=2000).tolist()
@@ -208,7 +208,7 @@ class TestMerge:
         assert left.percentile(50.0) == pytest.approx(
             float(np.percentile(combined, 50.0)), rel=0.25)
 
-    def test_merge_exact_into_spilled_adopts_histogram(self):
+    def test_merge_exact_into_spilled_feeds_the_sketch(self):
         rng = np.random.default_rng(7)
         samples = rng.lognormal(mean=-6.0, sigma=0.5, size=3000).tolist()
         extra = rng.lognormal(mean=-6.0, sigma=0.5, size=50).tolist()
@@ -244,7 +244,7 @@ class TestMerge:
         assert left.mean == pytest.approx(
             float(np.mean(expected_mean)), rel=1e-9)
 
-    def test_merge_bottom_open_bin_uses_observed_min(self):
+    def test_merged_sketch_floor_is_the_observed_min(self):
         left = self.fill(np.linspace(0.01, 0.02, 40).tolist(), capacity=32)
         right = self.fill(np.linspace(0.01, 0.02, 40).tolist(), capacity=32)
         right.add(1e-7)     # far below right's warm-up range

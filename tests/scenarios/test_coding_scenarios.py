@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro import units
 from repro.coding import CodingSpec
 from repro.cohort import evaluate_member
 from repro.netsim.traffic import PeriodicSource, PoissonSource
@@ -136,6 +137,22 @@ class TestCodedWiring:
                                                duration_seconds=60.0)
         assert coded.simulated.total_leaf_power_watts \
             < plain.simulated.total_leaf_power_watts
+
+    def test_coded_ward_beats_noisy_ward_over_an_hour(self):
+        """One simulated hour of each ward: the coded body beats the
+        uncoded one on leaf power and delivery, with the encoder a
+        minority share of the budget."""
+        coded = get_scenario("coded_ward").run(
+            seed=0, duration_seconds=units.hours(1.0))
+        plain = get_scenario("noisy_ward").run(
+            seed=0, duration_seconds=units.hours(1.0))
+        sim = coded.simulated
+        assert sim.coding_enabled
+        assert sim.bit_reduction_factor > 1.2
+        assert 0.0 < sim.encode_energy_fraction < 0.5
+        assert sim.total_leaf_power_watts \
+            < plain.simulated.total_leaf_power_watts
+        assert sim.delivered_fraction >= plain.simulated.delivered_fraction
 
     def test_result_round_trips_with_coding_fields(self):
         from repro.netsim.simulator import SimulationResult

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from unittest import mock
 
 import pytest
@@ -261,3 +262,46 @@ class TestPERMemo:
                 eqs_interference_volts=state.eqs_volts,
                 tx_power_offset_db=offset)
         assert len(derived) == len(keys)
+
+
+#: Bodies and length of the packed gym hour.
+GYM_BODIES = 10
+GYM_SECONDS = 3600.0
+
+#: The environment may cost at most this factor over N standalone
+#: bodies (swap scheduling + timing noise headroom on a linear bound).
+LINEARITY_SLACK = 2.0
+
+
+class TestGymHourLinearity:
+    def test_ten_bodies_cost_about_ten_solos(self):
+        """The epoch plumbing (geometry, schedule drain, swap closures)
+        stays off the per-packet hot path: a room of N bodies costs
+        about N standalone runs, not N^2."""
+        spec = get_scenario("barefoot_yoga")
+        started = time.perf_counter()
+        solo = spec.run(seed=0, duration_seconds=GYM_SECONDS)
+        solo_seconds = time.perf_counter() - started
+        environment = EnvironmentSpec(
+            name="bench_gym",
+            description="10 yoga bodies sharing one floor for an hour",
+            bodies=(BodyPlacement(scenario="barefoot_yoga", count=GYM_BODIES,
+                                  name="yogi"),),
+            spacing_metres=1.5,
+            duration_seconds=GYM_SECONDS,
+        )
+        started = time.perf_counter()
+        crowded = environment.run(seed=0)
+        crowd_seconds = time.perf_counter() - started
+
+        assert len(crowded.simulated.body_results) == GYM_BODIES
+        for result in crowded.simulated.body_results:
+            assert result.duration_seconds == GYM_SECONDS
+            assert result.delivered_packets > 0
+        # The shared room hurts: aggregate erasures exceed N isolated runs.
+        crowd_erasures = sum(result.erased_attempts
+                             for result in crowded.simulated.body_results)
+        assert crowd_erasures > GYM_BODIES * solo.simulated.erased_attempts
+        assert crowd_seconds <= LINEARITY_SLACK * GYM_BODIES * solo_seconds, (
+            f"10-body hour took {crowd_seconds:.2f}s vs "
+            f"{solo_seconds:.2f}s solo")

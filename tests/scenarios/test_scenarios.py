@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ScenarioError
+from repro.runner import resolve
 from repro.scenarios import (
     ScenarioEvent,
     ScenarioNodeSpec,
@@ -182,3 +183,34 @@ class TestExecution:
         assert accumulator.retained_samples == 0
         assert accumulator.count == result.delivered_packets
         assert result.p99_latency_seconds >= result.mean_latency_seconds
+
+    def test_dense_hour_streams_with_bounded_memory(self):
+        """The full dense_50_leaf hour (~175k packets) at the default
+        exact window: the run spills and holds no raw samples, while
+        count, mean and percentiles stay live."""
+        spec = get_scenario("dense_50_leaf")
+        simulator = spec.build(seed=0)
+        result = simulator.run(spec.duration_seconds)
+        # Throughput shape: ~50 leaves x ~1 pkt/s x 3600 s.
+        assert result.delivered_packets > 100_000
+        assert result.delivered_fraction > 0.95
+        accumulator = simulator.bus.stats.latency
+        assert not accumulator.is_exact
+        assert accumulator.retained_samples == 0
+        assert accumulator.count == result.delivered_packets
+        assert 0.0 < result.mean_latency_seconds < result.p99_latency_seconds
+
+
+class TestGalleryExperiment:
+    def test_gallery_at_two_percent_duration(self):
+        """E13: every registered scenario, all three arbitration
+        policies, at least three link technologies, traffic delivered."""
+        result = resolve("gallery").execute(duration_scale=0.02)
+        assert len(result.results) >= 6
+        assert {r.arbitration for r in result.results} == {"fifo", "tdma",
+                                                           "polling"}
+        technologies = {key for r in result.results for key in r.technologies}
+        assert len(technologies) >= 3
+        for scenario_result in result.results:
+            assert scenario_result.simulated.delivered_packets > 0
+            assert scenario_result.simulated.delivered_fraction > 0.9

@@ -1,0 +1,158 @@
+"""The perf gate's comparator, fed synthetic perfbench run records.
+
+No perfbench run happens here: each record has the shape of the summary
+line ``perfbench/run.py --workload all`` prints, and the metrics, their
+directions and bounds come from the repository's ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+_spec = importlib.util.spec_from_file_location(
+    "perf_gate", REPO_ROOT / "tools" / "perf_gate.py")
+perf_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_gate)
+
+SPEC = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [entry["name"] for entry in SPEC["workloads"]]
+METRICS = [metric["name"] for metric in SPEC["end_to_end"]]
+
+
+def record(values: dict[str, float] | None = None, *, failed: int = 0,
+           correct: bool = True, without: str | None = None) -> dict:
+    """One ``--workload all`` summary: every metric reads 1 unless
+    *values* says otherwise; *without* drops a workload's metrics."""
+    metrics = {f"{workload}.{metric}": {"value": 1.0, "unit": "s"}
+               for workload in WORKLOADS for metric in METRICS
+               if workload != without}
+    for key, value in (values or {}).items():
+        metrics[key]["value"] = value
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "metrics": metrics}
+
+
+def runs(count: int = 10, **kwargs) -> list[dict]:
+    return [record(**kwargs) for _ in range(count)]
+
+
+def failing(findings) -> list[tuple[str, str, str]]:
+    return [(finding.workload, finding.metric, finding.verdict)
+            for finding in findings if finding.verdict in perf_gate.FAILING]
+
+
+def test_identical_records_pass():
+    findings = perf_gate.compare(SPEC, runs(), runs())
+    assert failing(findings) == []
+    assert len(findings) == len(WORKLOADS) * len(METRICS)
+    assert {finding.verdict for finding in findings} == {"ok"}
+
+
+def test_doubled_wall_time_fails_and_names_the_workload():
+    change = runs(values={"dense_exact.wall_s": 2.0})
+    findings = perf_gate.compare(SPEC, runs(), change)
+    assert failing(findings) == [("dense_exact", "wall_s", "worse")]
+    lines = [finding.line() for finding in findings
+             if finding.verdict == "worse"]
+    assert lines[0].startswith("FAIL dense_exact wall_s: worse")
+
+
+def test_halved_throughput_fails_a_higher_is_better_metric():
+    change = runs(values={"crowd_hybrid.packets_per_s": 0.5})
+    findings = perf_gate.compare(SPEC, runs(), change)
+    assert failing(findings) == [("crowd_hybrid", "packets_per_s", "worse")]
+
+
+def test_higher_throughput_and_lower_wall_time_pass():
+    change = runs(values={"crowd_hybrid.packets_per_s": 2.0,
+                          "crowd_hybrid.wall_s": 0.5})
+    assert failing(perf_gate.compare(SPEC, runs(), change)) == []
+
+
+def test_gap_inside_its_bound_passes():
+    # wall_s may worsen by 25%, peak_rss_mib by 5%.
+    change = runs(values={"cohort_hybrid.wall_s": 1.2,
+                          "cohort_hybrid.peak_rss_mib": 1.04})
+    assert failing(perf_gate.compare(SPEC, runs(), change)) == []
+    change = runs(values={"cohort_hybrid.peak_rss_mib": 1.06})
+    assert failing(perf_gate.compare(SPEC, runs(), change)) == [
+        ("cohort_hybrid", "peak_rss_mib", "worse")]
+
+
+def test_wide_parent_spread_reads_unresolved_and_does_not_fail():
+    parent = [record({"dense_exact.wall_s": value})
+              for value in (0.5, 1.5) * 5]
+    change = runs(values={"dense_exact.wall_s": 1.4})
+    findings = perf_gate.compare(SPEC, parent, change)
+    assert failing(findings) == []
+    verdicts = {(finding.workload, finding.metric): finding.verdict
+                for finding in findings}
+    assert verdicts[("dense_exact", "wall_s")] == "unresolved"
+    # ...unless every change run beats every parent run.
+    change = runs(values={"dense_exact.wall_s": 0.4})
+    verdicts = {(finding.workload, finding.metric): finding.verdict
+                for finding in perf_gate.compare(SPEC, parent, change)}
+    assert verdicts[("dense_exact", "wall_s")] == "ok"
+
+
+def test_higher_failed_share_fails():
+    change = runs()
+    change[3] = record(failed=1)
+    assert failing(perf_gate.compare(SPEC, runs(), change)) == [
+        ("all", "failed", "failed share")]
+    # The same share on both sides is no regression.
+    parent = runs()
+    parent[7] = record(failed=1)
+    assert failing(perf_gate.compare(SPEC, parent, change)) == []
+
+
+def test_incorrect_change_run_fails():
+    change = runs()
+    change[0] = record(correct=False)
+    assert failing(perf_gate.compare(SPEC, runs(), change)) == [
+        ("all", "correct", "incorrect")]
+
+
+def test_missing_workload_fails_on_every_metric():
+    change = runs()
+    change[5] = record(without="cohort_analytic")
+    assert failing(perf_gate.compare(SPEC, runs(), change)) == [
+        ("cohort_analytic", metric, "missing") for metric in METRICS]
+
+
+def test_pairs_alternate_and_only_the_change_is_slowed(monkeypatch, capsys):
+    calls = []
+
+    def fake_run_tree(root, seconds, slow_layer):
+        calls.append((root.name, seconds, slow_layer))
+        slowed = slow_layer is not None
+        return record({"dense_exact.wall_s": 2.0 if slowed else 1.0})
+
+    monkeypatch.setattr(perf_gate, "run_tree", fake_run_tree)
+    status = perf_gate.main([str(REPO_ROOT), str(REPO_ROOT / "tools"),
+                             "--slow-layer", "netsim.run"])
+    assert status == 1
+    assert "FAIL dense_exact wall_s" in capsys.readouterr().out
+    parent, change = REPO_ROOT.name, "tools"
+    assert [name for name, _, _ in calls] == [
+        parent, change, change, parent] * (perf_gate.PAIRS // 2)
+    assert {seconds for _, seconds, _ in calls} == {SPEC["run_seconds"]}
+    assert {(name, slow) for name, _, slow in calls} == {
+        (parent, None), (change, "netsim.run")}
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    (1.0, 1.5, "lower", 0.5),
+    (1.0, 0.5, "higher", 0.5),
+    (2.0, 1.0, "lower", -0.5),
+    (0.0, 0.0, "lower", 0.0),
+])
+def test_worsening_follows_the_metric_direction(parent, change, better,
+                                                expected):
+    assert perf_gate.worsening(parent, change, better) == expected
