@@ -52,27 +52,6 @@ class BusStats:
     lost_packets: int = 0
     latency: LatencyAccumulator = field(default_factory=LatencyAccumulator)
 
-    def latency_percentile(self, percentile: float) -> float:
-        """Latency percentile over delivered packets (seconds)."""
-        if self.latency.count == 0:
-            raise SimulationError("no packets delivered yet")
-        if not 0.0 <= percentile <= 100.0:
-            raise SimulationError("percentile must be in [0, 100]")
-        return self.latency.percentile(percentile)
-
-    @property
-    def mean_latency_seconds(self) -> float:
-        """Mean delivery latency (seconds)."""
-        if self.latency.count == 0:
-            raise SimulationError("no packets delivered yet")
-        return self.latency.mean
-
-    def throughput_bps(self, horizon_seconds: float) -> float:
-        """Delivered goodput over *horizon_seconds*."""
-        if horizon_seconds <= 0:
-            raise SimulationError("horizon must be positive")
-        return self.delivered_bits / horizon_seconds
-
     def utilization(self, horizon_seconds: float) -> float:
         """Fraction of time the medium was busy."""
         if horizon_seconds <= 0:

@@ -129,8 +129,8 @@ class MacroTickEngine:
             if type(source) is not PeriodicSource:
                 self.eligible = False
                 break
-            probe = Packet(source=node.name, destination="hub",
-                           bits=source.bits_per_packet, created_at=0.0)
+            probe = Packet(source=node.name, bits=source.bits_per_packet,
+                           created_at=0.0)
             service = self.bus.service_time_seconds(probe)
             self.rows.append(_Row(
                 node=node,

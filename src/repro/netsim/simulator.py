@@ -50,7 +50,6 @@ from .events import EventQueue
 from .packet import Packet
 from .reliability import LinkReliability
 from .config import DEFAULT_LOW_BATTERY_STRIDE, NodeConfig
-from .stats import PENDING_FLUSH_THRESHOLD
 from .traffic import PeriodicSource, TrafficSource
 
 #: Default spacing of the periodic energy ticks (simulated
@@ -58,6 +57,11 @@ from .traffic import PeriodicSource, TrafficSource
 #: harvester; brownout times are interpolated inside the interval, so
 #: the default resolves death times far finer than the tick itself.
 DEFAULT_ENERGY_UPDATE_INTERVAL_SECONDS = 1.0
+
+#: Delivered latencies the kernel collects before handing them to
+#: :meth:`~repro.netsim.stats.LatencyAccumulator.add_many` in one call
+#: (the rest go at kernel exit).  Any batch size gives the same results.
+LATENCY_BATCH = 4096
 
 #: The implicit low-battery policy of every energy node that has no
 #: controller attached: the historical 1-in-``low_battery_stride``
@@ -787,10 +791,11 @@ class BodyNetworkSimulator:
 
         While the loop runs, shared state lives in locals and flat
         per-node tables: the aggregate counters (delivered packets and
-        bits, medium busy time), the latency accumulator's buffers (its
-        extrema are folded in batch at spill/flush boundaries — min/max
-        are order-independent), the sequence counter, the chain, and
-        each node's traffic counters and fast-path ledger totals.
+        bits, medium busy time), a batch of delivered latencies (handed
+        to :meth:`~repro.netsim.stats.LatencyAccumulator.add_many` every
+        :data:`LATENCY_BATCH` samples and at exit), the sequence counter,
+        the chain, and each node's traffic counters and fast-path ledger
+        totals.
         Everything is written back when the loop exits, with every
         addition replayed in the legacy order.  Control-stream events
         observe consistent per-node traffic counters and queue state
@@ -816,7 +821,6 @@ class BodyNetworkSimulator:
         bus = self.bus
         policy = bus.policy
         stats = bus.stats
-        latency = stats.latency
         reliability = bus.reliability
         arq = reliability.arq if reliability is not None else None
         # ``ARQPolicy.may_retry`` is ``attempts < max_attempts``; without
@@ -949,7 +953,7 @@ class BodyNetworkSimulator:
                 and type(battery) is Battery else None)
             if type(source) is PeriodicSource:
                 bits = source.bits_per_packet
-                probe = Packet(node.name, "hub", bits, 0.0)
+                probe = Packet(node.name, bits, 0.0)
                 periodic.append((source.period_seconds, bits,
                                  bus.service_time_seconds(probe),
                                  node.name))
@@ -1066,18 +1070,9 @@ class BodyNetworkSimulator:
         delivered_cnt = stats.delivered_packets
         delivered_bits_sum = stats.delivered_bits
         busy_s = stats.busy_seconds
-        cnt = latency.count
-        lat_min = latency._min
-        lat_max = latency._max
-        lat_list = latency._samples
-        lat_pending = latency._pending
-        lat_cap = latency.exact_capacity
-        lat_flush = PENDING_FLUSH_THRESHOLD
-        # Samples already in the window are covered by the hoisted
-        # ``lat_min``/``lat_max`` (every add path maintains them), so
-        # min/max syncs only need to scan entries appended since the
-        # last sync — an index, not a copy.
-        lat_scan = len(lat_list) if lat_list is not None else 0
+        add_latencies = stats.latency.add_many
+        lat_batch: list[float] = []
+        lat_batch_size = LATENCY_BATCH
 
         # The in-flight transmission, as loop locals; a previous run may
         # hand a chain over across the horizon.
@@ -1160,18 +1155,14 @@ class BodyNetworkSimulator:
                             bits = fast[1]
                             packet = new_packet(Packet)
                             packet.source = fast[3]
-                            packet.destination = "hub"
                             packet.bits = bits
                             packet.created_at = t
-                            packet.delivered_at = None
-                            packet.queued_at = None
                             packet.attempts = 0
-                            packet._metadata = None
                             packet._service = fast[2]
                             packet._node = index
                         else:
                             bits = node.source.packet_bits(rng)
-                            packet = Packet(node.name, "hub", bits, t)
+                            packet = Packet(node.name, bits, t)
                             packet._node = index
                 # The interarrival draw moves ahead of admission relative
                 # to the legacy callback, but no other draw sits between
@@ -1269,7 +1260,6 @@ class BodyNetworkSimulator:
                                 chain_packet = packet2
                                 chain_service = service
                                 if access_delay == 0.0:
-                                    packet2.queued_at = t
                                     chain_key = (t + service, seq)
                                     chain_kind = 1
                                     seq += 1
@@ -1285,7 +1275,6 @@ class BodyNetworkSimulator:
                                                  else inf_) > begin_t
                                             and (next_time > begin_t
                                                  or next_time > end_time)):
-                                        packet2.queued_at = begin_t
                                         chain_key = (
                                             begin_t + service,
                                             seq + (2 if next_time <= end_time
@@ -1417,37 +1406,12 @@ class BodyNetworkSimulator:
                             if slotted_fast:
                                 slot_pending = policy._pending
                     if not erased:
-                        packet.delivered_at = t
                         delivered_cnt += 1
                         delivered_bits_sum += bits
-                        cnt += 1
-                        value = t - packet.created_at
-                        if lat_list is not None:
-                            lat_list.append(value)
-                            if len_(lat_list) > lat_cap:
-                                # The spill drops the window; fold its
-                                # extrema (min/max are order-independent)
-                                # first.
-                                low = min(lat_list)
-                                if low < lat_min:
-                                    lat_min = low
-                                high = max(lat_list)
-                                if high > lat_max:
-                                    lat_max = high
-                                latency._spill()
-                                lat_list = None
-                        else:
-                            lat_pending.append(value)
-                            if len_(lat_pending) >= lat_flush:
-                                # The flush clears the buffer; fold its
-                                # extrema before they are gone.
-                                low = min(lat_pending)
-                                if low < lat_min:
-                                    lat_min = low
-                                high = max(lat_pending)
-                                if high > lat_max:
-                                    lat_max = high
-                                latency._flush_pending()
+                        lat_batch.append(t - packet.created_at)
+                        if len_(lat_batch) >= lat_batch_size:
+                            add_latencies(lat_batch)
+                            lat_batch.clear()
                         tx_energy = bits * tx_e[idx]
                         if fast_flags[idx]:
                             wir_acc[idx] += tx_energy
@@ -1602,7 +1566,6 @@ class BodyNetworkSimulator:
                         chain_packet = packet2
                         chain_service = service
                         if access_delay == 0.0:
-                            packet2.queued_at = t
                             chain_key = (t + service, seq)
                             chain_kind = 1
                             seq += 1
@@ -1620,7 +1583,6 @@ class BodyNetworkSimulator:
                                     and ctrl_key[0] > begin_t
                                     and (gen_heap[0][0] if gen_heap
                                          else inf_) > begin_t):
-                                packet2.queued_at = begin_t
                                 chain_key = (begin_t + service, seq + 1)
                                 chain_kind = 1
                                 seq += 2
@@ -1630,7 +1592,6 @@ class BodyNetworkSimulator:
                                 seq += 1
                 else:
                     # Transmission begins: re-arm as its own completion.
-                    chain_packet.queued_at = t
                     chain_key = (t + chain_service, seq)
                     chain_kind = 1
                     seq += 1
@@ -1706,20 +1667,8 @@ class BodyNetworkSimulator:
         stats.delivered_packets = delivered_cnt
         stats.delivered_bits = delivered_bits_sum
         stats.busy_seconds = busy_s
-        latency.count = cnt
-        if lat_list is not None:
-            buffered = lat_list[lat_scan:] if lat_scan else lat_list
-        else:
-            buffered = lat_pending
-        if buffered:
-            low = min(buffered)
-            if low < lat_min:
-                lat_min = low
-            high = max(buffered)
-            if high > lat_max:
-                lat_max = high
-        latency._min = lat_min
-        latency._max = lat_max
+        if lat_batch:
+            add_latencies(lat_batch)
         # Fast-path ledgers were fresh at loop entry, so the write-back
         # totals equal the posts replayed from zero in arrival order —
         # the same floats the per-post path would have produced.

@@ -13,6 +13,11 @@ survives merges, so the DES packet latencies of a multi-hour run and the
 per-member p50/p99 of a 10^6-member cohort merge alike, without
 retaining samples.
 
+Samples arrive one at a time through :meth:`LatencyAccumulator.add` or
+as a batch through :meth:`LatencyAccumulator.add_many` (the simulator
+kernel hands over its deliveries in batches); both leave the
+accumulator in the same state, so batching never shows in the results.
+
 Memory is bounded by ``exact_capacity`` samples plus the sketch's fixed
 state regardless of how long the simulation runs.
 """
@@ -30,13 +35,6 @@ from ..errors import SimulationError
 #: that every seed experiment config stays in exact mode (bit-identical
 #: to the pre-streaming implementation), small enough to bound memory.
 DEFAULT_EXACT_CAPACITY = 65_536
-
-#: Post-spill samples buffered before being folded into the sketch in
-#: one vectorised pass.  The fold replays the buffered values in arrival
-#: order (sequential float adds for the running total), so buffering is
-#: invisible in the results — it only amortises the per-sample sketch
-#: insert the dense-body hour would otherwise pay.
-PENDING_FLUSH_THRESHOLD = 4096
 
 #: Fixed ``backend`` and ``bins`` fields of :meth:`LatencyAccumulator.
 #: to_state` and of the shard codec's accumulator layout.  They name the
@@ -77,14 +75,18 @@ class LatencyAccumulator:
         self._max = -math.inf
         #: Post-spill quantile sketch.
         self._sketch = None
-        #: Post-spill samples awaiting their vectorised sketch fold.
-        self._pending: list[float] = []
 
     # -- recording ---------------------------------------------------------
 
     def add(self, value: float) -> None:
         """Record one latency sample (seconds), checked like
-        :meth:`add_many` before anything moves."""
+        :meth:`add_many` before anything moves.
+
+        After the spill the sample goes straight to the running total
+        and :meth:`~repro.cohort.sketch.QuantileSketch.add`; a caller
+        with many samples (the simulator kernel) hands them to
+        :meth:`add_many` in batches instead.
+        """
         if value < 0:
             raise SimulationError(f"latency must be non-negative: {value}")
         # Only a sample that spills the window, or a non-finite one after
@@ -103,9 +105,8 @@ class LatencyAccumulator:
             if len(samples) > self.exact_capacity:
                 self._spill()
             return
-        self._pending.append(value)
-        if len(self._pending) >= PENDING_FLUSH_THRESHOLD:
-            self._flush_pending()
+        self._total += value
+        self._sketch.add(value)
 
     def add_many(self, values) -> None:
         """Record every sample of *values*, in order.
@@ -139,9 +140,8 @@ class LatencyAccumulator:
             if not array.size:
                 return
         self._record(array)
-        self._flush_pending()
         # ``accumulate`` adds in sequence: bit for bit the loop of
-        # ``total += value`` that ``_flush_pending`` runs.
+        # ``total += value`` that :meth:`add` runs.
         self._total = float(np.add.accumulate(
             np.concatenate(((self._total,), array)))[-1])
         self._sketch.add_many(array)
@@ -155,14 +155,16 @@ class LatencyAccumulator:
         of *values* once the window has spilled, and the window itself
         too when this call makes it spill.  *added* is the number of
         samples the call records (``len(values)`` unless *values* are
-        the distinct values of a weighted batch).
+        the distinct values of a weighted batch).  The window and
+        *values* are checked one after the other, without joining them
+        into one array.
         """
         if self._samples is not None:
             if added is None:
                 added = len(values)
             if len(self._samples) + added <= self.exact_capacity:
                 return
-            values = np.concatenate((self._samples, values))
+            _require_finite(self._samples)
         _require_finite(values)
 
     def _record(self, values: np.ndarray) -> None:
@@ -236,29 +238,9 @@ class LatencyAccumulator:
             spilled.append((value, count))
         if not spilled:
             return
-        self._flush_pending()
         for value, count in spilled:
             self._total += value * count
             self._sketch.add_repeated(value, count)
-
-    def _flush_pending(self) -> None:
-        """Fold buffered post-spill samples into the sketch.
-
-        The running total replays the buffered values in arrival order —
-        the same sequence of float additions the unbuffered code
-        performed — and the sketch inserts are applied afterwards.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        total = self._total
-        for value in pending:
-            total += value
-        self._total = total
-        self._sketch.add_many(pending)
-        # Cleared in place: the simulator kernel holds an alias to this
-        # list, which must survive the flush.
-        pending.clear()
 
     def _spill(self) -> None:
         """Fold the exact window into a new sketch and drop it."""
@@ -287,11 +269,6 @@ class LatencyAccumulator:
         """
         if other.count == 0:
             return
-        # Bring both sides' sketches up to date before reading or
-        # combining totals; a flush replays buffered adds in order, so
-        # flushing here preserves the documented addition order.
-        self._flush_pending()
-        other._flush_pending()
         if (self._samples is not None and other._samples is not None
                 and self.count + other.count <= self.exact_capacity):
             self._samples.extend(other._samples)
@@ -360,7 +337,6 @@ class LatencyAccumulator:
         self._require_data()
         if self._samples is not None:
             return float(np.mean(self._samples))
-        self._flush_pending()
         return self._total / self.count
 
     def mean_and_percentile(self, percentile: float) -> tuple[float, float]:
@@ -389,7 +365,6 @@ class LatencyAccumulator:
             raise SimulationError("percentile must be in [0, 100]")
         if self._samples is not None:
             return float(np.percentile(self._samples, percentile))
-        self._flush_pending()
         estimate = self._sketch.percentile(percentile)
         return float(min(max(estimate, self._min), self._max))
 
@@ -405,11 +380,8 @@ class LatencyAccumulator:
         Everything the binary shard codec needs to reconstruct the
         accumulator *bit-exactly* on the other side of a process or file
         boundary: the exact window while exact, the sketch state after
-        the spill.  Pending post-spill samples are flushed first (the
-        flush replays them in arrival order, so it is invisible in the
-        results).
+        the spill.
         """
-        self._flush_pending()
         state: dict[str, object] = {
             "exact_capacity": self.exact_capacity,
             "bins": STATE_BINS,

@@ -226,30 +226,7 @@ class ReliabilitySpec:
         re-derive rates mid-run).  Only EQS nodes feel the posture; RF
         nodes feel the noise floor; everything else gets the default.
         """
-        technology = technology_for(node.technology)
-        if isinstance(technology, EQSHBCTransceiver):
-            channel = channel_for_posture(
-                posture_for(posture if posture is not None else self.posture))
-            budget = eqs_link_budget(
-                channel,
-                tx_swing_volts=technology.tx_swing_volts,
-                noise_rms_volts=self.eqs_noise_rms_volts,
-                distance_metres=node.channel_distance_metres,
-                frequency_hz=technology.carrier_frequency_hz,
-            )
-        elif hasattr(technology, "path_loss") and \
-                hasattr(technology, "tx_power_dbm"):
-            budget = rf_link_budget(
-                technology.path_loss,
-                tx_power_dbm=technology.tx_power_dbm,
-                noise_floor_dbm=self.rf_noise_floor_dbm,
-                distance_metres=node.channel_distance_metres,
-            )
-        else:
-            return self.default_error_rate
-        # Coded nodes put shorter packets on the air, so the same BER
-        # corrupts fewer of them — the PER side of the coding trade.
-        return budget.packet_error_rate(node.coded_bits_per_packet())
+        return self.node_error_rate_adjusted(node, posture)
 
     def node_error_rate_adjusted(self, node: "ScenarioNodeSpec",
                                  posture: str | None = None,
@@ -265,10 +242,13 @@ class ReliabilitySpec:
         EQS activity couples onto this body (root-sum-squared onto the
         input noise), and *tx_power_offset_db* a controller's transmit
         boost (voltage swing for EQS, radiated power for RF).  At the
-        neutral arguments every branch reproduces
-        :meth:`node_error_rate` exactly — same floats, same PER — which
-        is what keeps a one-body environment and a static controller
-        bit-identical to a standalone run.
+        neutral arguments no float is touched — the noise helpers return
+        their inputs and a zero offset skips both boosts — so the PER is
+        the standalone one :meth:`node_error_rate` returns, which is
+        what keeps a one-body environment and a static controller
+        bit-identical to a standalone run.  Coded nodes put shorter
+        packets on the air, so the same BER corrupts fewer of them (the
+        PER side of the coding trade).
         """
         technology = technology_for(node.technology)
         if isinstance(technology, EQSHBCTransceiver):
@@ -912,7 +892,7 @@ class ScenarioSpec:
         for name, node in simulator.nodes.items():
             bits = getattr(node.source, "bits_per_packet", None)
             if bits is not None:
-                bus.service_time_seconds(Packet(name, "hub", bits, 0.0))
+                bus.service_time_seconds(Packet(name, bits, 0.0))
         windows = None
         if isinstance(policy, TDMAArbitration):
             windows = dict(policy._slot_table())

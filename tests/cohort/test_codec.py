@@ -22,14 +22,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import resource
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cohort import (
     SHARD_CODEC_VERSION,
     CohortAccumulator,
@@ -548,32 +552,64 @@ class TestCodecAtScale:
         retained state is sketches plus counters.  The RSS growth of the
         aggregation is bounded far below what materialising one million
         member rows (~200 MB) would cost.
+
+        The stream runs in a fresh interpreter: ``ru_maxrss`` is a
+        lifetime peak, so in this process any earlier test that peaked
+        higher (the 100k JSON spelling above) would hide the growth.
         """
-        population = 1_000_000
-        shards = 20
-        per_shard = population // shards
-        block = 8192
         assert synthetic_columns(0, 10).rows() == \
             [synthetic_member(index) for index in range(10)]
+        child = subprocess.run(
+            [sys.executable, "-c", STREAM_CHILD, __file__],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [os.path.dirname(os.path.dirname(repro.__file__)),
+                 os.environ.get("PYTHONPATH", "")])),
+            capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        measured = json.loads(child.stdout.splitlines()[-1])
 
-        rss_before_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        merged = CohortAccumulator()
-        for shard in range(shards):
-            accumulator = CohortAccumulator()
-            start = shard * per_shard
-            for first in range(start, start + per_shard, block):
-                accumulator.add_columns(synthetic_columns(
-                    first, min(first + block, start + per_shard)))
-            merged.merge_encoded(encode_shard(ShardFrame(
-                shard_index=shard, start=start, stop=start + per_shard,
-                accumulator=accumulator)))
-        rss_after_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        growth_mib = (rss_after_kib - rss_before_kib) / 1024.0
-
-        assert merged.population == population
+        assert measured["population"] == 1_000_000
         # One shard's exact windows (8 metrics x 65536 float64) plus
         # codec buffers legitimately cost a few tens of MB, transiently.
-        assert growth_mib < 120.0
+        assert measured["growth_mib"] < 120.0
         # And every metric accumulator ends bounded, not member-sized.
-        for accumulator in merged.metrics.values():
-            assert accumulator.retained_samples <= accumulator.exact_capacity
+        assert measured["bounded"]
+
+
+#: Loads this file in a fresh interpreter and prints the JSON of
+#: :func:`stream_1m_members`.
+STREAM_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("codec_stream", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(module.stream_1m_members()))
+"""
+
+
+def stream_1m_members() -> dict[str, object]:
+    """Stream 10^6 synthetic members through 20 encoded shard frames and
+    report this process's peak-RSS growth over the stream."""
+    population = 1_000_000
+    shards = 20
+    per_shard = population // shards
+    block = 8192
+    rss_before_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    merged = CohortAccumulator()
+    for shard in range(shards):
+        accumulator = CohortAccumulator()
+        start = shard * per_shard
+        for first in range(start, start + per_shard, block):
+            accumulator.add_columns(synthetic_columns(
+                first, min(first + block, start + per_shard)))
+        merged.merge_encoded(encode_shard(ShardFrame(
+            shard_index=shard, start=start, stop=start + per_shard,
+            accumulator=accumulator)))
+    rss_after_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        "population": merged.population,
+        "growth_mib": (rss_after_kib - rss_before_kib) / 1024.0,
+        "bounded": all(
+            accumulator.retained_samples <= accumulator.exact_capacity
+            for accumulator in merged.metrics.values()),
+    }

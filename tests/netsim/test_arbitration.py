@@ -22,8 +22,7 @@ from repro.netsim.config import NodeConfig
 
 def make_packet(source: str, bits: float = 1e4,
                 created_at: float = 0.0) -> Packet:
-    return Packet(source=source, destination="hub", bits=bits,
-                  created_at=created_at)
+    return Packet(source=source, bits=bits, created_at=created_at)
 
 
 class TestPolicyFactory:

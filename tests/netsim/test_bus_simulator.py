@@ -107,7 +107,7 @@ class TestSharedBus:
 
     def test_latency_percentiles_require_deliveries(self):
         with pytest.raises(SimulationError):
-            BusStats().latency_percentile(99.0)
+            BusStats().latency.percentile(99.0)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(SimulationError):

@@ -231,21 +231,9 @@ class TestEventQueue:
 
 
 class TestPacket:
-    def test_latency_requires_delivery(self):
-        packet = Packet(source="a", destination="hub", bits=100.0, created_at=0.0)
-        with pytest.raises(SimulationError):
-            _ = packet.latency_seconds
-        packet.delivered_at = 0.5
-        assert packet.latency_seconds == pytest.approx(0.5)
-
-    def test_queueing_delay(self):
-        packet = Packet(source="a", destination="hub", bits=1.0, created_at=1.0)
-        packet.queued_at = 1.2
-        assert packet.queueing_delay_seconds == pytest.approx(0.2)
-
     def test_negative_size_rejected(self):
         with pytest.raises(SimulationError):
-            Packet(source="a", destination="b", bits=-1.0, created_at=0.0)
+            Packet(source="a", bits=-1.0, created_at=0.0)
 
 
 class TestTrafficSources:
