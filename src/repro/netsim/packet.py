@@ -19,8 +19,7 @@ class Packet:
     __slots__ = ("source", "bits", "created_at", "attempts", "_service",
                  "_node")
 
-    def __init__(self, source: str, bits: float, created_at: float,
-                 attempts: int = 0) -> None:
+    def __init__(self, source: str, bits: float, created_at: float) -> None:
         if bits < 0:
             raise SimulationError("packet size must be non-negative")
         if created_at < 0:
@@ -31,12 +30,12 @@ class Packet:
         #: Completed transmission attempts.  Only counted on a medium with
         #: a reliability model attached; the lossless path never touches
         #: it, so there it stays 0.
-        self.attempts = attempts
+        self.attempts = 0
         #: Serialisation time pre-resolved by the simulator kernel for
         #: fixed-size sources; ``None`` means look it up on the medium.
         self._service: float | None = None
-        #: Source node's index in the kernel's per-node tables; ``None``
-        #: outside the kernel's periodic fast path.
+        #: Source node's index in the kernel's per-node tables, set by the
+        #: kernel on every packet it generates; ``None`` on a probe.
         self._node: int | None = None
 
     def __repr__(self) -> str:

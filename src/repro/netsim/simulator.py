@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -1071,7 +1072,10 @@ class BodyNetworkSimulator:
         delivered_bits_sum = stats.delivered_bits
         busy_s = stats.busy_seconds
         add_latencies = stats.latency.add_many
-        lat_batch: list[float] = []
+        # Raw doubles rather than a list of float objects: the batch
+        # then costs 8 bytes a sample, and ``add_many`` reads it without
+        # a copy.
+        lat_batch = array("d")
         lat_batch_size = LATENCY_BATCH
 
         # The in-flight transmission, as loop locals; a previous run may
@@ -1411,7 +1415,7 @@ class BodyNetworkSimulator:
                         lat_batch.append(t - packet.created_at)
                         if len_(lat_batch) >= lat_batch_size:
                             add_latencies(lat_batch)
-                            lat_batch.clear()
+                            del lat_batch[:]
                         tx_energy = bits * tx_e[idx]
                         if fast_flags[idx]:
                             wir_acc[idx] += tx_energy

@@ -156,8 +156,8 @@ class LatencyAccumulator:
         too when this call makes it spill.  *added* is the number of
         samples the call records (``len(values)`` unless *values* are
         the distinct values of a weighted batch).  The window and
-        *values* are checked one after the other, without joining them
-        into one array.
+        *values* are checked one after the other: joining them would
+        copy the whole window at the spill.
         """
         if self._samples is not None:
             if added is None:
