@@ -243,12 +243,10 @@ class ReliabilitySpec:
         input noise), and *tx_power_offset_db* a controller's transmit
         boost (voltage swing for EQS, radiated power for RF).  At the
         neutral arguments no float is touched — the noise helpers return
-        their inputs and a zero offset skips both boosts — so the PER is
-        the standalone one :meth:`node_error_rate` returns, which is
-        what keeps a one-body environment and a static controller
-        bit-identical to a standalone run.  Coded nodes put shorter
-        packets on the air, so the same BER corrupts fewer of them (the
-        PER side of the coding trade).
+        their inputs and a zero offset skips both boosts — so
+        :meth:`node_error_rate` is this method at its defaults, and a
+        one-body environment and a static controller stay bit-identical
+        to a standalone run.
         """
         technology = technology_for(node.technology)
         if isinstance(technology, EQSHBCTransceiver):
@@ -279,6 +277,8 @@ class ReliabilitySpec:
             )
         else:
             return self.default_error_rate
+        # Coded nodes put shorter packets on the air, so the same BER
+        # corrupts fewer of them — the PER side of the coding trade.
         return budget.packet_error_rate(node.coded_bits_per_packet())
 
 
