@@ -10,8 +10,8 @@ window (so shard-merged summaries are bit-identical to a serial run) and
 a bounded mergeable quantile sketch beyond it (so memory stays flat and
 p50/p99 keep their documented rank error however large the cohort
 grows).  ``keep_members=True`` additionally retains the raw
-:class:`MemberMetrics` rows for debugging — opt-in, mirroring
-``EnergyLedger.keep_entries``.
+:class:`MemberMetrics` rows for debugging — opt-in, so memory stays
+flat by default.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .harvester import (
     total_harvested_power,
 )
 from .converter import DCDCConverter, ldo_regulator, buck_converter
-from .ledger import EnergyLedger, LedgerEntry
+from .ledger import EnergyLedger
 from .runtime import NodeEnergyState
 
 __all__ = [
@@ -59,6 +59,5 @@ __all__ = [
     "ldo_regulator",
     "buck_converter",
     "EnergyLedger",
-    "LedgerEntry",
     "NodeEnergyState",
 ]

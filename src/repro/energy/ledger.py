@@ -2,28 +2,19 @@
 
 An :class:`EnergyLedger` records how much energy each named component of a
 node (sensor AFE, ISA block, radio, CPU, ...) has consumed.  The network
-simulator and the architecture comparison both post entries here so that
-the Fig. 1 power breakdown can be regenerated from simulated activity as
+simulator and the architecture comparison both post here so that the
+Fig. 1 power breakdown can be regenerated from simulated activity as
 well as from closed-form budgets.
 
-The ledger is dual-mode:
-
-* **streaming** (the default) — only O(1) state is kept per component: a
-  running total, a running grand total and a fixed-width time-bucketed
-  power trace.  Posting is O(1) and memory stays flat however many
-  entries a multi-hour simulation posts.
-* **exact** (``keep_entries=True``) — every :class:`LedgerEntry` is also
-  retained, which figure-regeneration and debugging workflows can replay.
-
-Both modes maintain the same running totals with the same addition
-order, so queries are bit-identical across modes, and exact-mode totals
-are bit-identical to re-summing the entry list.
+The ledger keeps O(1) state per component: a running total, a running
+grand total, a post count and a fixed-width time-bucketed power trace.
+Posting is O(1) and memory stays flat however many posts a multi-hour
+simulation makes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -51,26 +42,11 @@ def _check_post(energy_joules: float, duration_seconds: float,
         raise EnergyError(f"timestamp must be finite: {timestamp_seconds}")
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One posted energy expenditure."""
-
-    component: str
-    energy_joules: float
-    duration_seconds: float
-    timestamp_seconds: float
-    note: str = ""
-
-
 class EnergyLedger:
     """Accumulates energy per component and exposes breakdown summaries.
 
     Parameters
     ----------
-    keep_entries:
-        Retain the full :class:`LedgerEntry` list (exact mode).  Off by
-        default: the streaming mode keeps only running totals and the
-        bucketed power trace, so memory does not grow with activity.
     trace_bucket_seconds:
         Width of one power-trace bucket.
     trace_buckets:
@@ -78,16 +54,16 @@ class EnergyLedger:
         lands in the last bucket.
     """
 
-    def __init__(self, keep_entries: bool = False,
-                 trace_bucket_seconds: float = DEFAULT_TRACE_BUCKET_SECONDS,
+    def __init__(self, trace_bucket_seconds: float = DEFAULT_TRACE_BUCKET_SECONDS,
                  trace_buckets: int = DEFAULT_TRACE_BUCKETS) -> None:
-        if trace_bucket_seconds <= 0:
-            raise EnergyError("trace bucket width must be positive")
+        if not 0.0 < trace_bucket_seconds < math.inf:
+            raise EnergyError(
+                "trace bucket width must be positive and finite: "
+                f"{trace_bucket_seconds}")
         if trace_buckets < 1:
             raise EnergyError("trace needs at least one bucket")
         self.trace_bucket_seconds = trace_bucket_seconds
         self.trace_buckets = trace_buckets
-        self.entries: list[LedgerEntry] | None = [] if keep_entries else None
         self._totals: dict[str, float] = {}
         self._grand_total = 0.0
         self._posted_count = 0
@@ -101,43 +77,24 @@ class EnergyLedger:
 
     def post(self, component: str, energy_joules: float,
              duration_seconds: float = 0.0,
-             timestamp_seconds: float = 0.0, note: str = "") -> LedgerEntry:
+             timestamp_seconds: float = 0.0) -> None:
         """Record that *component* consumed *energy_joules*.
 
         NaN, infinite or negative energy or duration, and a non-finite
         timestamp, raise :class:`EnergyError` before anything is posted.
         """
         _check_post(energy_joules, duration_seconds, timestamp_seconds)
-        self.post_fast(component, energy_joules, timestamp_seconds,
-                       duration_seconds, note)
-        if self.entries is not None:
-            return self.entries[-1]
-        return LedgerEntry(component=component, energy_joules=energy_joules,
-                           duration_seconds=duration_seconds,
-                           timestamp_seconds=timestamp_seconds, note=note)
+        self.post_fast(component, energy_joules, timestamp_seconds)
 
     def post_fast(self, component: str, energy_joules: float,
-                  timestamp_seconds: float, duration_seconds: float = 0.0,
-                  note: str = "") -> None:
-        """Unchecked :meth:`post` that returns nothing.
+                  timestamp_seconds: float) -> None:
+        """Unchecked :meth:`post`.
 
         The simulator kernel and the energy runtime post once or more
-        per packet and per energy tick; validating the inputs and
-        constructing (then discarding) a frozen :class:`LedgerEntry`
-        per post dominated that path.  Callers pass finite non-negative
+        per packet and per energy tick, and pass finite non-negative
         energy by construction.  The running totals and trace take the
-        same additions in the same order as :meth:`post`; only an exact
-        (``keep_entries=True``) ledger builds the entry, with the given
-        duration and note.
+        same additions in the same order as :meth:`post`.
         """
-        if self.entries is not None:
-            self.entries.append(LedgerEntry(
-                component=component,
-                energy_joules=energy_joules,
-                duration_seconds=duration_seconds,
-                timestamp_seconds=timestamp_seconds,
-                note=note,
-            ))
         self._totals[component] = (self._totals.get(component, 0.0)
                                    + energy_joules)
         self._grand_total += energy_joules
@@ -164,7 +121,6 @@ class EnergyLedger:
             bucket = self.trace_buckets - 1
         elif bucket < 0:
             bucket = 0
-        entries = self.entries
         totals = self._totals
         # The grand total and the one trace bucket accumulate in locals:
         # the same additions, in the same order, as per-post updates.
@@ -172,11 +128,6 @@ class EnergyLedger:
         cell = self._trace[bucket]
         for component, watts in loads_watts.items():
             energy = watts * duration_seconds
-            if entries is not None:
-                entries.append(LedgerEntry(
-                    component=component, energy_joules=energy,
-                    duration_seconds=duration_seconds,
-                    timestamp_seconds=timestamp_seconds))
             totals[component] = totals.get(component, 0.0) + energy
             grand += energy
             cell += energy
@@ -186,25 +137,19 @@ class EnergyLedger:
 
     def post_power(self, component: str, power_watts: float,
                    duration_seconds: float,
-                   timestamp_seconds: float = 0.0, note: str = "") -> LedgerEntry:
+                   timestamp_seconds: float = 0.0) -> None:
         """Record a constant *power_watts* drawn for *duration_seconds*."""
         if not 0.0 <= power_watts < math.inf:
             raise EnergyError(
                 f"power must be finite and non-negative: {power_watts}")
-        return self.post(
-            component,
-            energy_joules=power_watts * duration_seconds,
-            duration_seconds=duration_seconds,
-            timestamp_seconds=timestamp_seconds,
-            note=note,
-        )
+        self.post(component, power_watts * duration_seconds,
+                  duration_seconds, timestamp_seconds)
 
     def post_interval(self, component: str, energy_joules: float,
-                      start_seconds: float, end_seconds: float,
-                      note: str = "") -> None:
+                      start_seconds: float, end_seconds: float) -> None:
         """Record energy consumed uniformly over ``[start, end)``.
 
-        The macro-tick fast path posts one entry per component per leap
+        The macro-tick fast path posts once per component per leap
         segment; the power trace must nevertheless read as if the energy
         had been posted packet-by-packet, so the amount is spread over
         the trace buckets in proportion to how much of the interval each
@@ -217,14 +162,6 @@ class EnergyLedger:
         duration = end_seconds - start_seconds
         # A NaN, infinite or reversed interval has a duration that fails.
         _check_post(energy_joules, duration, start_seconds)
-        if self.entries is not None:
-            self.entries.append(LedgerEntry(
-                component=component,
-                energy_joules=energy_joules,
-                duration_seconds=duration,
-                timestamp_seconds=start_seconds,
-                note=note,
-            ))
         self._totals[component] = (self._totals.get(component, 0.0)
                                    + energy_joules)
         self._grand_total += energy_joules
@@ -258,19 +195,9 @@ class EnergyLedger:
     # -- queries -----------------------------------------------------------
 
     @property
-    def keeps_entries(self) -> bool:
-        """Whether the ledger retains the exact entry list."""
-        return self.entries is not None
-
-    @property
     def posted_count(self) -> int:
-        """How many entries have been posted (both modes)."""
+        """How many posts the totals hold."""
         return self._posted_count
-
-    @property
-    def retained_entries(self) -> int:
-        """Entries currently held in memory (0 in streaming mode)."""
-        return len(self.entries) if self.entries is not None else 0
 
     def total_energy(self, component: str | None = None) -> float:
         """Total posted energy, optionally restricted to one component."""
@@ -289,8 +216,9 @@ class EnergyLedger:
     def average_power(self, horizon_seconds: float,
                       component: str | None = None) -> float:
         """Average power over *horizon_seconds* (total energy / horizon)."""
-        if horizon_seconds <= 0:
-            raise EnergyError("horizon must be positive")
+        if not 0.0 < horizon_seconds < math.inf:
+            raise EnergyError(
+                f"horizon must be positive and finite: {horizon_seconds}")
         return self.total_energy(component) / horizon_seconds
 
     def power_trace_watts(self) -> np.ndarray:
@@ -314,8 +242,7 @@ class EnergyLedger:
         Per-component and grand totals add exactly (ordinary float sums
         in self-then-other order); component order is self's components
         followed by other's unseen ones; trace buckets add elementwise.
-        The merged ledger keeps entries only when both sides do.  Merging
-        requires identical trace configurations — cohort shards built
+        Merging requires identical trace configurations — cohort shards built
         from the same spec always satisfy this.
         """
         if (self.trace_bucket_seconds != other.trace_bucket_seconds
@@ -323,13 +250,9 @@ class EnergyLedger:
             raise EnergyError(
                 "cannot merge ledgers with different trace configurations")
         merged = EnergyLedger(
-            keep_entries=self.keeps_entries and other.keeps_entries,
             trace_bucket_seconds=self.trace_bucket_seconds,
             trace_buckets=self.trace_buckets,
         )
-        if merged.entries is not None:
-            merged.entries.extend(self.entries)
-            merged.entries.extend(other.entries)
         merged._totals = dict(self._totals)
         for component, energy in other._totals.items():
             merged._totals[component] = (merged._totals.get(component, 0.0)
@@ -341,9 +264,7 @@ class EnergyLedger:
         return merged
 
     def clear(self) -> None:
-        """Drop all accumulated state (keeps the configured mode)."""
-        if self.entries is not None:
-            self.entries.clear()
+        """Drop all accumulated state (keeps the trace configuration)."""
         self._totals.clear()
         self._grand_total = 0.0
         self._posted_count = 0

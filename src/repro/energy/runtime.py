@@ -159,7 +159,7 @@ class NodeEnergyState:
     # -- mutations ---------------------------------------------------------
 
     def drain(self, component: str, energy_joules: float,
-              timestamp_seconds: float, note: str = "") -> float:
+              timestamp_seconds: float) -> float:
         """Impulse drain (e.g. one packet's TX energy).
 
         Posts to the ledger and removes the energy from the battery,
@@ -178,13 +178,11 @@ class NodeEnergyState:
             return 0.0
         battery = self.battery
         if battery is None:
-            self.ledger.post_fast(component, energy_joules, timestamp_seconds,
-                                  0.0, note)
+            self.ledger.post_fast(component, energy_joules, timestamp_seconds)
             return energy_joules
         delivered = battery.drain_fast(energy_joules)
         if delivered > 0.0:
-            self.ledger.post_fast(component, delivered, timestamp_seconds,
-                                  0.0, note)
+            self.ledger.post_fast(component, delivered, timestamp_seconds)
         # ``battery.is_empty``, without the property call.
         if (battery.state_of_charge_joules
                 <= battery.spec.empty_threshold_joules):

@@ -537,42 +537,29 @@ class BodyNetworkSimulator:
         self.reliability.set_error_rate(name, error_rate)
 
     def _account_attempt(self, packet: Packet, success: bool) -> None:
-        """Energy of one transmission attempt on a lossy medium.
+        """A battery node's energy for one attempt on a lossy medium.
 
         A successful attempt's frame energy flows through the kernel's
-        delivery accounting; here it only pays for its ack (leaf
-        receives, hub transmits).  A corrupted attempt pays the full
-        wasted frame as leaf transmit under ``wir_retx`` and gets no ack
-        (the leaf times out).  The hub's ``wir_rx`` for the frame is
-        posted by the kernel's completion step, once per attempt,
-        corrupted or delivered.
+        delivery accounting; here the leaf only pays to receive its ack,
+        and the kernel calls this only when acks cost energy.  A
+        corrupted attempt pays the full wasted frame as leaf transmit
+        under ``wir_retx`` and gets no ack (the leaf times out).  The
+        kernel accrues batteryless leaves' attempts inline, and the
+        hub's ``wir_rx`` and ``ack_tx`` for every node.
         """
         node = self.nodes[packet.source]
-        now = self.queue.now
-        arq = self.reliability.arq if self.reliability is not None else None
         if success:
-            if arq is None or arq.ack_bits == 0.0:
-                return
-            ack_energy = arq.ack_bits * node.technology.rx_energy_per_bit()
-            energy = node.energy
-            if energy is None:
-                node.ledger.post_fast("arq_ack", ack_energy, now)
-            elif energy.death_seconds is None:
-                energy.drain("arq_ack", ack_energy, now)
-                if energy.death_seconds is not None:
-                    self._record_death(node)
-            self.hub_ledger.post_fast(
-                "ack_tx", arq.ack_bits * self.technology.tx_energy_per_bit(),
-                now)
-            return
-        node.retx_bits += packet.bits
-        tx_energy = packet.bits * node.technology.tx_energy_per_bit()
-        energy = node.energy
-        if energy is None:
-            node.ledger.post_fast("wir_retx", tx_energy, now)
-        elif energy.death_seconds is None:
-            energy.drain("wir_retx", tx_energy, now)
-            if energy.death_seconds is not None:
+            component = "arq_ack"
+            energy = (self.reliability.arq.ack_bits
+                      * node.technology.rx_energy_per_bit())
+        else:
+            node.retx_bits += packet.bits
+            component = "wir_retx"
+            energy = packet.bits * node.technology.tx_energy_per_bit()
+        state = node.energy
+        if state.death_seconds is None:
+            state.drain(component, energy, self.queue.now)
+            if state.death_seconds is not None:
                 self._record_death(node)
 
     def _account_loss(self, packet: Packet) -> None:
@@ -615,15 +602,14 @@ class BodyNetworkSimulator:
         ``(inline, state, battery, ledger, data rate, sleep power,
         leakage, empty threshold, low-battery fraction, harvester)``.
         ``inline`` is true for a stock :class:`NodeEnergyState` whose
-        cell (if any) is a stock :class:`~repro.energy.battery.Battery`
-        and whose ledger keeps no entries; any other node settles
-        through the checked :meth:`NodeEnergyState.advance`.
+        cell (if any) is a stock :class:`~repro.energy.battery.Battery`;
+        any other node settles through the checked
+        :meth:`NodeEnergyState.advance`.
         """
         state = node.energy
         battery = state.battery
         inline = (type(state) is NodeEnergyState
-                  and (battery is None or type(battery) is Battery)
-                  and state.ledger.entries is None)
+                  and (battery is None or type(battery) is Battery))
         return (inline, state, battery, state.ledger,
                 node.technology.data_rate_bps(),
                 node.technology.sleep_power(), state.leakage_power_watts,
@@ -795,8 +781,8 @@ class BodyNetworkSimulator:
         bits, medium busy time), a batch of delivered latencies (handed
         to :meth:`~repro.netsim.stats.LatencyAccumulator.add_many` every
         :data:`LATENCY_BATCH` samples and at exit), the sequence counter,
-        the chain, and each node's traffic counters and fast-path ledger
-        totals.
+        the chain, each node's traffic counters, and the ledger totals of
+        the hub and of every batteryless node.
         Everything is written back when the loop exits, with every
         addition replayed in the legacy order.  Control-stream events
         observe consistent per-node traffic counters and queue state
@@ -806,7 +792,7 @@ class BodyNetworkSimulator:
         slotted backlog, and reloads that node's stride (an evaluation
         reads its node and the arbiter, and acts only through the
         node's stride and erasure rate); aggregate statistics
-        and fast-path ledger totals otherwise sync lazily.  The in-flight
+        and the accrued ledger totals otherwise sync lazily.  The in-flight
         chain event crosses the horizon through ``bus._chain``: taken
         over on entry, handed back on exit.
 
@@ -888,12 +874,13 @@ class BodyNetworkSimulator:
         node_queues: list = []
         tx_e: list[float] = []
         rx_e: list[float] = []
-        # A "fast" node's only mid-run ledger traffic is its own posts
-        # (``wir_tx`` deliveries, and on a lossy medium ``wir_retx``
-        # frames and ``arq_ack`` receptions), so they can accrue in
-        # plain table slots and land on the (still fresh) ledger in one
-        # write-back.  ``grand_acc`` replays every post in event order,
-        # so the grand total keeps the per-post float associativity.
+        # A batteryless ("fast") node's only mid-run ledger traffic is
+        # its own posts (``wir_tx`` deliveries, and on a lossy medium
+        # ``wir_retx`` frames and ``arq_ack`` receptions), so they accrue
+        # in plain table slots, starting from the ledger's totals, and
+        # land on the ledger in one write-back.  ``grand_acc`` replays
+        # every post in event order, so the grand total keeps the
+        # per-post float associativity.
         fast_flags: list[bool] = []
         wir_acc: list[float] = []
         retx_acc: list[float] = []
@@ -928,13 +915,12 @@ class BodyNetworkSimulator:
             rx_e.append(rx_val)
             ack_e_l.append(arq_ack_bits * rx_val)
             ledger = node.ledger
-            fast_flags.append(node.energy is None
-                              and ledger.entries is None
-                              and ledger._posted_count == 0)
-            wir_acc.append(0.0)
-            retx_acc.append(0.0)
-            ack_acc.append(0.0)
-            grand_acc.append(0.0)
+            totals = ledger._totals
+            fast_flags.append(node.energy is None)
+            wir_acc.append(totals.get("wir_tx", 0.0))
+            retx_acc.append(totals.get("wir_retx", 0.0))
+            ack_acc.append(totals.get("arq_ack", 0.0))
+            grand_acc.append(ledger._grand_total)
             tx_posts_l.append(0)
             retx_posts_l.append(0)
             ack_posts_l.append(0)
@@ -1046,16 +1032,13 @@ class BodyNetworkSimulator:
             tick_key = (queue._now + tick_interval, claim())
         settle = self._settle_energy
 
-        # On a lossy medium the attempt accounting posts ack
-        # transmissions to the hub too; the hub can only go fast if every
-        # node does, otherwise a method-path attempt would interleave hub
-        # posts with the accumulated ones.
-        hub_fast = (hub_ledger.entries is None
-                    and hub_ledger._posted_count == 0
-                    and (reliability is None or all(fast_flags)))
-        hub_rx_acc = 0.0
-        hub_ack_acc = 0.0
-        hub_grand = 0.0
+        # Only the kernel posts to the hub mid-run (``wir_rx`` per attempt
+        # and ``ack_tx`` per delivered attempt), so the hub accrues the
+        # same way as a batteryless node.
+        hub_totals = hub_ledger._totals
+        hub_rx_acc = hub_totals.get("wir_rx", 0.0)
+        hub_ack_acc = hub_totals.get("ack_tx", 0.0)
+        hub_grand = hub_ledger._grand_total
         hub_posts = 0
         hub_ack_posts = 0
         hub_trace = hub_ledger._trace
@@ -1313,16 +1296,15 @@ class BodyNetworkSimulator:
                     packet = chain_packet
                     idx = packet._node
                     bits = packet.bits
-                    if hub_fast:
-                        # One bucket serves every hub post at ``t``.
-                        q = t / hub_w
-                        if q >= hub_limit:
-                            hub_bucket = int_(q)
-                            if hub_bucket >= hub_last:
-                                hub_bucket = hub_last
-                                hub_limit = inf_
-                            else:
-                                hub_limit = hub_bucket + 1.0
+                    # One bucket serves every hub post at ``t``.
+                    q = t / hub_w
+                    if q >= hub_limit:
+                        hub_bucket = int_(q)
+                        if hub_bucket >= hub_last:
+                            hub_bucket = hub_last
+                            hub_limit = inf_
+                        else:
+                            hub_limit = hub_bucket + 1.0
                     erased = False
                     if reliability is not None:
                         packet.attempts += 1
@@ -1379,12 +1361,12 @@ class BodyNetworkSimulator:
                             else:
                                 stats.lost_packets += 1
                                 self._account_loss(packet)
-                        elif fast_flags[idx]:
-                            if ack_posting:
-                                # Inline successful-attempt accounting:
-                                # the frame energy flows through the
-                                # delivery accounting below; only the
-                                # ack pair posts here.
+                        elif ack_posting:
+                            # Successful-attempt accounting: the frame
+                            # energy flows through the delivery
+                            # accounting below; only the ack pair posts
+                            # here.
+                            if fast_flags[idx]:
                                 value = ack_e_l[idx]
                                 ack_acc[idx] += value
                                 grand_acc[idx] += value
@@ -1393,22 +1375,18 @@ class BodyNetworkSimulator:
                                 last = trace_last_l[idx]
                                 trace_l[idx][bucket if bucket < last
                                              else last] += value
-                                if hub_fast:
-                                    hub_ack_acc += hub_ack_e
-                                    hub_grand += hub_ack_e
-                                    hub_posts += 1
-                                    hub_ack_posts += 1
-                                    hub_trace[hub_bucket] += hub_ack_e
-                                else:
-                                    hub_ledger.post_fast("ack_tx",
-                                                         hub_ack_e, t)
-                        else:
-                            queue._now = t  # the accounting reads it
-                            if slotted_fast:  # the ack drain may purge
-                                policy._pending = slot_pending
-                            self._account_attempt(packet, True)
-                            if slotted_fast:
-                                slot_pending = policy._pending
+                            else:
+                                queue._now = t  # the accounting reads it
+                                if slotted_fast:  # the ack drain may purge
+                                    policy._pending = slot_pending
+                                self._account_attempt(packet, True)
+                                if slotted_fast:
+                                    slot_pending = policy._pending
+                            hub_ack_acc += hub_ack_e
+                            hub_grand += hub_ack_e
+                            hub_posts += 1
+                            hub_ack_posts += 1
+                            hub_trace[hub_bucket] += hub_ack_e
                     if not erased:
                         delivered_cnt += 1
                         delivered_bits_sum += bits
@@ -1429,10 +1407,7 @@ class BodyNetworkSimulator:
                         else:
                             node = node_list[idx]
                             state = node.energy
-                            if state is None:
-                                node.ledger.post_fast("wir_tx", tx_energy, t)
-                                node.packets_delivered += 1
-                            elif state.death_seconds is None:
+                            if state.death_seconds is None:
                                 node.packets_delivered += 1
                                 cell = drain_l[idx]
                                 if cell is not None \
@@ -1467,13 +1442,10 @@ class BodyNetworkSimulator:
                     # The hub listened to the frame for its full length,
                     # erased or not.
                     value = bits * rx_e[idx]
-                    if hub_fast:
-                        hub_rx_acc += value
-                        hub_grand += value
-                        hub_posts += 1
-                        hub_trace[hub_bucket] += value
-                    else:
-                        hub_ledger.post_fast("wir_rx", value, t)
+                    hub_rx_acc += value
+                    hub_grand += value
+                    hub_posts += 1
+                    hub_trace[hub_bucket] += value
                     # Grant the next transmission.  The stock grants are
                     # replicated inline (same expressions, same association
                     # order as their ``next_grant``); anything else —
@@ -1673,9 +1645,10 @@ class BodyNetworkSimulator:
         stats.busy_seconds = busy_s
         if lat_batch:
             add_latencies(lat_batch)
-        # Fast-path ledgers were fresh at loop entry, so the write-back
-        # totals equal the posts replayed from zero in arrival order —
-        # the same floats the per-post path would have produced.
+        # The accumulators started from each ledger's totals at loop
+        # entry, so the write-back totals equal the posts replayed onto
+        # them in arrival order — the same floats per-post calls would
+        # have produced.
         _publish_nodes()
         for i in range(n_nodes):
             if fast_flags[i]:
@@ -1689,14 +1662,14 @@ class BodyNetworkSimulator:
                     if ack_posts_l[i]:
                         ledger._totals["arq_ack"] = ack_acc[i]
                     ledger._grand_total = grand_acc[i]
-                    ledger._posted_count = posts
-        if hub_fast and hub_posts:
+                    ledger._posted_count += posts
+        if hub_posts:
             if hub_posts - hub_ack_posts:
                 hub_ledger._totals["wir_rx"] = hub_rx_acc
             if hub_ack_posts:
                 hub_ledger._totals["ack_tx"] = hub_ack_acc
             hub_ledger._grand_total = hub_grand
-            hub_ledger._posted_count = hub_posts
+            hub_ledger._posted_count += hub_posts
         if slotted_fast:
             policy._pending = slot_pending
         bus._chain = (None if chain_key is sentinel else
@@ -1801,7 +1774,7 @@ class BodyNetworkSimulator:
             self._run_kernel(duration_seconds)
 
         # Post-kernel, pre-accounting: controller premiums and other
-        # deferred ledger posts land here, after the kernel's fast-path
+        # deferred ledger posts land here, after the kernel's ledger
         # write-back and before the averages read the totals.
         for hook in self._pre_account_hooks:
             hook(duration_seconds)

@@ -51,6 +51,16 @@ class TestEnergyLedger:
         with pytest.raises(EnergyError):
             ledger.average_power(0.0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_average_power_rejects_non_finite_horizon(self, horizon):
+        # NaN used to return NaN, and inf a silent 0.0 W.
+        ledger = EnergyLedger()
+        ledger.post("x", 1.0)
+        with pytest.raises(EnergyError):
+            ledger.average_power(horizon)
+        with pytest.raises(EnergyError):
+            ledger.average_power(horizon, "x")
+
     def test_negative_energy_rejected(self):
         with pytest.raises(EnergyError):
             EnergyLedger().post("x", -1.0)
@@ -97,45 +107,33 @@ class TestEnergyLedger:
 
 
 class TestStreamingMode:
-    """The default ledger keeps no entries yet answers identically."""
+    """The ledger keeps O(1) state per component and answers exactly."""
 
     def test_default_ledger_retains_no_entries(self):
         ledger = EnergyLedger()
         for index in range(1000):
             ledger.post("radio", 0.001, timestamp_seconds=float(index))
-        assert not ledger.keeps_entries
-        assert ledger.entries is None
-        assert ledger.retained_entries == 0
         assert ledger.posted_count == 1000
 
-    def test_exact_mode_retains_entries(self):
-        ledger = EnergyLedger(keep_entries=True)
-        ledger.post("radio", 1.0)
-        ledger.post("cpu", 2.0)
-        assert ledger.keeps_entries
-        assert len(ledger.entries) == 2
-        assert ledger.retained_entries == 2
-
     def test_streaming_totals_bit_identical_to_exact(self):
-        """Running totals add in posting order — the same float sequence
-        the exact mode's entry re-scan would produce."""
+        """Running totals add in posting order: the same float sequence
+        as re-summing the postings one by one."""
         import random
 
         rng = random.Random(7)
         postings = [(rng.choice("abc"), rng.random()) for _ in range(500)]
-        streaming = EnergyLedger()
-        exact = EnergyLedger(keep_entries=True)
+        ledger = EnergyLedger()
         for component, energy in postings:
-            streaming.post(component, energy)
-            exact.post(component, energy)
-        assert streaming.total_energy() == exact.total_energy()
-        assert streaming.breakdown() == exact.breakdown()
-        assert streaming.components() == exact.components()
-        # And the exact mode's totals equal re-summing its entries.
-        resummed = 0.0
-        for entry in exact.entries:
-            resummed += entry.energy_joules
-        assert exact.total_energy() == resummed
+            ledger.post(component, energy)
+        grand = 0.0
+        totals: dict[str, float] = {}
+        for component, energy in postings:
+            grand += energy
+            totals[component] = totals.get(component, 0.0) + energy
+        assert ledger.total_energy() == grand
+        assert ledger.breakdown() == totals
+        assert ledger.components() == list(totals)
+        assert ledger.posted_count == len(postings)
 
     def test_components_order_first_posted(self):
         ledger = EnergyLedger()
@@ -165,6 +163,13 @@ class TestPowerTrace:
         with pytest.raises(EnergyError):
             EnergyLedger(trace_buckets=0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_trace_width_rejected(self, width):
+        # A NaN width used to construct, and its first post then raised
+        # a bare ValueError after updating the totals.
+        with pytest.raises(EnergyError):
+            EnergyLedger(trace_bucket_seconds=width)
+
 
 class TestMergeExact:
     def test_merge_adds_totals_and_traces(self):
@@ -183,16 +188,6 @@ class TestMergeExact:
     def test_merge_mismatched_trace_config_rejected(self):
         with pytest.raises(EnergyError):
             EnergyLedger(trace_buckets=4).merge(EnergyLedger(trace_buckets=8))
-
-    def test_merge_keeps_entries_only_when_both_sides_do(self):
-        exact = EnergyLedger(keep_entries=True)
-        exact.post("a", 1.0)
-        streaming = EnergyLedger()
-        streaming.post("b", 2.0)
-        assert not exact.merge(streaming).keeps_entries
-        both = exact.merge(exact)
-        assert both.keeps_entries
-        assert both.retained_entries == 2
 
     def test_clear_resets_streaming_state(self):
         ledger = EnergyLedger()
@@ -236,15 +231,6 @@ class TestPostInterval:
         ledger.post_interval("x", 1.0, 0.0, 5e-324)
         assert ledger.trace_energy_joules().tolist() == [1.0, 0.0, 0.0, 0.0]
 
-    def test_exact_mode_retains_interval_entry(self):
-        ledger = EnergyLedger(keep_entries=True)
-        ledger.post_interval("x", 2.0, 1.0, 5.0, note="leap")
-        (entry,) = ledger.entries
-        assert entry.energy_joules == 2.0
-        assert entry.timestamp_seconds == 1.0
-        assert entry.duration_seconds == 4.0
-        assert entry.note == "leap"
-
     def test_invalid_intervals_rejected(self):
         ledger = EnergyLedger()
         with pytest.raises(EnergyError):
@@ -272,7 +258,6 @@ class TestNonFiniteInputs:
         assert ledger.total_energy() == 0.0
         assert ledger.breakdown() == {}
         assert ledger.trace_energy_joules().tolist() == [0.0] * 64
-        assert ledger.retained_entries == 0
 
     @pytest.mark.parametrize("kwargs", [
         {"energy_joules": math.nan}, {"energy_joules": math.inf},
@@ -282,7 +267,7 @@ class TestNonFiniteInputs:
         {"energy_joules": 1.0, "timestamp_seconds": math.inf},
     ])
     def test_post_rejects(self, kwargs):
-        ledger = EnergyLedger(keep_entries=True)
+        ledger = EnergyLedger()
         with pytest.raises(EnergyError):
             ledger.post("x", **kwargs)
         self.assert_untouched(ledger)
@@ -291,7 +276,7 @@ class TestNonFiniteInputs:
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
         (1e300, 1e300)])
     def test_post_power_rejects(self, power, duration):
-        ledger = EnergyLedger(keep_entries=True)
+        ledger = EnergyLedger()
         with pytest.raises(EnergyError):
             ledger.post_power("x", power, duration)
         self.assert_untouched(ledger)
@@ -301,7 +286,7 @@ class TestNonFiniteInputs:
         (1.0, 0.0, math.nan), (1.0, 0.0, math.inf),
         (1.0, -math.inf, 1.0)])
     def test_post_interval_rejects(self, energy, start, end):
-        ledger = EnergyLedger(keep_entries=True)
+        ledger = EnergyLedger()
         with pytest.raises(EnergyError):
             ledger.post_interval("x", energy, start, end)
         self.assert_untouched(ledger)
@@ -309,45 +294,33 @@ class TestNonFiniteInputs:
 
 class TestPostFast:
     def test_matches_post_in_both_modes(self):
-        for keep in (False, True):
-            checked = EnergyLedger(keep_entries=keep)
-            fast = EnergyLedger(keep_entries=keep)
-            for i, energy in enumerate((0.1, 0.2, 0.0, 3.0)):
-                stamp = 97.0 * i - 50.0  # clamps at both trace ends
-                checked.post("x", energy, duration_seconds=2.0,
-                             timestamp_seconds=stamp, note="n")
-                fast.post_fast("x", energy, stamp, 2.0, "n")
-            assert fast.breakdown() == checked.breakdown()
-            assert fast.total_energy() == checked.total_energy()
-            assert fast.posted_count == checked.posted_count
-            assert fast.trace_energy_joules().tolist() == \
-                checked.trace_energy_joules().tolist()
-            assert fast.entries == checked.entries
-
-    def test_post_returns_the_retained_entry(self):
-        ledger = EnergyLedger(keep_entries=True)
-        entry = ledger.post("x", 1.0, duration_seconds=2.0,
-                            timestamp_seconds=3.0, note="n")
-        assert ledger.entries == [entry]
-        assert EnergyLedger().post("x", 1.0, 2.0, 3.0, "n") == entry
+        checked = EnergyLedger()
+        fast = EnergyLedger()
+        for i, energy in enumerate((0.1, 0.2, 0.0, 3.0)):
+            stamp = 97.0 * i - 50.0  # clamps at both trace ends
+            checked.post("x", energy, duration_seconds=2.0,
+                         timestamp_seconds=stamp)
+            fast.post_fast("x", energy, stamp)
+        assert fast.breakdown() == checked.breakdown()
+        assert fast.total_energy() == checked.total_energy()
+        assert fast.posted_count == checked.posted_count
+        assert fast.trace_energy_joules().tolist() == \
+            checked.trace_energy_joules().tolist()
 
 
 class TestPostPowersFast:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e-3),
                     min_size=1, max_size=4),
            st.floats(min_value=0.0, max_value=10.0),
-           st.floats(min_value=-100.0, max_value=1e5),
-           st.booleans())
-    def test_matches_one_post_fast_per_load(self, powers, duration, stamp,
-                                            keep):
+           st.floats(min_value=-100.0, max_value=1e5))
+    def test_matches_one_post_fast_per_load(self, powers, duration, stamp):
         loads = {f"c{i}": watts for i, watts in enumerate(powers)}
-        one_by_one = EnergyLedger(keep_entries=keep)
-        batched = EnergyLedger(keep_entries=keep)
+        one_by_one = EnergyLedger()
+        batched = EnergyLedger()
         for ledger in (one_by_one, batched):
             ledger.post_fast("wir_tx", 0.25, 1.0)  # a prior total to add to
         for component, watts in loads.items():
-            one_by_one.post_fast(component, watts * duration, stamp,
-                                 duration)
+            one_by_one.post_fast(component, watts * duration, stamp)
         batched.post_powers_fast(loads, duration, stamp)
         assert batched.breakdown() == one_by_one.breakdown()
         assert batched.components() == one_by_one.components()
@@ -355,4 +328,3 @@ class TestPostPowersFast:
         assert batched.posted_count == one_by_one.posted_count
         assert batched.trace_energy_joules().tolist() == \
             one_by_one.trace_energy_joules().tolist()
-        assert batched.entries == one_by_one.entries

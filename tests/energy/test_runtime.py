@@ -170,9 +170,7 @@ class TestNonFiniteInputs:
 
     @staticmethod
     def full_cr2032() -> NodeEnergyState:
-        return NodeEnergyState.from_spec(
-            battery=coin_cell_cr2032(),
-            ledger=EnergyLedger(keep_entries=True))
+        return NodeEnergyState.from_spec(battery=coin_cell_cr2032())
 
     @staticmethod
     def assert_untouched(state: NodeEnergyState) -> None:
@@ -182,7 +180,6 @@ class TestNonFiniteInputs:
         assert state.harvested_joules == 0.0
         assert state.ledger.posted_count == 0
         assert state.ledger.total_energy() == 0.0
-        assert state.ledger.retained_entries == 0
 
     @pytest.mark.parametrize(("energy", "stamp"), [
         (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1e-3, math.nan),
@@ -196,7 +193,7 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("energy", (math.nan, math.inf, -1.0))
     def test_batteryless_drain_rejects(self, energy):
-        state = NodeEnergyState(ledger=EnergyLedger(keep_entries=True))
+        state = NodeEnergyState()
         with pytest.raises(EnergyError):
             state.drain("wir_tx", energy, 1.0)
         self.assert_untouched(state)
@@ -213,8 +210,7 @@ class TestNonFiniteInputs:
     def test_advance_rejects(self, loads, duration, end):
         # A NaN duration or load used to empty the cell, then raise a
         # bare ValueError from the ledger.
-        for state in (self.full_cr2032(),
-                      NodeEnergyState(ledger=EnergyLedger(keep_entries=True))):
+        for state in (self.full_cr2032(), NodeEnergyState()):
             with pytest.raises(EnergyError):
                 state.advance(loads, duration, end)
             self.assert_untouched(state)
@@ -242,74 +238,67 @@ class TestLedgerModeEquivalence:
            operations=st.lists(_operation, max_size=40))
     def test_streaming_and_exact_ledgers_agree(self, battery, harvest,
                                                operations):
-        """Property: the same drain/advance history on a streaming and
-        an exact ledger gives the same totals, trace, state of charge
-        and death time; the exact entries keep durations and notes.
-        A ~1 J cell browns out mid-interval under 0.05 W loads."""
-        states = [
-            NodeEnergyState.from_spec(
-                battery=(None if battery is None else BatterySpec(
-                    name="prop", capacity_mah=battery,
-                    self_discharge_per_year=0.5)),
-                harvester=(rf_ambient(peak_power_watts=units.microwatt(
-                    500.0)) if harvest else None),
-                ledger=EnergyLedger(keep_entries=keep,
-                                    trace_bucket_seconds=10.0,
-                                    trace_buckets=8))
-            for keep in (False, True)]
-        streaming, exact = states
-        entries = exact.ledger.entries
+        """Property: every drain or advance grows the books by exactly
+        what it posts.  A drain adds the delivered energy to its
+        component, the grand total and the trace bucket at its stamp; an
+        advance adds ``watts * sustained`` per load, in the loads'
+        order, at the sustained interval's end.  ``posted_count`` grows
+        by the number of posts.  A ~1 J cell browns out mid-interval
+        under 0.05 W loads."""
+        ledger = EnergyLedger(trace_bucket_seconds=10.0, trace_buckets=8)
+        state = NodeEnergyState.from_spec(
+            battery=(None if battery is None else BatterySpec(
+                name="prop", capacity_mah=battery,
+                self_discharge_per_year=0.5)),
+            harvester=(rf_ambient(peak_power_watts=units.microwatt(
+                500.0)) if harvest else None),
+            ledger=ledger)
         now = 0.0
         for kind, what, amount, gap in operations:
-            seen = len(entries)
+            alive = state.death_seconds is None
+            totals = ledger.breakdown()
+            grand = ledger.total_energy()
+            trace = ledger.trace_energy_joules().tolist()
+            posted = ledger.posted_count
             if kind == "drain":
                 now += gap
-                note = f"op{seen}"
-                results = [state.drain(what, amount, now, note=note)
-                           for state in states]
-                if battery is None or results[1] > 0.0:
-                    (entry,) = entries[seen:]
-                    assert (entry.component, entry.energy_joules,
-                            entry.duration_seconds, entry.timestamp_seconds,
-                            entry.note) == (what, results[1], 0.0, now, note)
-                else:
-                    assert len(entries) == seen
+                delivered = state.drain(what, amount, now)
+                posts = {what: delivered} if alive and (
+                    battery is None or delivered > 0.0) else {}
+                stamp = now
             else:
                 now += amount
-                results = [state.advance(what, amount, now)
-                           for state in states]
-                sustained = results[1]
-                if sustained > 0.0:
-                    assert [(e.component, e.energy_joules, e.duration_seconds,
-                             e.note) for e in entries[seen:]] == [
-                        (component, watts * sustained, sustained, "")
-                        for component, watts in what.items()]
-                else:
-                    assert len(entries) == seen
-            assert results[0] == results[1]
-            assert streaming.death_seconds == exact.death_seconds
-            assert streaming.state_of_charge_fraction == \
-                exact.state_of_charge_fraction
-            assert streaming.harvested_joules == exact.harvested_joules
-        for state in states:
-            if state.battery is not None:
-                assert 0.0 <= state.state_of_charge_fraction <= 1.0
-        assert streaming.ledger.breakdown() == exact.ledger.breakdown()
-        assert streaming.ledger.total_energy() == exact.ledger.total_energy()
-        assert streaming.ledger.posted_count == exact.ledger.posted_count \
-            == len(entries)
-        assert streaming.ledger.trace_energy_joules().tolist() == \
-            exact.ledger.trace_energy_joules().tolist()
-        assert streaming.ledger.retained_entries == 0
+                sustained = state.advance(what, amount, now)
+                posts = ({component: watts * sustained
+                          for component, watts in what.items()}
+                         if alive and amount != 0.0 else {})
+                stamp = now - amount + sustained
+                if alive and state.death_seconds is not None:
+                    assert state.death_seconds == stamp
+            bucket = min(max(int(stamp / 10.0), 0), 7)
+            for component, energy in posts.items():
+                totals[component] = totals.get(component, 0.0) + energy
+                grand += energy
+                trace[bucket] += energy
+            assert ledger.breakdown() == totals
+            assert ledger.total_energy() == grand
+            assert ledger.trace_energy_joules().tolist() == trace
+            assert ledger.posted_count == posted + len(posts)
+        if state.battery is not None:
+            assert 0.0 <= state.state_of_charge_fraction <= 1.0
 
     def test_brownout_mid_interval_keeps_sustained_duration(self):
-        exact = NodeEnergyState.from_spec(
-            battery=tiny_cell(0.1), ledger=EnergyLedger(keep_entries=True))
-        exact.drain("wir_tx", 0.5, 2.0, note="frame 1")  # of 1.08 J
-        sustained = exact.advance({"sensing": 0.1}, 100.0, 110.0)
+        state = NodeEnergyState.from_spec(
+            battery=tiny_cell(0.1),
+            ledger=EnergyLedger(trace_bucket_seconds=10.0, trace_buckets=4))
+        state.drain("wir_tx", 0.5, 2.0)  # of 1.08 J
+        sustained = state.advance({"sensing": 0.1}, 100.0, 110.0)
         assert 0.0 < sustained < 100.0
-        assert exact.death_seconds == 10.0 + sustained
-        drain, advance = exact.ledger.entries
-        assert (drain.note, drain.duration_seconds) == ("frame 1", 0.0)
-        assert advance.duration_seconds == sustained
-        assert advance.timestamp_seconds == exact.death_seconds
+        assert state.death_seconds == 10.0 + sustained
+        assert state.ledger.total_energy("sensing") == 0.1 * sustained
+        # The sustained load lands in the bucket of the death time, not
+        # the interval's nominal end.
+        bucket = int(state.death_seconds / 10.0)
+        assert bucket == 1
+        assert state.ledger.trace_energy_joules().tolist() == [
+            0.5, 0.1 * sustained, 0.0, 0.0]
