@@ -54,7 +54,8 @@ class EnergyLedger:
         lands in the last bucket.
     """
 
-    def __init__(self, trace_bucket_seconds: float = DEFAULT_TRACE_BUCKET_SECONDS,
+    def __init__(self,
+                 trace_bucket_seconds: float = DEFAULT_TRACE_BUCKET_SECONDS,
                  trace_buckets: int = DEFAULT_TRACE_BUCKETS) -> None:
         if not 0.0 < trace_bucket_seconds < math.inf:
             raise EnergyError(
