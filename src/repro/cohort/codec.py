@@ -58,8 +58,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from ..errors import CodecError
-from ..netsim.stats import STATE_BACKEND, STATE_BINS, LatencyAccumulator
+from ..errors import CodecError, SimulationError
+from ..netsim.stats import LatencyAccumulator
 from .aggregate import (
     MEMBER_METRIC_FIELDS,
     CohortAccumulator,
@@ -67,8 +67,10 @@ from .aggregate import (
     ValidationRecord,
 )
 
-#: Bump when the frame layout changes incompatibly.
-SHARD_CODEC_VERSION = 1
+#: Bump when the frame layout changes incompatibly.  Version 1 frames
+#: carried fixed ``backend``/``bins`` accumulator fields and sketch levels
+#: of the per-value compaction schedule; they are refused.
+SHARD_CODEC_VERSION = 2
 
 #: Frame magic: *R*epro *SH*ar*D*.
 MAGIC = b"RSHD"
@@ -314,9 +316,7 @@ def _write_accumulator(writer: _Writer,
     state = accumulator.to_state()
     mode = str(state["mode"])
     writer.varint(_ACCUMULATOR_MODES[mode])
-    writer.string(str(state["backend"]))
     writer.varint(int(state["exact_capacity"]))
-    writer.varint(int(state["bins"]))
     writer.varint(int(state["count"]))
     writer.f64(float(state["min"]))
     writer.f64(float(state["max"]))
@@ -344,20 +344,14 @@ def _read_accumulator(reader: _Reader) -> LatencyAccumulator:
     mode = _ACCUMULATOR_MODE_NAMES[mode_id]
     state: dict[str, object] = {
         "mode": mode,
-        "backend": reader.string(),
         "exact_capacity": reader.varint(),
-        "bins": reader.varint(),
         "count": reader.varint(),
         "min": reader.f64(),
         "max": reader.f64(),
     }
-    if state["backend"] != STATE_BACKEND or state["bins"] != STATE_BINS:
-        raise CodecError(
-            f"unsupported accumulator backend {state['backend']!r} with "
-            f"{state['bins']} bins")
     if mode == "exact":
         state["samples"] = reader.f64_column()
-        return LatencyAccumulator.from_state(state)
+        return _accumulator_from_state(state)
     state["total"] = reader.f64()
     sketch: dict[str, object] = {
         "k": reader.varint(),
@@ -373,7 +367,17 @@ def _read_accumulator(reader: _Reader) -> LatencyAccumulator:
     sketch["levels"] = levels
     sketch["flips"] = flips
     state["sketch"] = sketch
-    return LatencyAccumulator.from_state(state)
+    return _accumulator_from_state(state)
+
+
+def _accumulator_from_state(state: Mapping[str, object]) -> LatencyAccumulator:
+    """:meth:`LatencyAccumulator.from_state`, its refusal of an
+    inconsistent state (say, an overfull sketch buffer) as a
+    :class:`CodecError`."""
+    try:
+        return LatencyAccumulator.from_state(state)
+    except SimulationError as error:
+        raise CodecError(f"invalid accumulator state: {error}") from error
 
 
 # -- frame containers ------------------------------------------------------

@@ -15,6 +15,7 @@ simulation makes.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping
 
 import numpy as np
@@ -61,8 +62,10 @@ class EnergyLedger:
             raise EnergyError(
                 "trace bucket width must be positive and finite: "
                 f"{trace_bucket_seconds}")
-        if trace_buckets < 1:
-            raise EnergyError("trace needs at least one bucket")
+        if not isinstance(trace_buckets, numbers.Integral) or trace_buckets < 1:
+            raise EnergyError(
+                f"trace needs a whole number of buckets, at least one: "
+                f"{trace_buckets}")
         self.trace_bucket_seconds = trace_bucket_seconds
         self.trace_buckets = trace_buckets
         self._totals: dict[str, float] = {}

@@ -36,12 +36,14 @@ from ..errors import SimulationError
 #: to the pre-streaming implementation), small enough to bound memory.
 DEFAULT_EXACT_CAPACITY = 65_536
 
-#: Fixed ``backend`` and ``bins`` fields of :meth:`LatencyAccumulator.
-#: to_state` and of the shard codec's accumulator layout.  They name the
-#: one post-spill backend; dropping them changes the frame layout and
-#: needs a ``SHARD_CODEC_VERSION`` bump.
-STATE_BACKEND = "sketch"
-STATE_BINS = 512
+#: Samples per batch in which a spilling window reaches the sketch.
+SPILL_BATCH = 4096
+
+
+def _window_array(samples: list[float]) -> np.ndarray:
+    """The exact window as a float64 array: the array ``np.asarray``
+    builds, without first scanning the list for a common type."""
+    return np.fromiter(samples, dtype=np.float64, count=len(samples))
 
 
 def _require_finite(values) -> None:
@@ -243,13 +245,19 @@ class LatencyAccumulator:
             self._sketch.add_repeated(value, count)
 
     def _spill(self) -> None:
-        """Fold the exact window into a new sketch and drop it."""
+        """Fold the exact window into a new sketch and drop it.
+
+        The window reaches the sketch in batches of :data:`SPILL_BATCH`
+        samples, so the spill never holds an array copy of the whole
+        window; the sketch's state does not depend on the batching.
+        """
         from ..cohort.sketch import QuantileSketch
         samples = self._samples
         assert samples is not None
         self._total = math.fsum(samples)
         self._sketch = QuantileSketch()
-        self._sketch.add_many(samples)
+        for start in range(0, len(samples), SPILL_BATCH):
+            self._sketch.add_many(samples[start:start + SPILL_BATCH])
         self._samples = None
 
     # -- merging -----------------------------------------------------------
@@ -282,7 +290,7 @@ class LatencyAccumulator:
             _require_finite(self._samples)
         window = None
         if other._samples is not None:
-            window = np.asarray(other._samples, dtype=np.float64)
+            window = _window_array(other._samples)
             _require_finite(window)
             if self.count == 0:
                 # Nothing locally yet: replay other's window, bit for bit
@@ -336,7 +344,7 @@ class LatencyAccumulator:
         """Mean latency (exact in the warm-up window, running sum after)."""
         self._require_data()
         if self._samples is not None:
-            return float(np.mean(self._samples))
+            return float(np.mean(_window_array(self._samples)))
         return self._total / self.count
 
     def mean_and_percentile(self, percentile: float) -> tuple[float, float]:
@@ -344,9 +352,6 @@ class LatencyAccumulator:
         to an array once for both.
 
         That conversion is most of a short run's result queries.
-        ``np.fromiter`` builds the array ``np.asarray`` would, without
-        first scanning the list for a common type, so both values are
-        the ones :attr:`mean` and :meth:`percentile` return.
         """
         samples = self._samples
         if samples is None:
@@ -354,7 +359,7 @@ class LatencyAccumulator:
         self._require_data()
         if not 0.0 <= percentile <= 100.0:
             raise SimulationError("percentile must be in [0, 100]")
-        window = np.fromiter(samples, dtype=np.float64, count=len(samples))
+        window = _window_array(samples)
         return (float(np.mean(window)),
                 float(np.percentile(window, percentile)))
 
@@ -364,7 +369,8 @@ class LatencyAccumulator:
         if not 0.0 <= percentile <= 100.0:
             raise SimulationError("percentile must be in [0, 100]")
         if self._samples is not None:
-            return float(np.percentile(self._samples, percentile))
+            return float(np.percentile(_window_array(self._samples),
+                                       percentile))
         estimate = self._sketch.percentile(percentile)
         return float(min(max(estimate, self._min), self._max))
 
@@ -384,8 +390,6 @@ class LatencyAccumulator:
         """
         state: dict[str, object] = {
             "exact_capacity": self.exact_capacity,
-            "bins": STATE_BINS,
-            "backend": STATE_BACKEND,
             "count": self.count,
             "min": self._min,
             "max": self._max,
@@ -402,12 +406,6 @@ class LatencyAccumulator:
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "LatencyAccumulator":
         """Rebuild an accumulator exactly from :meth:`to_state` output."""
-        if (state["backend"] != STATE_BACKEND
-                or int(state["bins"]) != STATE_BINS):
-            raise SimulationError(
-                f"unsupported accumulator state backend {state['backend']!r}"
-                f" with {state['bins']} bins (only {STATE_BACKEND!r} with "
-                f"{STATE_BINS})")
         accumulator = cls(exact_capacity=int(state["exact_capacity"]))
         accumulator.count = int(state["count"])
         accumulator._min = float(state["min"])

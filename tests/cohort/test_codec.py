@@ -54,7 +54,7 @@ from repro.cohort import codec
 from repro.cohort.aggregate import MemberColumns
 from repro.cohort.engine import _run_shard
 from repro.errors import CodecError
-from repro.netsim import stats
+from repro.cohort.sketch import QuantileSketch, buffer_size
 
 # Exercises zeros, denormals, round numbers and huge magnitudes — every
 # one must survive the frame bit-exactly (raw binary64 columns).
@@ -237,7 +237,7 @@ class TestGoldenDigest:
 
     def test_frame_bytes_are_format_stable(self):
         # An uncompressed frame over fixed input must hash identically
-        # forever within codec version 1: the layout IS the contract.
+        # forever within codec version 2: the layout IS the contract.
         # (Compressed bytes are never pinned — zlib output may legally
         # change between library builds.)
         accumulator = CohortAccumulator(keep_members=True)
@@ -368,14 +368,40 @@ class TestCorruption:
         with pytest.raises(CodecError, match="mode id 1"):
             decode_shard(blob)
 
-    @pytest.mark.parametrize("field, value", [("STATE_BACKEND", "histogram"),
-                                              ("STATE_BINS", 64)])
-    def test_unknown_accumulator_backend_rejected(self, monkeypatch, field,
-                                                  value):
-        monkeypatch.setattr(stats, field, value)
-        blob = self.make_blob()
+    def test_version_1_frame_rejected(self):
+        # Version 1 frames carried backend/bins fields and sketch levels
+        # of the retired per-value compaction schedule.
+        blob = bytearray(self.make_blob())
+        blob[4] = 1
+        with pytest.raises(CodecError, match="codec version 1, expected 2"):
+            decode_shard(bytes(blob))
+
+    def test_overfull_sketch_buffer_rejected(self, monkeypatch):
+        accumulator = CohortAccumulator(exact_capacity=4)
+        for index in range(8):
+            accumulator.add(MemberMetrics(
+                index=index, scenario="office", source="analytic",
+                arbitration="fifo", node_count=1, duration_seconds=1.0,
+                delivered_packets=1, delivered_fraction=1.0,
+                mean_latency_seconds=index * 1e-3,
+                p99_latency_seconds=index * 2e-3, bus_utilization=0.1,
+                leaf_power_watts=1e-3, hub_power_watts=1e-3,
+                leaf_energy_joules=1e-2, hub_energy_joules=1e-2,
+                alive_fraction=1.0, first_death_seconds=math.inf))
+        to_state = QuantileSketch.to_state
+
+        def overfull(sketch):
+            state = to_state(sketch)
+            width = buffer_size(sketch.k)
+            state["levels"][0] = [1.0] * width
+            state["count"] += width
+            return state
+
+        monkeypatch.setattr(QuantileSketch, "to_state", overfull)
+        blob = encode_shard(ShardFrame(shard_index=0, start=0, stop=8,
+                                       accumulator=accumulator))
         monkeypatch.undo()
-        with pytest.raises(CodecError, match="unsupported accumulator"):
+        with pytest.raises(CodecError, match="level-0 buffer"):
             decode_shard(blob)
 
     def test_zstd_without_package_raises_codec_error(self):

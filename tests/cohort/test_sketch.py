@@ -9,13 +9,17 @@ tied data the point rank of an exactly-correct answer can be arbitrary
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cohort import QuantileSketch
+from repro.cohort.sketch import buffer_size
 from repro.errors import SimulationError
+from repro.runner.artifacts import canonical_json
 
 FRACTIONS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -168,6 +172,82 @@ class TestStateRoundTrip:
         state["flips"] = []
         with pytest.raises(SimulationError):
             QuantileSketch.from_state(state)
+
+    def test_overfull_buffer_rejected(self):
+        state = QuantileSketch().to_state()
+        width = buffer_size(state["k"])
+        state["levels"] = [[1.0] * (width - 1)]
+        state["count"] = width - 1
+        QuantileSketch.from_state(state)
+        state["levels"] = [[1.0] * width]
+        state["count"] = width
+        with pytest.raises(SimulationError, match="level-0 buffer"):
+            QuantileSketch.from_state(state)
+
+
+def ingest_in_pieces(values, cuts, use_add) -> QuantileSketch:
+    """Feed *values* cut at *cuts*, piece ``i`` by :meth:`add` calls when
+    ``use_add[i]`` and by one :meth:`add_many` otherwise."""
+    sketch = QuantileSketch()
+    bounds = [0, *sorted(cuts), len(values)]
+    for piece, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if use_add[piece % len(use_add)]:
+            for value in values[start:stop]:
+                sketch.add(value)
+        else:
+            sketch.add_many(values[start:stop])
+    return sketch
+
+
+class TestSplitInvariance:
+    """The state is a function of the value sequence alone: where a
+    stream is cut into batches, and whether a piece arrives by ``add`` or
+    ``add_many``, never shows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_any_split_matches_one_add_many(self, data):
+        values = data.draw(st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                      allow_infinity=False) | st.sampled_from([-0.0, 0.0]),
+            max_size=2500))
+        cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=12))
+        use_add = data.draw(st.lists(st.booleans(), min_size=1,
+                                     max_size=13))
+        whole = QuantileSketch()
+        whole.add_many(values)
+        split = ingest_in_pieces(values, cuts, use_add)
+        assert canonical_json(split.to_state()) == \
+            canonical_json(whole.to_state())
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 60_000),
+           st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_long_stream_any_split_matches_one_add_many(
+            self, seed, length, fractions):
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.uniform(size=length) < 0.1,
+                          np.where(rng.uniform(size=length) < 0.5, -0.0, 0.0),
+                          rng.lognormal(0.0, 1.0, length))
+        cuts = [int(fraction * length) for fraction in fractions]
+        whole = QuantileSketch()
+        whole.add_many(values)
+        split = ingest_in_pieces(values.tolist(), cuts, [False, True, False])
+        assert canonical_json(split.to_state()) == \
+            canonical_json(whole.to_state())
+
+    def test_signed_zero_stream_pinned(self):
+        # Interleaved -0.0/0.0 with a few other values: the buffer sort
+        # orders -0.0 before 0.0 whatever sort numpy dispatches to, so
+        # the state is one and the same on every host.
+        values = [-0.0 if index % 3 else 0.0 for index in range(5000)]
+        for index in range(0, 5000, 97):
+            values[index] = index / 64.0 - 30.0
+        sketch = ingest_in_pieces(values, [1, 500, 2222], [True, False])
+        state = canonical_json(sketch.to_state())
+        assert "-0.0" in state
+        assert hashlib.sha256(state.encode("utf-8")).hexdigest() == (
+            "12014e5b578fb8920fd9cf965c9db42a9ae0f4347f6de3758fa990f44bb91e12")
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -162,6 +163,16 @@ class TestPowerTrace:
             EnergyLedger(trace_bucket_seconds=0.0)
         with pytest.raises(EnergyError):
             EnergyLedger(trace_buckets=0)
+
+    @pytest.mark.parametrize("buckets", [2.5, math.nan, 4.0, "4"])
+    def test_non_integer_bucket_count_rejected(self, buckets):
+        # A float count used to get past the ``< 1`` check and raise a
+        # bare TypeError from ``[0.0] * trace_buckets``.
+        with pytest.raises(EnergyError, match="whole number of buckets"):
+            EnergyLedger(trace_buckets=buckets)
+
+    def test_numpy_integer_bucket_count_accepted(self):
+        assert EnergyLedger(trace_buckets=np.int64(3)).trace_buckets == 3
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_non_finite_trace_width_rejected(self, width):

@@ -147,6 +147,63 @@ def test_pairs_alternate_and_only_the_change_is_slowed(monkeypatch, capsys):
         (parent, None), (change, "netsim.run")}
 
 
+def test_json_record_holds_medians_spreads_and_verdicts(monkeypatch,
+                                                        tmp_path):
+    walls = iter([1.0, 0.8, 0.7, 1.2, 1.1, 0.9, 1.0, 0.8, 1.3, 0.9] * 2)
+
+    def fake_run_tree(root, seconds, slow_layer):
+        return record({"cohort_analytic.wall_s": next(walls)})
+
+    monkeypatch.setattr(perf_gate, "run_tree", fake_run_tree)
+    path = tmp_path / "bench.json"
+    assert perf_gate.main([str(REPO_ROOT), str(REPO_ROOT / "tools"),
+                           "--json", str(path)]) == 0
+    written = json.loads(path.read_text())
+    assert written["passed"] is True
+    assert (written["pairs"], written["seed"]) == (perf_gate.PAIRS,
+                                                   perf_gate.SEED)
+    findings = {(entry["workload"], entry["metric"]): entry
+                for entry in written["findings"]}
+    assert set(findings) == {(workload, metric) for workload in WORKLOADS
+                             for metric in METRICS}
+    # Pairs alternate: parent, change, change, parent, ...
+    sides = {"parent": [], "change": []}
+    order = ["parent", "change", "change", "parent"] * 5
+    for side, wall in zip(order, [1.0, 0.8, 0.7, 1.2, 1.1, 0.9, 1.0, 0.8,
+                                  1.3, 0.9] * 2):
+        sides[side].append(wall)
+    wall = findings[("cohort_analytic", "wall_s")]
+    assert wall["parent_median"] == perf_gate.statistics.median(
+        sides["parent"])
+    assert wall["change_median"] == perf_gate.statistics.median(
+        sides["change"])
+    assert wall["parent_spread"] == perf_gate.relative_spread(
+        sides["parent"])
+    assert wall["change_spread"] == perf_gate.relative_spread(
+        sides["change"])
+    assert wall["verdict"] == "unresolved"
+    flat = findings[("dense_exact", "peak_rss_mib")]
+    assert (flat["parent_median"], flat["change_median"], flat["verdict"],
+            flat["parent_spread"]) == (1.0, 1.0, "ok", 0.0)
+
+
+def test_json_record_marks_a_failing_gate(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        perf_gate, "run_tree",
+        lambda root, seconds, slow_layer: record(
+            {"dense_exact.wall_s": 2.0 if slow_layer else 1.0}))
+    path = tmp_path / "bench.json"
+    assert perf_gate.main([str(REPO_ROOT), str(REPO_ROOT / "tools"),
+                           "--slow-layer", "netsim.run",
+                           "--json", str(path)]) == 1
+    written = json.loads(path.read_text())
+    assert written["passed"] is False
+    assert written["slow_layer"] == "netsim.run"
+    assert [(entry["workload"], entry["metric"]) for entry in
+            written["findings"] if entry["verdict"] == "worse"] == [
+        ("dense_exact", "wall_s")]
+
+
 @pytest.mark.parametrize("parent, change, better, expected", [
     (1.0, 1.5, "lower", 0.5),
     (1.0, 0.5, "higher", 0.5),

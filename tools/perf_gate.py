@@ -3,6 +3,7 @@
 Usage (from anywhere)::
 
     python3 tools/perf_gate.py PARENT CHANGE
+    python3 tools/perf_gate.py PARENT CHANGE --json BENCH_<pr>.json
     python3 tools/perf_gate.py . . --slow-layer netsim.run
 
 PARENT and CHANGE are two checkouts.  The gate runs ten pairs of
@@ -25,6 +26,11 @@ failing line starts with ``FAIL <workload> <metric>``.
 ``--slow-layer LAYER`` is handed to the change side's ``run.py`` only:
 slowing ``netsim.run`` must fail the gate on ``dense_exact`` ``wall_s``,
 which is how the gate proves it can fail.
+
+``--json PATH`` also writes the findings as one JSON record: per
+workload and metric the parent and change medians, both sides' relative
+spreads and the verdict.  A PR commits that record as its
+``BENCH_<pr>.json``, so the trajectory of every metric is data.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ class Finding(NamedTuple):
     metric: str
     verdict: str
     detail: str
+    #: Medians and relative spreads of both sides (compared metrics only).
+    parent_median: float | None = None
+    change_median: float | None = None
+    parent_spread: float | None = None
+    change_spread: float | None = None
 
     def line(self) -> str:
         mark = "FAIL" if self.verdict in FAILING else "    "
@@ -86,10 +97,13 @@ def compare_metric(workload: str, metric: dict, parent: list[float],
               f"{metric.get('unit', '')}, worsening {worse:+.1%}, bound "
               f"{bound:.0%}, parent spread {spread:.1%}")
     if spread > bound and not all_beat:
-        return Finding(workload, name, "unresolved", detail)
-    if worse > bound:
-        return Finding(workload, name, "worse", detail)
-    return Finding(workload, name, "ok", detail)
+        verdict = "unresolved"
+    elif worse > bound:
+        verdict = "worse"
+    else:
+        verdict = "ok"
+    return Finding(workload, name, verdict, detail, p_median, c_median,
+                   spread, relative_spread(change))
 
 
 def values_of(runs: list[dict], key: str) -> list[float] | None:
@@ -156,12 +170,26 @@ def run_tree(root: Path, seconds: float, slow_layer: str | None) -> dict:
     return json.loads(lines[-1])
 
 
+def summary(findings: list[Finding], slow_layer: str | None) -> dict:
+    """The gate run as plain data, the ``--json`` output."""
+    return {
+        "pairs": PAIRS,
+        "seed": SEED,
+        "slow_layer": slow_layer,
+        "passed": not any(finding.verdict in FAILING
+                          for finding in findings),
+        "findings": [finding._asdict() for finding in findings],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--slow-layer", default=None, metavar="LAYER",
                         help="slow one layer 2x on the change side")
+    parser.add_argument("--json", type=Path, default=None, metavar="PATH",
+                        help="also write the findings to PATH as JSON")
     arguments = parser.parse_args(argv)
     parent, change = arguments.parent.resolve(), arguments.change.resolve()
     spec = json.loads((parent / "BENCHMARK.json").read_text())
@@ -185,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"perf gate {'FAILED' if failures else 'passed'}: "
           f"{len(failures)} failing, {unresolved} unresolved, "
           f"{len(findings)} findings over {PAIRS} pairs")
+    if arguments.json is not None:
+        arguments.json.write_text(json.dumps(
+            summary(findings, arguments.slow_layer), indent=1) + "\n")
     return 1 if failures else 0
 
 
