@@ -263,8 +263,8 @@ class TestGoldenDigest:
                            elapsed_seconds=1.5)
         blob = encode_shard(frame, compression="none")
         digest = hashlib.sha256(blob).hexdigest()
-        assert digest == ("c43214c5e57175cd766d670da347ab45"
-                          "b1391ba8dfc60677f31b2c47a6a6f74c")
+        assert digest == ("3c1cf2ca7d5bf46ad85ed70c67b565ad"
+                          "b33e010d9d1b3457f7b10f8949adaffb")
 
     def test_codec_version_is_stamped(self):
         frame = ShardFrame(shard_index=0, start=0, stop=0,

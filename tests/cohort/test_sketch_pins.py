@@ -23,11 +23,11 @@ from repro.runner.artifacts import canonical_json
 CHUNK_SIZES = (1, 7, 400, 8192, 65_537)
 
 MIXED_STREAM_SHA256 = (
-    "c1518dc30b9a846228a874536284c84d0a407ba79639988d022a1a4484072b13")
+    "59e1bf303cab964972d74ec43b70953d448079fcf5fee4ba36caf121727d3bc2")
 MERGED_SHA256 = (
-    "d1036e41ebd192ad033618b2d50df07bc2e923534c90b2f4baabf7aa6c15579a")
+    "3b463518863af3a19333332c906b74f1c5f2bc7fc1c1f72b45012575287f5b2e")
 ACCUMULATOR_SHA256 = (
-    "2a1b7a6d50b7b768d28fe8da242ccbf96cc4a3932818e0793a2fc2fac6525464")
+    "b62445974539d8d89b50a69d0ee360b4f228a31cc562386cee0b3e3950febb33")
 
 
 def sha256_of(value: object) -> str:

@@ -38,27 +38,27 @@ from repro.scenarios import get_scenario
 #: ``(state sha256, mean_latency_seconds, p99_latency_seconds)``.
 LATENCY_PINS = {
     "dense/fifo": (
-        "37a44b999b1ab00e93e2afbfeec93dabafb428de338d4e46b51fc34dcca16f9a",
+        "07cb1ec50a2b2428246f952c89038145c7a9e517db01ee4198406e7c510711b8",
         0.0547740000000701,
-        0.10740000000000194),
+        0.10740000000026839),
     "dense/tdma": (
-        "fb7c5aa43cab7d5791a7c13cadc95d409de57f36e50fec875f2de055d4c06b14",
+        "6c8d211562cf1ac80025c178228a600c4182b95be2fbb715e74b16956582154e",
         0.13507669863008717,
-        0.308247999999935),
+        0.3062479999999539),
     "dense/polling": (
-        "b2903b5b756968ae833d57b931a6c70c59c4481ba95f4810725966af5d19d8fc",
+        "dc99075d18fe1b6b7732604fbf4c93cda1018e25e3913fc41a51620106c59dc3",
         0.05773200000007994,
-        0.11320000000001329),
+        0.11319999999983565),
     "lossy_arq": (
-        "5bb4b4664124fa0b1a39604fd8c6b3bdfa462f26fb779ce39c6ec9b3e40d071b",
+        "f42ebe2109622ca7c08bac5ccafb5c58b50b5ff665e7cac5a6aa2a993edfae6f",
         0.0013393443609009928,
-        0.0033039999999986414),
+        0.00330400000000175),
     "dense/chunked": (
-        "d5fb4dfd6784079203c3ad8442b022161ee9ecee400954eb6be4e26e909f04c8",
+        "2a005ac2864c74f9a81460df842e728d1896804123306df59268135145c9950e",
         0.1351463333333228,
-        0.30824799999997765),
+        0.30624800000001073),
     "sleep_night/hybrid": (
-        "fd9da24698c3154e9a6855706a57c7d2471303f222cd32058ee3ba325b99db80",
+        "d00337231e2e9e89beedfe81299dc3d870c1b331eac81062017287e1c0c9e86d",
         0.0013366123197939908,
         0.0014732914943217143),
 }

@@ -52,7 +52,7 @@ LEDGER_PINS = {
     "lossy_arq/chunked": (
         "2fe770cb281274dec563fc2f9bce9fb35c1c77c37853175da678df115860be21",
         "407316610f12ebfc3d12cabf9b53afe41274dd25fb0da2fb8ca19d8614ce04ee",
-        "62924272bbdf88b2b65d76e6f0080083c679d5c17bedd67c114316ac274a6f81"),
+        "be92f89ae9ccb58fb0392c4d2746598e7cf4daa355cd2b36e4e340ec8dbe6b7c"),
     "mixed/single": (
         "8e0e406ef60afc9cd0e146d8f50c020b29c4b40fff60fee75ab03ec243b01d67",
         "3b7964906da63ef3706d3ade6969cd75fbaeed8b78e68ef06407a78656707f4e",
