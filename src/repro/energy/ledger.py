@@ -64,7 +64,7 @@ class EnergyLedger:
                 f"{trace_bucket_seconds}")
         if not isinstance(trace_buckets, numbers.Integral) or trace_buckets < 1:
             raise EnergyError(
-                f"trace needs a whole number of buckets, at least one: "
+                "trace needs a whole number of buckets, at least one: "
                 f"{trace_buckets}")
         self.trace_bucket_seconds = trace_bucket_seconds
         self.trace_buckets = trace_buckets

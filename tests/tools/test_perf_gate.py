@@ -181,10 +181,14 @@ def test_json_record_holds_medians_spreads_and_verdicts(monkeypatch,
         sides["parent"])
     assert wall["change_spread"] == perf_gate.relative_spread(
         sides["change"])
+    assert wall["change_wins"] == sum(
+        change < parent for parent, change in zip(sides["parent"],
+                                                   sides["change"]))
     assert wall["verdict"] == "unresolved"
     flat = findings[("dense_exact", "peak_rss_mib")]
     assert (flat["parent_median"], flat["change_median"], flat["verdict"],
-            flat["parent_spread"]) == (1.0, 1.0, "ok", 0.0)
+            flat["parent_spread"], flat["change_wins"]) == (
+        1.0, 1.0, "ok", 0.0, 0)
 
 
 def test_json_record_marks_a_failing_gate(monkeypatch, tmp_path):
