@@ -191,10 +191,7 @@ class QuantileSketch:
                     self._size += 1
             self._compact()
         if weight & 1:
-            buffer = self._levels[0]
-            buffer.append(value)
-            if len(buffer) == self._width:
-                self._ingest(())
+            self._ingest((value,))
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold *other* into this sketch.
@@ -267,7 +264,7 @@ class QuantileSketch:
             offsets = (np.arange(rows) + flip) & 1
             halves = keys.reshape(rows, width // 2, 2)[
                 np.arange(rows), :, offsets]
-            del keys
+            del keys  # bound the peak to two batch-sized temporaries
             bits = halves >> 63
             bits &= _MAGNITUDE
             halves ^= bits
