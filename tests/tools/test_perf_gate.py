@@ -184,6 +184,8 @@ def test_json_record_holds_medians_spreads_and_verdicts(monkeypatch,
     assert wall["change_wins"] == sum(
         change < parent for parent, change in zip(sides["parent"],
                                                    sides["change"]))
+    assert (wall["parent_values"], wall["change_values"]) == (
+        sides["parent"], sides["change"])
     assert wall["verdict"] == "unresolved"
     flat = findings[("dense_exact", "peak_rss_mib")]
     assert (flat["parent_median"], flat["change_median"], flat["verdict"],

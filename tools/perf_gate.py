@@ -29,8 +29,8 @@ which is how the gate proves it can fail.
 
 ``--json PATH`` also writes the findings as one JSON record: per
 workload and metric the parent and change medians, both sides' relative
-spreads, the number of pairs the change read better in, and the
-verdict.  A PR commits that record as its
+spreads, the number of pairs the change read better in, every run's
+value and the verdict.  A PR commits that record as its
 ``BENCH_<pr>.json``, so the trajectory of every metric is data.
 """
 
@@ -56,13 +56,16 @@ class Finding(NamedTuple):
     metric: str
     verdict: str
     detail: str
-    #: Medians and relative spreads of both sides, and the number of
-    #: pairs the change read better in (compared metrics only).
+    #: Medians and relative spreads of both sides, the number of pairs
+    #: the change read better in, and every run's value, pair by pair
+    #: (compared metrics only).
     parent_median: float | None = None
     change_median: float | None = None
     parent_spread: float | None = None
     change_spread: float | None = None
     change_wins: int | None = None
+    parent_values: list[float] | None = None
+    change_values: list[float] | None = None
 
     def line(self) -> str:
         mark = "FAIL" if self.verdict in FAILING else "    "
@@ -108,7 +111,7 @@ def compare_metric(workload: str, metric: dict, parent: list[float],
     wins = sum(worsening(p, c, better) < 0.0
                for p, c in zip(parent, change))
     return Finding(workload, name, verdict, detail, p_median, c_median,
-                   spread, relative_spread(change), wins)
+                   spread, relative_spread(change), wins, parent, change)
 
 
 def values_of(runs: list[dict], key: str) -> list[float] | None:
