@@ -53,8 +53,8 @@ from repro.cohort import (
 from repro.cohort import codec
 from repro.cohort.aggregate import MemberColumns
 from repro.cohort.engine import _run_shard
-from repro.errors import CodecError
 from repro.cohort.sketch import QuantileSketch, buffer_size
+from repro.errors import CodecError
 
 # Exercises zeros, denormals, round numbers and huge magnitudes — every
 # one must survive the frame bit-exactly (raw binary64 columns).
