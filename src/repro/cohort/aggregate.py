@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ScenarioError
+from ..netsim.fidelity import Gaps, Readout, compare, ratio
 from ..netsim.simulator import SimulationResult
 from ..netsim.stats import DEFAULT_EXACT_CAPACITY, LatencyAccumulator
 from ..runner.artifacts import sanitize
@@ -168,47 +169,40 @@ class ValidationRecord:
     analytic_alive_fraction: float = 1.0
     des_alive_fraction: float = 1.0
 
-    @property
-    def alive_fraction_abs_error(self) -> float:
-        return abs(self.analytic_alive_fraction - self.des_alive_fraction)
+    @classmethod
+    def of_members(cls, analytic: MemberMetrics,
+                   des: MemberMetrics) -> "ValidationRecord":
+        """Pair one member's analytic and DES metrics."""
+        return cls(index=des.index, scenario=des.scenario,
+                   arbitration=des.arbitration,
+                   **{f"{side}_{name}": getattr(metrics, name)
+                      for side, metrics in (("analytic", analytic),
+                                            ("des", des))
+                      for name in _VALIDATED})
 
-    @property
-    def leaf_power_rel_error(self) -> float:
-        if self.des_leaf_power_watts == 0.0:
-            return 0.0
-        return abs(self.analytic_leaf_power_watts
-                   - self.des_leaf_power_watts) / self.des_leaf_power_watts
+    def gaps(self) -> Gaps:
+        """Analytic-vs-DES gaps (see :mod:`repro.netsim.fidelity`)."""
+        return compare(self._readout("analytic"), self._readout("des"))
 
-    @property
-    def delivered_fraction_abs_error(self) -> float:
-        return abs(self.analytic_delivered_fraction
-                   - self.des_delivered_fraction)
-
-    @property
-    def mean_latency_ratio(self) -> float:
-        """Analytic/DES mean latency (1.0 when neither saw a packet)."""
-        if self.des_mean_latency_seconds == 0.0:
-            return 1.0 if self.analytic_mean_latency_seconds == 0.0 else float("inf")
-        return (self.analytic_mean_latency_seconds
-                / self.des_mean_latency_seconds)
-
-    @property
-    def mean_latency_factor(self) -> float:
-        """Deviation factor (>= 1) in either direction: an analytic
-        estimate 10x *below* the DES is as wrong as one 10x above."""
-        ratio = self.mean_latency_ratio
-        if ratio == 0.0:
-            return float("inf")
-        return max(ratio, 1.0 / ratio)
+    def _readout(self, side: str) -> Readout:
+        return Readout(**{name: getattr(self, f"{side}_{name}")
+                          for name in _VALIDATED})
 
     def row(self) -> dict[str, object]:
+        gaps = self.gaps()
         return {
             "member": self.index,
             "mac": self.arbitration,
-            "leaf_power_err": round(self.leaf_power_rel_error, 4),
-            "delivered_err": round(self.delivered_fraction_abs_error, 4),
-            "latency_ratio": round(self.mean_latency_ratio, 3),
+            "leaf_power_err": round(gaps["leaf_power_rel_error"], 4),
+            "delivered_err": round(gaps["delivered_fraction_abs_error"], 4),
+            "latency_ratio": round(ratio(self.analytic_mean_latency_seconds,
+                                         self.des_mean_latency_seconds), 3),
         }
+
+
+#: Readout quantities a :class:`ValidationRecord` carries for each side.
+_VALIDATED = ("leaf_power_watts", "delivered_fraction",
+              "mean_latency_seconds", "alive_fraction")
 
 
 class CohortAccumulator:

@@ -7,8 +7,9 @@ reduced to flat numpy arrays (one row per concrete leaf node across the
 whole batch) and evaluated with closed-form steady-state queueing and the
 exact ledger arithmetic of the simulator.
 
-The fidelity contract, validated continuously by the engine's sampled
-cross-checks and by the gallery tolerance tests:
+How far it may stray from the DES is the
+:data:`~repro.netsim.fidelity.ANALYTIC` table, which the engine's
+sampled cross-checks report against and the gallery tests assert:
 
 * **Energy and power are tight** — the ledger math (sensing/ISA power,
   energy-per-bit transmit/receive cost, sleep power in the idle residue)
@@ -82,10 +83,6 @@ from ..netsim.arbitration import (
     DEFAULT_TDMA_GUARD_SECONDS as TDMA_GUARD_SECONDS,
     DEFAULT_TDMA_SUPERFRAME_SECONDS as TDMA_SUPERFRAME_SECONDS,
 )
-# Utilisation above which the latency estimate is saturation signalling
-# only (the documented validity envelope of the fast path); one constant
-# shared with the macro-tick engine's leap refusal.
-from ..netsim.macrotick import VALIDITY_UTILIZATION  # noqa: F401
 from ..scenarios.spec import (
     ScenarioSpec,
     battery_for,

@@ -19,9 +19,10 @@ now *through* the codec round trip.
 Each member executes either on the discrete-event simulator
 (``fast_path="des"``) or through the vectorised steady-state
 approximation (``fast_path="analytic"``); with the analytic path, every
-``validate_stride``-th member is *also* simulated and the deviation
-recorded, so a cohort run carries its own evidence that the fast path is
-inside its validity envelope.
+``validate_stride``-th member is *also* simulated on the hybrid DES and
+its gaps recorded, so a cohort run carries its own evidence of how far
+the fast path strays, reported against
+:data:`~repro.netsim.fidelity.ANALYTIC`.
 
 The analytic path is columnar end to end: a shard is drawn, evaluated
 and folded into its accumulator in fixed-size member blocks
@@ -36,6 +37,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import ScenarioError
+from ..netsim.fidelity import Gaps, worst
 from ..runner.sweep import PoolFailure, run_pool
 from .aggregate import CohortAccumulator, MemberMetrics, ValidationRecord
 from .analytic import draw_rows, evaluate_rows
@@ -106,26 +108,13 @@ def _run_shard(spec: CohortSpec, shard_index: int, shard_count: int,
             for index in range(first, block_stop, validate_stride):
                 # The sampled cross-check runs on the hybrid DES: leaps
                 # keep the validation affordable at population scale and
-                # the hybrid path is itself envelope-validated against
-                # the exact kernel.
+                # the hybrid path is itself held to the HYBRID tolerances
+                # against the exact kernel.
                 member = draws.member_at(index - block)
                 metrics = columns.row(index - block)
                 des_metrics, _ = _simulate_member(member, "hybrid")
-                validations.append(ValidationRecord(
-                    index=member.index,
-                    scenario=member.scenario.name,
-                    arbitration=member.scenario.arbitration,
-                    analytic_leaf_power_watts=metrics.leaf_power_watts,
-                    des_leaf_power_watts=des_metrics.leaf_power_watts,
-                    analytic_delivered_fraction=metrics.delivered_fraction,
-                    des_delivered_fraction=des_metrics.delivered_fraction,
-                    analytic_mean_latency_seconds=(
-                        metrics.mean_latency_seconds),
-                    des_mean_latency_seconds=(
-                        des_metrics.mean_latency_seconds),
-                    analytic_alive_fraction=metrics.alive_fraction,
-                    des_alive_fraction=des_metrics.alive_fraction,
-                ))
+                validations.append(
+                    ValidationRecord.of_members(metrics, des_metrics))
 
     return ShardFrame(
         shard_index=shard_index,
@@ -203,22 +192,9 @@ class CohortResult:
     def validation_rows(self) -> list[dict[str, object]]:
         return [record.row() for record in self.validations]
 
-    def max_validation_errors(self) -> dict[str, float]:
-        """Worst observed analytic-vs-DES deviations (empty when unvalidated)."""
-        if not self.validations:
-            return {}
-        return {
-            "leaf_power_rel_error": max(
-                record.leaf_power_rel_error for record in self.validations),
-            "delivered_fraction_abs_error": max(
-                record.delivered_fraction_abs_error
-                for record in self.validations),
-            "mean_latency_factor": max(
-                record.mean_latency_factor for record in self.validations),
-            "alive_fraction_abs_error": max(
-                record.alive_fraction_abs_error
-                for record in self.validations),
-        }
+    def max_validation_errors(self) -> Gaps:
+        """Worst observed analytic-vs-DES gaps (empty when unvalidated)."""
+        return worst(record.gaps() for record in self.validations)
 
     def summary_lines(self) -> list[str]:
         lines = [

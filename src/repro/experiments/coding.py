@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from ..coding import CodingSpec
 from ..cohort import evaluate_member
 from ..errors import ConfigurationError
+from ..netsim import fidelity
 from ..netsim.simulator import SimulationResult
 from ..runner.registry import ExperimentSpec, register
 from ..scenarios.spec import ReliabilitySpec, ScenarioNodeSpec, ScenarioSpec
@@ -152,13 +153,12 @@ class CodingPoint:
         return sim.total_leaf_power_watts * sim.duration_seconds / delivered
 
     @property
-    def leaf_power_rel_error(self) -> float:
-        """|DES − analytic| / DES leaf power (the cross-validation)."""
-        if self.simulated_leaf_power_watts == 0.0:
-            return 0.0
-        return abs(self.simulated_leaf_power_watts
-                   - self.analytic_leaf_power_watts) \
-            / self.simulated_leaf_power_watts
+    def gaps(self) -> fidelity.Gaps:
+        """Closed form vs DES leaf power (the cross-validation)."""
+        return fidelity.compare(
+            fidelity.Readout(leaf_power_watts=self.analytic_leaf_power_watts),
+            fidelity.Readout(
+                leaf_power_watts=self.simulated_leaf_power_watts))
 
     def row(self) -> dict[str, object]:
         sim = self.simulated
@@ -218,9 +218,9 @@ class CodingResult:
         best = self.optimal().effective_rate
         return rates[0] < best < rates[-1]
 
-    def max_leaf_power_rel_error(self) -> float:
-        """Worst DES-vs-closed-form leaf-power gap across the sweep."""
-        return max(point.leaf_power_rel_error for point in self.points)
+    def worst_gaps(self) -> fidelity.Gaps:
+        """Worst closed-form-vs-DES gaps across the sweep."""
+        return fidelity.worst(point.gaps for point in self.points)
 
     def savings_fraction(self) -> float:
         """Leaf-energy saving of the optimum vs the uncoded baseline."""
@@ -326,7 +326,7 @@ def _summary(result: CodingResult) -> list[str]:
         f"saving vs uncoded: {result.savings_fraction() * 100.0:.1f}% "
         f"of leaf energy per delivered source bit",
         "worst DES-vs-analytic leaf-power gap: "
-        f"{result.max_leaf_power_rel_error() * 100.0:.2f}%",
+        f"{result.worst_gaps()['leaf_power_rel_error'] * 100.0:.2f}%",
     ]
 
 

@@ -27,10 +27,11 @@ projection are exercised at once:
 Every ``static`` operating point also runs through the cohort closed
 form (:func:`~repro.cohort.evaluate_members` with the per-body
 interference correction) and must agree with the DES inside the
-gallery's delivered-fraction envelope — the multi-body extension of
-the standing DES-vs-analytic cross-validation.  Controller-bearing
-points report the analytic value as an uncontrolled reference only:
-closed-loop adaptation is deliberately outside the steady-state model.
+:data:`~repro.netsim.fidelity.ANALYTIC` tolerances — the multi-body
+extension of the standing DES-vs-analytic cross-validation.
+Controller-bearing points report the analytic value as an uncontrolled
+reference only: closed-loop adaptation is deliberately outside the
+steady-state model.
 """
 
 from __future__ import annotations
@@ -41,15 +42,12 @@ from dataclasses import dataclass
 from ..cohort import evaluate_members
 from ..control import ControllerSpec
 from ..errors import ConfigurationError
+from ..netsim import fidelity
 from ..netsim.environment import RFEnvironment
 from ..runner.registry import ExperimentSpec, register
 from ..scenarios.environment import BodyPlacement, EnvironmentSpec
 from ..scenarios.spec import ReliabilitySpec, ScenarioNodeSpec, ScenarioSpec
 from ..sensors.catalog import SensorModality
-
-#: DES-vs-closed-form delivered-fraction envelope (absolute), the same
-#: bound the scenario-gallery cross-validation pins.
-DELIVERED_ENVELOPE = 0.05
 
 #: Occupancy sweep: bodies sharing the room.
 DEFAULT_BODIES = (1, 2, 4, 8)
@@ -127,11 +125,13 @@ class CrowdPoint:
     mean_tx_offset_db: float
 
     @property
-    def delivered_abs_error(self) -> float:
-        """|DES − closed form| delivered fraction (meaningful for
-        ``static`` points; controllers are unmodelled analytically)."""
-        return abs(self.delivered_fraction
-                   - self.analytic_delivered_fraction)
+    def gaps(self) -> fidelity.Gaps:
+        """Closed form vs DES (meaningful for ``static`` points;
+        controllers are unmodelled analytically)."""
+        return fidelity.compare(
+            fidelity.Readout(
+                delivered_fraction=self.analytic_delivered_fraction),
+            fidelity.Readout(delivered_fraction=self.delivered_fraction))
 
     def row(self) -> dict[str, object]:
         return {
@@ -161,17 +161,15 @@ class CrowdResult:
     def rows(self) -> list[dict[str, object]]:
         return [point.row() for point in self.points]
 
-    def max_delivered_abs_error(self) -> float:
-        """Worst DES-vs-closed-form gap (the envelope the static
-        configuration must stay inside)."""
-        return max(point.delivered_abs_error for point in self.points)
+    def worst_gaps(self) -> fidelity.Gaps:
+        """Worst closed-form-vs-DES gaps across the sweep."""
+        return fidelity.worst(point.gaps for point in self.points)
 
     def within_envelope(self) -> bool:
-        """Static sweeps assert the gallery envelope; controller sweeps
-        have no closed-form counterpart to hold against."""
-        if self.controller != "static":
-            return True
-        return self.max_delivered_abs_error() <= DELIVERED_ENVELOPE
+        """Static sweeps stay inside the analytic tolerances; controller
+        sweeps have no closed-form counterpart to hold against."""
+        return (self.controller != "static"
+                or not self.worst_gaps().beyond(fidelity.ANALYTIC))
 
     def delivered_degradation(self) -> float:
         """Delivered-fraction drop from the emptiest to fullest room."""
@@ -331,10 +329,11 @@ def _summary(result: CrowdResult) -> list[str]:
         f"{last.projected_lifetime_hours:.2f} h",
     ]
     if result.controller == "static":
+        name = "delivered_fraction_abs_error"
         lines.append(
             f"DES vs closed form within "
-            f"{result.max_delivered_abs_error():.4f} absolute "
-            f"(envelope {DELIVERED_ENVELOPE:.2f})")
+            f"{result.worst_gaps()[name]:.4f} absolute "
+            f"(envelope {fidelity.ANALYTIC[name]:.2f})")
     else:
         lines.append(
             f"{last.controller_actions} controller actions at "

@@ -22,8 +22,8 @@ trustworthy.  A leap is only attempted when
 * the bus is idle (no in-flight transfer chain, no queued packets),
 * all per-node erasure rates yield a finite expected attempt count,
 * the offered utilization (including TDMA guard and polling overhead)
-  stays below :data:`VALIDITY_UTILIZATION`, matching the cohort
-  analytic validity cutoff, and
+  stays below :data:`~repro.netsim.fidelity.VALIDITY_UTILIZATION`, the
+  validity region of both fast paths, and
 * no battery is projected (with margin :data:`BATTERY_MARGIN`) to die
   or cross its low-battery threshold before the leap ends.
 
@@ -33,10 +33,11 @@ advanced to their closed-form values; erasure RNG streams are advanced
 by exactly the number of geometric draws the leap consumed (the 256-draw
 prefetch buffers are discarded, so the post-leap stream diverges from
 the exact kernel's — outcomes stay distributionally identical and are
-validated by the analytic envelope); generation phase restarts at the
+validated by the fidelity contract); generation phase restarts at the
 boundary, and packets that would still be in flight at the boundary are
 counted as delivered.  These approximations are why the hybrid path is
-envelope-validated rather than bit-identical.
+held to the :data:`~repro.netsim.fidelity.HYBRID` tolerances rather
+than being bit-identical.
 """
 
 from __future__ import annotations
@@ -49,28 +50,14 @@ import numpy as np
 from ..errors import SimulationError
 from .arbitration import (FIFOArbitration, HubPollingArbitration,
                           TDMAArbitration)
+from .fidelity import HYBRID, VALIDITY_UTILIZATION
 from .packet import Packet
 from .traffic import PeriodicSource
 
-#: Relative tolerance on leaf/hub average power, hybrid vs exact.
-POWER_REL_TOL = 0.05
-
-#: Absolute tolerance on the delivered fraction, hybrid vs exact.
-DELIVERED_ABS_TOL = 0.05
-
-#: Mean latency must agree within this multiplicative factor.
-MEAN_LATENCY_FACTOR = 2.5
-
-#: p99 latency must agree within this multiplicative factor.
-P99_LATENCY_FACTOR = 3.0
-
-#: Absolute tolerance on bus utilization, hybrid vs exact.
-UTILIZATION_ABS_TOL = 0.02
-
-#: Utilization cutoff above which the closed forms are not trusted and
-#: the engine refuses to leap.  The cohort analytic path imports this
-#: constant as its own validity envelope, so the two cannot drift apart.
-VALIDITY_UTILIZATION = 0.9
+#: Hybrid tolerances under the names perfbench reads.
+POWER_REL_TOL = HYBRID["leaf_power_rel_error"]
+DELIVERED_ABS_TOL = HYBRID["delivered_fraction_abs_error"]
+MEAN_LATENCY_FACTOR = HYBRID["mean_latency_factor"]
 
 #: A leap may cover at most this fraction of a battery's projected time
 #: to death / to its low-battery threshold, so threshold crossings are

@@ -1753,8 +1753,8 @@ class BodyNetworkSimulator:
             batched kernel (bit-identical, the default).  ``"hybrid"``
             lets the macro-tick engine leap over steady-state segments
             in closed form — results then agree with the exact kernel
-            only within the analytic envelope (see
-            :mod:`repro.netsim.macrotick`), not bit-for-bit.
+            only within :data:`repro.netsim.fidelity.HYBRID`, not
+            bit-for-bit.
         """
         if self._has_run:
             raise SimulationError(

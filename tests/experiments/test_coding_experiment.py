@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import coding
+from repro.netsim.fidelity import ANALYTIC
 from repro.runner import resolve
 
 
@@ -61,7 +62,7 @@ class TestSweep:
         assert best.requested_rate is not None
 
     def test_des_and_closed_form_cross_validate(self, headband):
-        assert headband.max_leaf_power_rel_error() < 0.02
+        assert headband.worst_gaps()["leaf_power_rel_error"] < 0.02
         # Both sides locate the same optimum on the default grid.
         assert headband.predicted_optimal().effective_rate \
             == headband.optimal().effective_rate
@@ -103,7 +104,7 @@ class TestSummary:
     def test_wir_class_runs_and_cross_validates(self):
         result = coding.run(device_class="ecg_patch", channel="harsh",
                             simulated_seconds=10.0)
-        assert result.max_leaf_power_rel_error() < 0.05
+        assert not result.worst_gaps().beyond(ANALYTIC)
         assert len(result.rows()) == len(coding.DEFAULT_RATES) + 1
 
 
@@ -115,4 +116,4 @@ class TestDefaultSweep:
         result = coding.run()
         assert result.optimal_is_interior()
         assert result.savings_fraction() > 0.05
-        assert result.max_leaf_power_rel_error() < 0.02
+        assert result.worst_gaps()["leaf_power_rel_error"] < 0.02

@@ -66,13 +66,11 @@ class TestOccupancyDegradation:
 
 class TestClosedForm:
     def test_static_sweep_within_gallery_envelope(self, static_sweep):
-        assert static_sweep.max_delivered_abs_error() \
-            <= crowd.DELIVERED_ENVELOPE
-        assert static_sweep.within_envelope()
+        assert static_sweep.within_envelope(), static_sweep.worst_gaps()
 
     def test_solo_room_matches_standalone_closed_form(self, static_sweep):
         solo = static_sweep.points[0]
-        assert solo.delivered_abs_error <= 0.01
+        assert solo.gaps["delivered_fraction_abs_error"] <= 0.01
 
 
 class TestControllerRecovery:

@@ -16,6 +16,7 @@ import pytest
 from repro import units
 from repro.coding import CodingSpec
 from repro.cohort import evaluate_member
+from repro.netsim.fidelity import ANALYTIC, Readout, compare
 from repro.netsim.traffic import PeriodicSource, PoissonSource
 from repro.scenarios import get_scenario
 from repro.scenarios.spec import (
@@ -184,9 +185,6 @@ class TestAnalyticAgreement:
     @pytest.mark.parametrize("rate", [1.0, 0.8, 0.6])
     def test_analytic_tracks_des_on_coded_lossy_bodies(self, rate):
         spec = lossy_spec(CodingSpec(rate=rate, correlation=0.5))
-        analytic = evaluate_member(spec)
-        simulated = spec.run(seed=0).simulated
-        assert analytic.leaf_power_watts == pytest.approx(
-            simulated.total_leaf_power_watts, rel=0.05)
-        assert abs(analytic.delivered_fraction
-                   - simulated.delivered_fraction) < 0.05
+        gaps = compare(Readout.of_member(evaluate_member(spec)),
+                       Readout.of_result(spec.run(seed=0).simulated))
+        assert not gaps.beyond(ANALYTIC), gaps
