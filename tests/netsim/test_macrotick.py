@@ -3,11 +3,10 @@
 The hybrid kernel (``fast_path="hybrid"``) must agree with the exact
 event loop within the ``HYBRID`` tolerances of
 :mod:`repro.netsim.fidelity` (docs/netsim-architecture.md), on every
-quantity a run reports.  On
-workloads the macro-tick engine statically refuses (Poisson sources,
-controllers ticking faster than a leap) and on runs too short for any
-leap, the hybrid driver degenerates to a single exact kernel call and
-must be *bit-identical*, not just close.
+quantity a run reports.  On workloads the macro-tick engine statically
+refuses (Poisson sources, controllers ticking faster than a leap) and
+on runs too short for any leap, the hybrid driver degenerates to a
+single exact kernel call and must be *bit-identical*, not just close.
 """
 
 from __future__ import annotations
