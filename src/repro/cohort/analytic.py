@@ -17,13 +17,13 @@ sampled cross-checks report against and the gallery tests assert:
   packet quantisation at the horizon (documented at ≤ 10 %, typically
   ≪ 1 %).
 * **Delivered fraction is tight in the stable regime** (``ρ < 0.9``):
-  the approximation is ``min(1, 1/ρ)`` with the MAC's capacity overhead
-  (TDMA guards, polling overhead) folded into ``ρ``.
-* **Latency is an estimate** — an M/D/1-flavoured queueing delay plus a
-  policy-specific mean access delay (half a TDMA superframe, half a
-  polling ring).  Inside the validity envelope it tracks the DES within
-  a small constant factor; outside (``ρ ≥ 0.9``) it only signals
-  saturation, it does not predict the backlog trajectory.
+  ``min(1, 1/ρ)``, the MAC's capacity overhead folded into ``ρ``.
+* **Latency is an estimate** — the M/D/1 wait plus the MAC's access
+  delay and the burst drain.  Inside the validity envelope it tracks
+  the DES within a small constant factor; outside (``ρ ≥ 0.9``) it only
+  signals saturation.  ``ρ``, these terms and the lifetime projection
+  are the closed forms of :mod:`repro.netsim.steady`, which the
+  macro-tick leap evaluates too.
 * **Lifetime is first-order** — battery rows project time-to-death as
   usable energy over net drain (average load plus self-discharge minus
   harvest, the Fig. 3 arithmetic per node), then clip that node's
@@ -77,6 +77,7 @@ import numpy as np
 
 from ..comm.mac import PollingMAC
 from ..errors import ScenarioError
+from ..netsim import steady
 from ..netsim.arbitration import (
     DEFAULT_POLL_OVERHEAD_BITS as POLL_OVERHEAD_BITS,
     DEFAULT_POLL_TURNAROUND_SECONDS as POLL_TURNAROUND_SECONDS,
@@ -451,100 +452,64 @@ def evaluate_rows(table: AnalyticRows) -> MemberColumns:
     slot_seconds = (table.air_rate * TDMA_SUPERFRAME_SECONDS
                     / table.hub_rate[member_of] + TDMA_GUARD_SECONDS)
     slot_offset = _slot_offsets(member_of, slot_seconds)
-    # A periodic source whose period is an exact multiple of the
-    # superframe arrives at a constant slot phase: its access delay is
-    # its slot offset, not a uniform draw over the frame.
-    cycles = period_seconds / TDMA_SUPERFRAME_SECONDS
-    phase_locked = is_periodic & (np.abs(cycles - np.rint(cycles)) < 1e-9)
+    phase_locked = is_periodic & steady.phase_locked(
+        period_seconds, TDMA_SUPERFRAME_SECONDS)
     # Periodic sources all emit their first packet one period after
     # t=0, so equal-period nodes arrive *simultaneously*, every time: a
     # burst that must serialise.
     batch_size = _burst_sizes(member_of, period_seconds, is_periodic)
 
     def per_member(weights: np.ndarray) -> np.ndarray:
-        return np.bincount(member_of, weights=weights, minlength=count)
+        return steady.per_member(member_of, weights, count)
 
     total_packet_rate = per_member(packet_rate)
-    rho_service = per_member(packet_rate * service)
-    # Capacity overheads of the MAC fold into the effective utilisation:
-    # TDMA pays a guard slot per node and superframe, polling pays one
-    # poll per *transmission attempt* (a retransmission re-enters the
-    # ring) once it is mostly backlogged.  ``packet_rate * attempts`` is
-    # bit-identical to ``packet_rate`` for lossless members.
-    attempt_rate = per_member(packet_rate * attempts)
-    rho = rho_service.copy()
-    rho[policy_tdma] += (node_count[policy_tdma] * TDMA_GUARD_SECONDS
-                         / TDMA_SUPERFRAME_SECONDS)
-    rho[policy_polling] += (attempt_rate[policy_polling]
-                            * poll_cost[policy_polling])
+    # ``packet_rate * attempts`` is bit-identical to ``packet_rate`` for
+    # lossless members.
+    rho, rho_service = steady.utilization(
+        member_of, count, packet_rate, service, attempts, nodes=node_count,
+        tdma=policy_tdma, polling=policy_polling, guard=TDMA_GUARD_SECONDS,
+        superframe=TDMA_SUPERFRAME_SECONDS, poll_cost=poll_cost)
+    mean_service = steady.rate_mean(rho_service, total_packet_rate)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         saturation_fraction = np.where(rho > 1.0, 1.0 / rho, 1.0)
-        mean_service = np.where(total_packet_rate > 0.0,
-                                rho_service / total_packet_rate, 0.0)
-        # M/D/1-flavoured queueing wait in the stable regime; in overload
-        # the wait is backlog growth, approximated by a quarter of the
-        # run (the mean age of an eventually-served packet).
-        stable = rho < 1.0
-        wait = np.where(
-            stable,
-            np.clip(rho / (2.0 * np.maximum(1.0 - rho, 1e-12)), 0.0, None)
-            * mean_service,
-            0.25 * duration * (1.0 - saturation_fraction),
-        )
+        # In overload the wait is backlog growth, approximated by a
+        # quarter of the run (the mean age of an eventually-served
+        # packet).
+        wait = np.where(rho < 1.0, steady.md1_wait(rho, mean_service),
+                        0.25 * duration * (1.0 - saturation_fraction))
         wait = np.minimum(wait, duration)
 
-    max_service = np.zeros(count)
-    np.maximum.at(max_service, member_of,
-                  np.where(packet_rate > 0.0, service, 0.0))
+    def member_max(values: np.ndarray) -> np.ndarray:
+        peak = np.zeros(count)
+        np.maximum.at(peak, member_of,
+                      np.where(packet_rate > 0.0, values, 0.0))
+        return peak
 
-    # A phase-locked node always waits exactly until its slot; a drifting
-    # one samples the frame uniformly.
-    node_access = np.where(phase_locked, slot_offset,
-                           TDMA_SUPERFRAME_SECONDS / 2.0)
-    node_access_tail = np.where(phase_locked, slot_offset,
-                                TDMA_SUPERFRAME_SECONDS)
+    max_service = member_max(service)
+    tdma_access = steady.rate_mean(
+        per_member(packet_rate * steady.tdma_access(
+            phase_locked, slot_offset, TDMA_SUPERFRAME_SECONDS)),
+        total_packet_rate)
+    access_mean = np.where(
+        policy_tdma, tdma_access,
+        np.where(policy_polling,
+                 steady.polling_access(poll_cost, node_count), 0.0))
+    access_tail = np.where(
+        policy_tdma,
+        member_max(np.where(phase_locked, slot_offset,
+                            TDMA_SUPERFRAME_SECONDS)),
+        np.where(policy_polling, poll_cost * node_count, 0.0))
 
-    access_mean = np.zeros(count)
-    with np.errstate(invalid="ignore"):
-        tdma_access = np.where(
-            total_packet_rate > 0.0,
-            per_member(packet_rate * node_access) / total_packet_rate, 0.0)
-    access_mean[policy_tdma] = tdma_access[policy_tdma]
-    access_mean[policy_polling] = (poll_cost[policy_polling]
-                                   * (node_count[policy_polling] / 2.0 + 1.0))
-    access_tail = np.zeros(count)
-    tdma_tail = np.zeros(count)
-    np.maximum.at(tdma_tail, member_of,
-                  np.where(packet_rate > 0.0, node_access_tail, 0.0))
-    access_tail[policy_tdma] = tdma_tail[policy_tdma]
-    access_tail[policy_polling] = (poll_cost[policy_polling]
-                                   * node_count[policy_polling])
-
-    # Synchronized-burst drain: equal-period periodic peers arrive as one
-    # batch and serialise at a policy-specific spacing — back-to-back
-    # service for FIFO, service plus a poll for polling, and for TDMA the
-    # frame time divided by how many transmissions fit the member's slot
-    # span (windows cover only part of each superframe, so a drained
-    # burst trickles out at frame granularity).
-    slot_span = per_member(slot_seconds)
-    drain = service.copy()
-    polling_rows = policy_polling[member_of]
-    drain[polling_rows] += poll_cost[member_of][polling_rows]
-    tdma_rows = policy_tdma[member_of]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frame_drain = TDMA_SUPERFRAME_SECONDS / np.maximum(
-            1.0, slot_span[member_of] / service)
-    drain[tdma_rows] = np.maximum(drain, frame_drain)[tdma_rows]
-    batch_wait = (batch_size - 1.0) / 2.0 * drain
-    with np.errstate(invalid="ignore"):
-        member_batch_wait = np.where(
-            total_packet_rate > 0.0,
-            per_member(packet_rate * batch_wait) / total_packet_rate, 0.0)
-    batch_tail = np.zeros(count)
-    np.maximum.at(batch_tail, member_of,
-                  np.where(packet_rate > 0.0,
-                           (batch_size - 1.0) * drain, 0.0))
+    drain = steady.drain_spacing(
+        service, tdma=policy_tdma[member_of],
+        polling=policy_polling[member_of], poll_cost=poll_cost[member_of],
+        superframe=TDMA_SUPERFRAME_SECONDS,
+        slot_span=per_member(slot_seconds)[member_of])
+    member_batch_wait = steady.rate_mean(
+        per_member(packet_rate * ((batch_size - 1.0) / 2.0 * drain)),
+        total_packet_rate)
+    batch_tail = member_max((batch_size - 1.0) * drain)
 
     mean_latency = mean_service + wait + access_mean + member_batch_wait
     p99_latency = np.maximum(
@@ -585,6 +550,22 @@ def evaluate_rows(table: AnalyticRows) -> MemberColumns:
             per_member(packet_rate * delivery_prob) / total_packet_rate, 1.0)
     delivered_fraction = admission_fraction * member_delivery
 
+    # Ledger arithmetic, identical to the simulator's accounting: the
+    # transmitted bits follow the accepted traffic — every ARQ attempt
+    # re-serialises the frame, so erased attempts burn transmit energy
+    # and hub receive energy too — and the sleep residue is whatever the
+    # link is not serialising.  Acks charge the leaf receiver and the hub
+    # transmitter once per delivered packet.
+    def books(span: np.ndarray, accepted: np.ndarray):
+        """Per row, over *span* seconds with the *accepted* share of the
+        offered traffic: transmitted bits, delivered packets, energy."""
+        bits_tx = packet_rate * bits * span * accepted * attempts
+        delivered = packet_rate * span * accepted * delivery_prob
+        energy = (static_power * span + bits_tx * tx_epb
+                  + delivered * ack_bits[member_of] * rx_epb
+                  + sleep_power * np.maximum(span - bits_tx / link_rate, 0.0))
+        return bits_tx, delivered, energy
+
     # Depletion model: each battery row's average pre-death power
     # projects its time to death (usable energy over net drain, the
     # closed-form Fig. 3 arithmetic applied per node); a node past its
@@ -597,23 +578,12 @@ def evaluate_rows(table: AnalyticRows) -> MemberColumns:
     full_duration = duration[member_of]
     member_death = np.full(count, np.inf)
     if np.isfinite(initial_energy).any():
-        bits_tx_full = (packet_rate * bits * full_duration
-                        * saturation_fraction[member_of] * attempts)
-        tx_seconds_full = bits_tx_full / link_rate
-        ack_energy_full = (packet_rate * full_duration
-                           * saturation_fraction[member_of]
-                           * delivery_prob * ack_bits[member_of] * rx_epb)
-        energy_full = (static_power * full_duration
-                       + bits_tx_full * tx_epb
-                       + ack_energy_full
-                       + sleep_power * np.maximum(full_duration
-                                                  - tx_seconds_full, 0.0))
+        energy_full = books(full_duration, saturation_fraction[member_of])[2]
         with np.errstate(divide="ignore", invalid="ignore"):
             power_full = np.where(full_duration > 0.0,
                                   energy_full / full_duration, 0.0)
-            net_drain = power_full + leak_w - harvest_w
-            death = np.where(net_drain > 0.0, initial_energy / net_drain,
-                             np.inf)
+        death = steady.battery_life(initial_energy, power_full, leak_w,
+                                    harvest_w)
         alive_duration = np.minimum(death, full_duration)
         rows_per_member = per_member(np.ones_like(packet_rate))
         with np.errstate(invalid="ignore"):
@@ -637,24 +607,8 @@ def evaluate_rows(table: AnalyticRows) -> MemberColumns:
         ).astype(np.int64)
         busy = rho_service * duration * admission_fraction
 
-    # Ledger arithmetic, identical to the simulator's accounting: the
-    # transmitted bits follow the accepted traffic — every ARQ attempt
-    # re-serialises the frame, so erased attempts burn transmit energy
-    # and hub receive energy too — and the sleep residue is whatever the
-    # link is not serialising, both clipped to each node's alive
-    # duration.  Acks charge the leaf receiver and the hub transmitter
-    # once per delivered packet.
-    bits_tx = (packet_rate * bits * alive_duration
-               * admission_fraction[member_of] * attempts)
-    tx_seconds = bits_tx / link_rate
-    delivered_row = (packet_rate * alive_duration
-                     * admission_fraction[member_of] * delivery_prob)
-    ack_rx_energy = delivered_row * ack_bits[member_of] * rx_epb
-    node_energy = (static_power * alive_duration
-                   + bits_tx * tx_epb
-                   + ack_rx_energy
-                   + sleep_power * np.maximum(alive_duration
-                                              - tx_seconds, 0.0))
+    bits_tx, delivered_row, node_energy = books(
+        alive_duration, admission_fraction[member_of])
     leaf_energy = per_member(node_energy)
     leaf_power = leaf_energy / duration
     utilization = np.minimum(np.where(duration > 0, busy / duration, 0.0),

@@ -207,13 +207,11 @@ def battery_life_seconds(
         raise EnergyError(
             f"harvested power must be non-negative, got {harvested_power_watts}"
         )
-    drain = load_power_watts
-    if include_self_discharge:
-        drain += spec.leakage_power_watts
-    drain -= harvested_power_watts
-    if drain <= 0.0:
-        return math.inf
-    return spec.usable_energy_joules / drain
+    from ..netsim.steady import battery_life  # netsim imports this module
+
+    leak = spec.leakage_power_watts if include_self_discharge else 0.0
+    return battery_life(spec.usable_energy_joules, load_power_watts, leak,
+                        harvested_power_watts)
 
 
 @dataclass
@@ -355,8 +353,8 @@ class Battery:
     def projected_life_seconds(self, load_power_watts: float,
                                harvested_power_watts: float = 0.0) -> float:
         """Projected runtime from the *current* state of charge."""
-        net = load_power_watts - harvested_power_watts
-        net += self.spec.leakage_power_watts
-        if net <= 0.0:
-            return math.inf
-        return self.state_of_charge_joules / net
+        from ..netsim.steady import battery_life  # netsim imports this module
+
+        return battery_life(self.state_of_charge_joules, load_power_watts,
+                            self.spec.leakage_power_watts,
+                            harvested_power_watts)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from ..comm.budget import LinkBudget
 from ..comm.eqs_hbc import wir_commercial
 from ..errors import ConfigurationError
+from ..netsim import fidelity
 from ..netsim.config import NodeConfig
 from ..netsim.reliability import ARQPolicy, LinkReliability
 from ..netsim.simulator import BodyNetworkSimulator, SimulationResult
@@ -73,9 +74,11 @@ class ReliabilityPoint:
             / sim.offered_packets
 
     @property
-    def delivery_abs_error(self) -> float:
-        """|sampled − closed-form| delivered fraction."""
-        return abs(self.delivered_fraction - self.predicted_delivery)
+    def gaps(self) -> fidelity.Gaps:
+        """Closed-form vs DES delivered fraction."""
+        return fidelity.compare(
+            fidelity.Readout(delivered_fraction=self.predicted_delivery),
+            fidelity.Readout(delivered_fraction=self.delivered_fraction))
 
     def row(self) -> dict[str, object]:
         sim = self.simulated
@@ -107,9 +110,9 @@ class ReliabilityResult:
     def rows(self) -> list[dict[str, object]]:
         return [point.row() for point in self.points]
 
-    def max_delivery_abs_error(self) -> float:
-        """Worst sampled-vs-closed-form delivered-fraction gap."""
-        return max(point.delivery_abs_error for point in self.points)
+    def worst_gaps(self) -> fidelity.Gaps:
+        """Worst closed-form-vs-DES gaps across the sweep."""
+        return fidelity.worst(point.gaps for point in self.points)
 
     def delivered_fractions(self) -> list[float]:
         """Delivered fraction per swept margin, in sweep order."""
@@ -190,7 +193,7 @@ def _summary(result: ReliabilityResult) -> list[str]:
         f"(at {lowest.margin_db:g} dB the link still erases "
         f"{lowest.packet_error_rate * 100.0:.0f}% of frames)",
         "worst closed-form delivery gap: "
-        f"{result.max_delivery_abs_error():.3f}",
+        f"{result.worst_gaps()['delivered_fraction_abs_error']:.3f}",
     ]
 
 

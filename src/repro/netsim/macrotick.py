@@ -5,10 +5,11 @@ identical periodic generation -> grant -> completion cycles during the
 long stationary stretches of multi-hour runs.  This module leaps over
 such a stretch in one vectorized step instead: per-node delivered /
 erased / retransmitted packet counts come from the truncated-geometric
-ARQ process (the same math the cohort analytic path uses), energy lands
-in the streaming :class:`~repro.energy.ledger.EnergyLedger` as one
-interval post per component, and latency is ingested through the
-weighted batch-add API on :class:`~repro.netsim.stats.LatencyAccumulator`.
+ARQ process, latencies from the closed forms the cohort analytic path
+shares (:mod:`repro.netsim.steady`) through the weighted batch-add API
+on :class:`~repro.netsim.stats.LatencyAccumulator`, and energy lands in
+the streaming :class:`~repro.energy.ledger.EnergyLedger` as one
+interval post per component.
 
 The engine is a *fast path*, not a new model: the hybrid driver in
 ``BodyNetworkSimulator._run_hybrid`` alternates exact kernel chunks with
@@ -50,6 +51,7 @@ import numpy as np
 from ..errors import SimulationError
 from .arbitration import (FIFOArbitration, HubPollingArbitration,
                           TDMAArbitration)
+from . import steady
 from .fidelity import HYBRID, VALIDITY_UTILIZATION
 from .packet import Packet
 from .traffic import PeriodicSource
@@ -98,19 +100,15 @@ class MacroTickEngine:
         self.sim = simulator
         self.bus = simulator.bus
         self.policy = simulator.bus.policy
-        self.queue = simulator.queue
         self.reliability = simulator.reliability
         self.arq = getattr(simulator.reliability, "arq", None)
         policy = self.policy
-        self.fifo = type(policy) is FIFOArbitration
         self.tdma = type(policy) is TDMAArbitration
         self.polling = type(policy) is HubPollingArbitration
-        self.eligible = self.fifo or self.tdma or self.polling
+        self.eligible = (type(policy) is FIFOArbitration or self.tdma
+                         or self.polling)
 
         self.rows: list[_Row] = []
-        max_period = 0.0
-        min_period = math.inf
-        max_service = 0.0
         for node in simulator.nodes.values():
             source = node.source
             if type(source) is not PeriodicSource:
@@ -120,17 +118,14 @@ class MacroTickEngine:
                            created_at=0.0)
             service = self.bus.service_time_seconds(probe)
             self.rows.append(_Row(
-                node=node,
-                name=node.name,
-                period=source.period_seconds,
-                bits=float(source.bits_per_packet),
-                service=service,
-                tx_epb=node.technology.tx_energy_per_bit(),
-                rx_epb=node.technology.rx_energy_per_bit(),
-            ))
-            max_period = max(max_period, source.period_seconds)
-            min_period = min(min_period, source.period_seconds)
-            max_service = max(max_service, service)
+                node, node.name, source.period_seconds,
+                float(source.bits_per_packet), service,
+                node.technology.tx_energy_per_bit(),
+                node.technology.rx_energy_per_bit()))
+        periods = [row.period for row in self.rows]
+        max_period = max(periods, default=0.0)
+        min_period = min(periods, default=math.inf)
+        max_service = max((row.service for row in self.rows), default=0.0)
         if len(simulator.nodes) >= self.bus.max_queue_packets:
             # The exact kernel would be dropping packets on queue
             # pressure; the closed forms assume no drops.
@@ -166,10 +161,8 @@ class MacroTickEngine:
         # burning a full settle chunk.  Shorter than any period, so no
         # new generation lands inside it; long enough for the in-flight
         # packet (and any ARQ retries) to drain.
-        if min_period is math.inf:
-            self.flush_seconds = self.settle_seconds
-        else:
-            self.flush_seconds = max(min_period / 2.0, 8.0 * max_service)
+        self.flush_seconds = (self.settle_seconds if min_period is math.inf
+                              else max(min_period / 2.0, 8.0 * max_service))
         # Set by a battery-endgame refusal in ``try_leap``: the driver
         # should run the exact kernel through this instant in one chunk.
         self.exact_until: float | None = None
@@ -201,11 +194,9 @@ class MacroTickEngine:
 
         reliability = self.reliability
         arq = self.arq
-        poll_cost = 0.0
-        if self.polling:
-            if self._poll_cost is None:
-                self._poll_cost = self.policy.poll_cost_seconds()
-            poll_cost = self._poll_cost
+        if self.polling and self._poll_cost is None:
+            self._poll_cost = self.policy.poll_cost_seconds()
+        poll_cost = self._poll_cost or 0.0
         windows: dict[str, tuple[float, float]] | None = None
         if self.tdma:
             try:
@@ -214,31 +205,28 @@ class MacroTickEngine:
                 return None
 
         active: list[tuple[_Row, float, float, float, float]] = []
-        rho = 0.0
-        total_rate = 0.0
         for row in self.rows:
             if not row.node.active:
                 continue
             per = reliability.error_rate(row.name) if reliability else 0.0
-            if arq is not None:
-                mean_att = arq.expected_attempts(per)
-                if not math.isfinite(mean_att):
-                    return None
-                max_att = arq.max_attempts
-            else:
-                mean_att = 1.0
-                max_att = 1.0
+            mean_att = arq.expected_attempts(per) if arq is not None else 1.0
+            if not math.isfinite(mean_att):
+                return None
+            max_att = arq.max_attempts if arq is not None else 1.0
             if windows is not None and row.name not in windows:
                 return None
-            rate = 1.0 / row.period
-            rho += rate * row.service * mean_att
-            if self.polling:
-                rho += rate * mean_att * poll_cost
-            total_rate += rate
-            active.append((row, per, mean_att, max_att, rate))
-        if self.tdma and active:
-            rho += len(active) * self.guard / self.superframe
-        if rho >= VALIDITY_UTILIZATION:
+            active.append((row, per, mean_att, max_att, 1.0 / row.period))
+        rate = np.array([entry[4] for entry in active])
+        attempts = np.array([entry[2] for entry in active])
+        service = attempts * np.array([entry[0].service for entry in active])
+        member_of = np.zeros(len(active), dtype=np.int64)
+        rho, load = steady.utilization(
+            member_of, 1, rate, service, attempts,
+            nodes=np.array([float(len(active))]),
+            tdma=np.array([self.tdma]), polling=np.array([self.polling]),
+            guard=self.guard,
+            superframe=self.superframe, poll_cost=np.array([poll_cost]))
+        if rho[0] >= VALIDITY_UTILIZATION:
             return None
 
         leap_end = self._clamp_batteries(start, horizon, active)
@@ -258,8 +246,35 @@ class MacroTickEngine:
                 self._endgame_backoff *= 2.0
             return None
         self._endgame_backoff = 1.0
-        self._leap(start, leap_end, active, rho, total_rate,
-                   poll_cost, windows)
+
+        # Latency before the attempts: the queueing wait, the access
+        # delay and, since equal-period peers generate simultaneously
+        # and drain in node order, the drain of the peers ranked before
+        # the node.
+        wait = steady.md1_wait(
+            rho, steady.rate_mean(load, steady.per_member(member_of, rate, 1)))
+        slot_span, access = 0.0, 0.0
+        if windows is not None:
+            offset, width = np.array(
+                [windows[entry[0].name] for entry in active]).reshape(-1, 2).T
+            slot_span = steady.per_member(member_of, width, 1)[0]
+            period = np.array([entry[0].period for entry in active])
+            access = steady.tdma_access(
+                steady.phase_locked(period, self.superframe), offset,
+                self.superframe)
+        elif self.polling:
+            access = steady.polling_access(poll_cost, len(active))
+        drain = steady.drain_spacing(
+            service, tdma=self.tdma, polling=self.polling,
+            poll_cost=poll_cost, superframe=self.superframe,
+            slot_span=slot_span)
+        cursor: dict[float, float] = {}
+        queued = []
+        for (row, *_rest), spacing in zip(active, drain.tolist()):
+            queued.append(cursor.get(row.period, 0.0))
+            cursor[row.period] = queued[-1] + spacing
+        self._leap(start, leap_end, active,
+                   (wait + access + np.array(queued)).tolist())
         return leap_end
 
     def _clamp_batteries(self, start: float, horizon: float,
@@ -284,72 +299,38 @@ class MacroTickEngine:
             if state is None or not state.alive or state.battery is None:
                 continue
             load = (node.sensing_power_watts + node.isa_power_watts
-                    + node.coding_power_watts
-                    + node.technology.sleep_power())
+                    + node.coding_power_watts + node.technology.sleep_power())
             load += traffic.get(row.name, 0.0)
-            life = state.projected_life_seconds(load)
-            if math.isfinite(life):
-                leap_end = min(leap_end, start + BATTERY_MARGIN * life)
+            leap_end = min(leap_end, start + BATTERY_MARGIN
+                           * state.projected_life_seconds(load))
             low = state.low_battery_fraction
             if (low is not None and node.tx_stride == 1
                     and not state.is_low_battery()):
-                net = (load + state.leakage_power_watts
-                       - state.harvest_power_watts)
-                if net > 0.0:
-                    charge = state.battery.state_of_charge_joules
-                    floor = low * state.battery.spec.usable_energy_joules
-                    to_low = (charge - floor) / net
-                    leap_end = min(leap_end,
-                                   start + BATTERY_MARGIN * max(to_low, 0.0))
+                charge = state.battery.state_of_charge_joules
+                floor = low * state.battery.spec.usable_energy_joules
+                to_low = steady.battery_life(
+                    charge - floor, load, state.leakage_power_watts,
+                    state.harvest_power_watts)
+                leap_end = min(leap_end,
+                               start + BATTERY_MARGIN * max(to_low, 0.0))
         return leap_end
 
     # -- leap execution ----------------------------------------------------
 
-    def _leap(self, start: float, end: float, active: list, rho: float,
-              total_rate: float, poll_cost: float,
-              windows: dict[str, tuple[float, float]] | None) -> None:
+    def _leap(self, start: float, end: float, active: list,
+              lead_latency: list[float]) -> None:
         span = end - start
         sim = self.sim
         stats = self.bus.stats
         reliability = self.reliability
         arq = self.arq
-
-        if total_rate > 0.0:
-            mean_service = sum(rate * row.service * mean_att
-                               for row, _per, mean_att, _ma, rate in active)
-            mean_service /= total_rate
-        else:
-            mean_service = 0.0
-        wait = rho / (2.0 * max(1.0 - rho, 1e-12)) * mean_service
-
-        slot_span = 0.0
-        if windows is not None:
-            slot_span = sum(windows[row.name][1]
-                            for row, *_rest in active)
-
-        # Equal-period peers generate simultaneously and drain in node
-        # order, so each node waits behind the cumulative drain of the
-        # peers ranked before it.
-        batch_wait: dict[str, float] = {}
-        drain_cursor: dict[float, float] = {}
-        for row, per, mean_att, _max_att, _rate in active:
-            eff_service = row.service * mean_att
-            drain = eff_service
-            if self.polling:
-                drain += poll_cost
-            elif self.tdma and eff_service > 0.0:
-                drain = max(eff_service,
-                            self.superframe / max(1.0, slot_span / eff_service))
-            batch_wait[row.name] = drain_cursor.get(row.period, 0.0)
-            drain_cursor[row.period] = (drain_cursor.get(row.period, 0.0)
-                                        + drain)
-
         lat_values: list[float] = []
         lat_counts: list[int] = []
         hub_rx_energy = 0.0
         hub_ack_energy = 0.0
 
-        for row, per, mean_att, max_att, _rate in active:
+        for (row, per, _mean_att, max_att, _rate), lead in zip(
+                active, lead_latency):
             node = row.node
             cycles = int(math.floor(span / row.period * (1.0 + 1e-12)))
             base = node.generated_count
@@ -370,19 +351,15 @@ class MacroTickEngine:
                              and (base + cycles - 1) % stride == 0 else 0)
             deliverable = offered - undeliverable
 
+            delivered = total_attempts = 0
+            attempt_hist: tuple[tuple[int, int], ...] = ()
             if deliverable <= 0:
-                delivered = 0
-                total_attempts = 0
-                attempt_hist: tuple[tuple[int, int], ...] = ()
+                pass
             elif reliability is None or per <= 0.0:
-                delivered = deliverable
-                total_attempts = deliverable
+                delivered = total_attempts = deliverable
                 attempt_hist = ((1, deliverable),)
             elif per >= 1.0:
-                delivered = 0
-                total_attempts = (deliverable * int(max_att)
-                                  if arq is not None else deliverable)
-                attempt_hist = ()
+                total_attempts = deliverable * int(max_att)
             else:
                 draws = reliability.rng_for(row.name).geometric(
                     1.0 - per, size=deliverable)
@@ -396,13 +373,9 @@ class MacroTickEngine:
                     total_attempts = int(attempts.sum())
                     mask = draws <= max_att
                     delivered = int(np.count_nonzero(mask))
-                    if delivered:
-                        counts = np.bincount(
-                            attempts[mask].astype(np.int64))
-                        attempt_hist = tuple(
-                            (a, int(c)) for a, c in enumerate(counts) if c)
-                    else:
-                        attempt_hist = ()
+                    counts = np.bincount(attempts[mask].astype(np.int64))
+                    attempt_hist = tuple(
+                        (a, int(c)) for a, c in enumerate(counts) if c)
 
             erased = total_attempts - delivered
             lost = deliverable - delivered
@@ -423,49 +396,29 @@ class MacroTickEngine:
             retx_energy = erased * row.bits * row.tx_epb
             ack_energy = (delivered * self.ack_bits * row.rx_epb
                           if self.ack_posting else 0.0)
+            posts = [(component, energy) for component, energy in (
+                ("wir_tx", tx_energy), ("wir_retx", retx_energy),
+                ("arq_ack", ack_energy)) if energy]
             state = node.energy
             if state is None:
-                ledger = node.ledger
-                if tx_energy:
-                    ledger.post_interval("wir_tx", tx_energy, start, end)
-                if retx_energy:
-                    ledger.post_interval("wir_retx", retx_energy, start, end)
-                if ack_energy:
-                    ledger.post_interval("arq_ack", ack_energy, start, end)
+                for component, energy in posts:
+                    node.ledger.post_interval(component, energy, start, end)
             else:
                 was_alive = state.alive
-                if tx_energy:
-                    state.drain("wir_tx", tx_energy, end)
-                if retx_energy:
-                    state.drain("wir_retx", retx_energy, end)
-                if ack_energy:
-                    state.drain("arq_ack", ack_energy, end)
+                for component, energy in posts:
+                    state.drain(component, energy, end)
                 if was_alive and not state.alive:
                     sim._record_death(node)
 
             hub_rx_energy += (delivered + erased) * row.bits * row.rx_epb
             hub_ack_energy += delivered * self.ack_bits * self.hub_tx_epb
 
-            if windows is not None:
-                offset = windows[row.name][0]
-                cyc = row.period / self.superframe
-                if abs(cyc - round(cyc)) < 1e-9:
-                    access = offset
-                else:
-                    access = self.superframe / 2.0
-            elif self.polling:
-                access = poll_cost * (len(active) / 2.0 + 1.0)
-            else:
-                access = 0.0
-            base_latency = wait + access + batch_wait[row.name]
             for attempt_count, n in attempt_hist:
-                lat_values.append(base_latency + attempt_count * row.service)
+                lat_values.append(lead + attempt_count * row.service)
                 lat_counts.append(n)
 
         if lat_values:
             stats.latency.add_batch(lat_values, lat_counts)
-        if not self.ack_posting:
-            hub_ack_energy = 0.0
         hub_ledger = sim.hub_ledger
         if hub_rx_energy:
             hub_ledger.post_interval("wir_rx", hub_rx_energy, start, end)

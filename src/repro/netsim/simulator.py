@@ -71,6 +71,16 @@ LATENCY_BATCH = 4096
 #: instance is stateless, so one shared object serves every node.
 _DEFAULT_SOC_THROTTLE = SoCThrottleController()
 
+def _sum_in_order(values) -> float:
+    """*values* added left to right from ``0``, as the builtin ``sum``
+    adds them before Python 3.12; from 3.12 on its float sum is
+    compensated, which would move result digits between versions."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 #: Bump when :meth:`SimulationResult.to_dict`'s layout changes
 #: incompatibly.  Serialised results embed this version so artifacts
 #: written by an older layout are rejected loudly instead of being
@@ -211,7 +221,7 @@ class SimulationResult:
     @property
     def total_leaf_power_watts(self) -> float:
         """Sum of all leaf nodes' average power."""
-        return sum(self.per_node_average_power_watts.values())
+        return _sum_in_order(self.per_node_average_power_watts.values())
 
     @property
     def delivered_fraction(self) -> float:
@@ -1869,18 +1879,18 @@ class BodyNetworkSimulator:
             erased_attempts=stats.erased_attempts,
             retransmissions=stats.retransmissions,
             lost_packets=stats.lost_packets,
-            retransmission_energy_joules=sum(
+            retransmission_energy_joules=_sum_in_order(
                 node.ledger.total_energy("wir_retx")
                 for node in self.nodes.values()),
-            ack_energy_joules=sum(
+            ack_energy_joules=_sum_in_order(
                 node.ledger.total_energy("arq_ack")
                 for node in self.nodes.values()),
             coding_enabled=coding_enabled,
-            coding_energy_joules=(sum(
+            coding_energy_joules=(_sum_in_order(
                 node.ledger.total_energy("coding")
                 for node in self.nodes.values())
                 if coding_enabled else 0.0),
-            source_bits_delivered=(sum(
+            source_bits_delivered=(_sum_in_order(
                 (node.bits_sent - node.lost_bits) / node.coding_rate
                 for node in self.nodes.values())
                 if coding_enabled else 0.0),

@@ -58,7 +58,7 @@ LATENCY_PINS = {
         0.1351463333333228,
         0.30624800000001073),
     "sleep_night/hybrid": (
-        "d00337231e2e9e89beedfe81299dc3d870c1b331eac81062017287e1c0c9e86d",
+        "a38a76c500a76057afbc056d31880d7743bdfd1401c585a0c62674c707ec82dd",
         0.0013366123197939908,
         0.0014732914943217143),
 }
