@@ -75,7 +75,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..comm.mac import PollingMAC
 from ..errors import ScenarioError
 from ..netsim import steady
 from ..netsim.arbitration import (
@@ -83,6 +82,7 @@ from ..netsim.arbitration import (
     DEFAULT_POLL_TURNAROUND_SECONDS as POLL_TURNAROUND_SECONDS,
     DEFAULT_TDMA_GUARD_SECONDS as TDMA_GUARD_SECONDS,
     DEFAULT_TDMA_SUPERFRAME_SECONDS as TDMA_SUPERFRAME_SECONDS,
+    poll_cost_seconds,
 )
 from ..scenarios.spec import (
     ScenarioSpec,
@@ -136,10 +136,8 @@ def _harvest_power(key: str, environment: str) -> float:
 @functools.lru_cache(maxsize=None)
 def _poll_cost(hub_technology: str) -> float:
     """Medium time of one poll exchange on the hub link."""
-    mac = PollingMAC(link_rate_bps=tech_profile(hub_technology).rate_bps,
-                     poll_overhead_bits=POLL_OVERHEAD_BITS,
-                     turnaround_seconds=POLL_TURNAROUND_SECONDS)
-    return mac.cycle_time_seconds(1, 0.0)
+    return poll_cost_seconds(tech_profile(hub_technology).rate_bps,
+                             POLL_OVERHEAD_BITS, POLL_TURNAROUND_SECONDS)
 
 
 def active_fractions(spec: ScenarioSpec) -> dict[str, float]:

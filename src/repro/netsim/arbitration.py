@@ -14,6 +14,12 @@ delegated to an :class:`ArbitrationPolicy`.  Three policies are provided:
   leaves between the cursor and the next backlogged leaf are charged as
   access delay.
 
+Both slotted policies keep a ``_backlog`` int whose bit k is set exactly
+when ring queue k is non-empty, so a grant finds the next backlogged
+slot at or after position s as the lowest set bit of ``backlog >> s``
+(wrapping to the lowest set bit of ``backlog``) instead of walking the
+ring slot by slot.
+
 Policies are deterministic (no randomness) and non-preemptive: a grant is
 committed when the medium asks for it, even if a better-placed packet
 arrives before the granted transmission starts.
@@ -41,6 +47,20 @@ DEFAULT_TDMA_SUPERFRAME_SECONDS = 0.010
 DEFAULT_TDMA_GUARD_SECONDS = 50e-6
 DEFAULT_POLL_OVERHEAD_BITS = 64.0
 DEFAULT_POLL_TURNAROUND_SECONDS = 100e-6
+
+
+def poll_cost_seconds(link_rate_bps: float, poll_overhead_bits: float,
+                      turnaround_seconds: float) -> float:
+    """Medium time of one poll: downlink overhead plus turnaround.
+
+    The one-node :class:`~repro.comm.mac.PollingMAC` cycle minus the
+    payload burst; the polling arbiter and the analytic cohort both
+    charge it per poll.
+    """
+    mac = PollingMAC(link_rate_bps=link_rate_bps,
+                     poll_overhead_bits=poll_overhead_bits,
+                     turnaround_seconds=turnaround_seconds)
+    return mac.cycle_time_seconds(1, 0.0)
 
 
 @runtime_checkable
@@ -133,6 +153,10 @@ class TDMAArbitration:
         self._ring: list[tuple[float, float, deque[Packet]]] = []
         self._ring_starts: list[float] = []
         self._ring_fast = False
+        #: Each ring node's ``1 << position`` and the backlog mask: bit k
+        #: is set exactly when ring queue k is non-empty.
+        self._slot_bits: dict[str, int] = {}
+        self._backlog = 0
 
     def register_node(self, node_name: str, offered_rate_bps: float) -> None:
         if offered_rate_bps < 0:
@@ -147,6 +171,7 @@ class TDMAArbitration:
             self.register_node(packet.source, 0.0)
         self._queues[packet.source].append(packet)
         self._pending += 1
+        self._backlog |= self._slot_bits.get(packet.source, 0)
 
     def pending_count(self) -> int:
         return self._pending
@@ -158,6 +183,7 @@ class TDMAArbitration:
         removed = len(queue)
         queue.clear()
         self._pending -= removed
+        self._backlog &= ~self._slot_bits.get(node_name, 0)
         return removed
 
     def _slot_table(self) -> dict[str, tuple[float, float]]:
@@ -189,7 +215,11 @@ class TDMAArbitration:
             # saturated regime is still simulable (queues grow, drops
             # happen at the medium's buffer bound — the behaviour the
             # scaling ablation wants to observe).
-            total = sum(self._demands.values())
+            # Added left to right: the builtin ``sum`` is compensated
+            # from Python 3.12 on and would move the slot widths.
+            total = 0.0
+            for rate in self._demands.values():
+                total += rate
             offset = 0.0
             for name, rate in self._demands.items():
                 share = rate / total if total > 0 else 1.0 / len(self._demands)
@@ -201,11 +231,15 @@ class TDMAArbitration:
         return windows
 
     def _build_ring(self, windows: dict[str, tuple[float, float]]) -> None:
-        """Derive the sorted slot ring driving the O(log n) grant path."""
-        ring = sorted(
-            (offset, width, self._queues[name])
-            for name, (offset, width) in windows.items()
-            if name in self._queues)
+        """Derive the sorted slot ring and its backlog mask."""
+        names = sorted((name for name in windows if name in self._queues),
+                       key=windows.__getitem__)
+        ring = [(*windows[name], self._queues[name]) for name in names]
+        self._slot_bits = {name: 1 << k for k, name in enumerate(names)}
+        self._backlog = 0
+        for k, name in enumerate(names):
+            if self._queues[name]:
+                self._backlog |= 1 << k
         fast = len(ring) == len(self._queues)
         for index, (offset, width, _) in enumerate(ring):
             end = (ring[index + 1][0] if index + 1 < len(ring)
@@ -234,41 +268,49 @@ class TDMAArbitration:
         if windows is None:
             windows = self._slot_table()
         if self._ring_fast:
-            # Slot-ring grant: O(log n) window lookup instead of scanning
-            # every backlogged node.  With disjoint windows, walking the
-            # ring circularly from the window containing ``now`` visits
-            # nodes in non-decreasing next-access order, so the first
-            # backlogged node visited is the exhaustive scan's minimum.
-            # The access arithmetic mirrors :meth:`_next_access` exactly
-            # (inlined: this runs once per granted packet).
+            # Slot-ring grant: a window bisect and a backlog-mask lookup
+            # instead of scanning every backlogged node.  With disjoint
+            # windows, the ring read circularly from the window after
+            # the one containing ``now`` is in non-decreasing
+            # next-access order, so its first backlogged slot is the
+            # exhaustive scan's minimum.  The access arithmetic mirrors
+            # :meth:`_next_access` exactly (inlined: this runs once per
+            # granted packet).
             superframe = self.superframe_seconds
             frame_start = math.floor(now / superframe) * superframe
-            ring = self._ring
-            count = len(ring)
             anchor = bisect_right(self._ring_starts, now - frame_start) - 1
+            backlog = self._backlog
+            slot = -1
             if anchor >= 0:
-                offset, width, queue = ring[anchor]
+                offset, width, queue = self._ring[anchor]
                 if queue and now < frame_start + offset + width:
                     # Inside (or still ahead of the end of) the anchor's
-                    # window: it transmits immediately.
-                    self._pending -= 1
-                    return (queue.popleft(),
-                            max(now, frame_start + offset) - now)
-            for step in range(1, count + 1):
-                offset, width, queue = ring[(anchor + step) % count]
-                if queue:
-                    start = frame_start + offset
-                    if now < start + width:
-                        access = now if now > start else start
-                    else:
-                        start = frame_start + superframe + offset
-                        if now < start + width:
-                            access = now if now > start else start
-                        else:
-                            access = frame_start + 2.0 * superframe + offset
-                    self._pending -= 1
-                    return queue.popleft(), access - now
-            raise SimulationError("pending count out of sync with queues")
+                    # window: it transmits first.
+                    slot = anchor
+            if slot < 0:
+                ahead = backlog >> (anchor + 1)
+                if ahead:
+                    slot = anchor + (ahead & -ahead).bit_length()
+                elif backlog:
+                    slot = (backlog & -backlog).bit_length() - 1
+                else:
+                    raise SimulationError(
+                        "pending count out of sync with queues")
+                offset, width, queue = self._ring[slot]
+            start = frame_start + offset
+            if now < start + width:
+                access = now if now > start else start
+            else:
+                start = frame_start + superframe + offset
+                if now < start + width:
+                    access = now if now > start else start
+                else:
+                    access = frame_start + 2.0 * superframe + offset
+            self._pending -= 1
+            packet = queue.popleft()
+            if not queue:
+                self._backlog = backlog ^ (1 << slot)
+            return packet, access - now
         best: tuple[float, str] | None = None
         for name, queue in self._queues.items():
             if not queue:
@@ -280,18 +322,23 @@ class TDMAArbitration:
         assert best is not None
         access, name = best
         self._pending -= 1
-        return self._queues[name].popleft(), access - now
+        queue = self._queues[name]
+        packet = queue.popleft()
+        if not queue:
+            self._backlog &= ~self._slot_bits.get(name, 0)
+        return packet, access - now
 
 
 class HubPollingArbitration:
     """Hub-driven round-robin polling with per-poll overhead.
 
-    The hub walks the leaf ring; each poll costs
-    ``poll_overhead_bits / link_rate + turnaround`` (the
-    :class:`repro.comm.mac.PollingMAC` cycle-time math).  Idle leaves
-    between the cursor and the next backlogged leaf are still polled, and
-    those empty polls are charged as access delay on the granted packet —
-    the hallmark cost of polling very bursty populations.
+    The hub polls the leaf ring round-robin from its cursor; each poll
+    costs :func:`poll_cost_seconds` (the :class:`repro.comm.mac.PollingMAC`
+    cycle-time math).  Idle leaves between the cursor and the next
+    backlogged leaf are still polled, and those empty polls are charged
+    as access delay on the granted packet — the hallmark cost of polling
+    very bursty populations.  The next backlogged leaf is one lookup in
+    the backlog mask, not a walk over the idle ones.
     """
 
     name = "polling"
@@ -312,9 +359,14 @@ class HubPollingArbitration:
         self._cursor = 0
         self._pending = 0
         self._poll_cost: float | None = None
+        #: Each leaf's ``1 << ring position`` and the backlog mask: bit k
+        #: is set exactly when the queue of ring leaf k is non-empty.
+        self._slot_bits: dict[str, int] = {}
+        self._backlog = 0
 
     def register_node(self, node_name: str, offered_rate_bps: float) -> None:
         if node_name not in self._queues:
+            self._slot_bits[node_name] = 1 << len(self._ring)
             self._ring.append(node_name)
             self._queues[node_name] = deque()
 
@@ -323,6 +375,7 @@ class HubPollingArbitration:
             self.register_node(packet.source, 0.0)
         self._queues[packet.source].append(packet)
         self._pending += 1
+        self._backlog |= self._slot_bits[packet.source]
 
     def pending_count(self) -> int:
         return self._pending
@@ -334,6 +387,7 @@ class HubPollingArbitration:
         removed = len(queue)
         queue.clear()
         self._pending -= removed
+        self._backlog &= ~self._slot_bits[node_name]
         return removed
 
     def poll_cost_seconds(self) -> float:
@@ -343,12 +397,8 @@ class HubPollingArbitration:
                 "polling arbitration needs a link rate; attach it to a "
                 "Medium or pass link_rate_bps explicitly"
             )
-        # One-node PollingMAC cycle minus the payload burst: the pure
-        # per-poll overhead, kept in one place with the closed-form model.
-        mac = PollingMAC(link_rate_bps=self.link_rate_bps,
-                         poll_overhead_bits=self.poll_overhead_bits,
-                         turnaround_seconds=self.turnaround_seconds)
-        return mac.cycle_time_seconds(1, 0.0)
+        return poll_cost_seconds(self.link_rate_bps, self.poll_overhead_bits,
+                                 self.turnaround_seconds)
 
     def next_grant(self, now: float) -> Grant | None:
         if self._pending == 0:
@@ -357,16 +407,25 @@ class HubPollingArbitration:
             # Poll parameters are fixed for the lifetime of a run; compute
             # the per-poll cost once, after the Medium attached its rate.
             self._poll_cost = self.poll_cost_seconds()
-        poll_cost = self._poll_cost
         ring_size = len(self._ring)
-        for skipped in range(ring_size):
-            name = self._ring[(self._cursor + skipped) % ring_size]
-            if self._queues[name]:
-                self._cursor = (self._cursor + skipped + 1) % ring_size
-                self._pending -= 1
-                delay = (skipped + 1) * poll_cost
-                return self._queues[name].popleft(), delay
-        raise SimulationError("pending count out of sync with queues")
+        cursor = self._cursor
+        backlog = self._backlog
+        ahead = backlog >> cursor
+        if ahead:
+            slot = cursor + (ahead & -ahead).bit_length() - 1
+            skipped = slot - cursor
+        elif backlog:
+            slot = (backlog & -backlog).bit_length() - 1
+            skipped = ring_size - cursor + slot
+        else:
+            raise SimulationError("pending count out of sync with queues")
+        queue = self._queues[self._ring[slot]]
+        self._cursor = (slot + 1) % ring_size
+        self._pending -= 1
+        packet = queue.popleft()
+        if not queue:
+            self._backlog = backlog ^ (1 << slot)
+        return packet, (skipped + 1) * self._poll_cost
 
 
 #: Registry of policy constructors for string-based selection (CLI,

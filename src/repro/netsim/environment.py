@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from ..comm.budget import power_sum_db
 from ..errors import SimulationError
-from .simulator import BodyNetworkSimulator, SimulationResult
+from .simulator import BodyNetworkSimulator, SimulationResult, _sum_in_order
 
 #: Reference distance (metres) at which a body's radiated/coupled
 #: interference levels are quoted.
@@ -177,8 +177,9 @@ class EnvironmentResult:
         """Unweighted mean of per-body delivered fractions."""
         if not self.body_results:
             return 0.0
-        return sum(result.delivered_fraction
-                   for result in self.body_results) / len(self.body_results)
+        return _sum_in_order(result.delivered_fraction
+                             for result in self.body_results) \
+            / len(self.body_results)
 
     @property
     def mean_leaf_power_watts(self) -> float:
@@ -186,7 +187,7 @@ class EnvironmentResult:
         total = 0.0
         count = 0
         for result in self.body_results:
-            total += sum(result.per_node_average_power_watts.values())
+            total += result.total_leaf_power_watts
             count += len(result.per_node_average_power_watts)
         return total / count if count else 0.0
 

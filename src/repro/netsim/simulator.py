@@ -852,8 +852,8 @@ class BodyNetworkSimulator:
         fifo_fast = policy_type is FIFOArbitration
         slotted_fast = policy_type in (TDMAArbitration, HubPollingArbitration)
         # The grants are inlined too, at both grant sites: the FIFO head
-        # pop, the TDMA slot-ring walk and the polling ring walk.  The
-        # TDMA ring and its validity flags are re-read per grant, so a
+        # pop and the TDMA and polling backlog-mask lookups.  The TDMA
+        # ring and its validity flags are re-read per grant, so a
         # mid-run slot-table rebuild falls back to the method safely.
         tdma_fast = policy_type is TDMAArbitration
         polling_fast = policy_type is HubPollingArbitration
@@ -863,7 +863,6 @@ class BodyNetworkSimulator:
         new_packet = Packet.__new__
         int_ = int
         len_ = len
-        max_ = max
         heappop_ = heappop
         heappush_ = heappush
         heapreplace_ = heapreplace
@@ -964,13 +963,17 @@ class BodyNetworkSimulator:
         heapify(gen_heap)
         if slotted_fast and any(entry is None for entry in node_queues):
             slotted_fast = False
-        # The slotted arbiters' backlog counter and the TDMA slot ring
-        # are hoisted into locals; every call that can mutate them (a
-        # method grant, a purge, a control event) is bracketed by a sync
-        # and re-hoist.  The ring is built up front so the first grant
-        # already takes the inline path (a missing link rate surfaces
-        # identically on that first grant instead).
-        slot_pending = policy._pending if slotted_fast else 0
+        # The slotted arbiters' backlog counter, backlog mask and the
+        # TDMA slot ring are hoisted into locals; every call that can
+        # mutate them (a method grant, a purge, a control event) is
+        # bracketed by a sync and re-hoist.  The ring is built up front
+        # so the first grant already takes the inline path (a missing
+        # link rate surfaces identically on that first grant instead).
+        # ``slot_bit`` is each kernel node's bit in the mask (its ring
+        # position), 0 while the TDMA ring is not yet built.
+        slot_pending = 0  # both read by the first re-hoist below
+        backlog = 0
+        slot_bit = [0] * n_nodes
         ring = None
         ring_starts = None
         ring_ok = False
@@ -981,10 +984,10 @@ class BodyNetworkSimulator:
         win_l: list[tuple[float, float] | None] = [None] * n_nodes
         win_src = None
         # The polling ring's queues in ring order, each kernel node's
-        # position in it, and the per-poll cost.  The walk is inline once
-        # the cost is known (the first method grant computes it), and the
-        # ring only ever grows by appending, so its length tells whether
-        # a control event registered a node.
+        # position in it, and the per-poll cost.  The grant is inline
+        # once the cost is known (the first method grant computes it),
+        # and the ring only ever grows by appending, so its length tells
+        # whether a control event registered a node.
         poll_queues: list = []
         poll_pos = [0] * n_nodes
         poll_size = 0
@@ -992,30 +995,38 @@ class BodyNetworkSimulator:
         poll_ok = False
 
         def _rehoist_rings() -> None:
-            nonlocal ring, ring_starts, ring_ok, win_src, poll_size, \
-                poll_cost, poll_ok
+            nonlocal slot_pending, backlog, ring, ring_starts, ring_ok, \
+                win_src, poll_size, poll_cost, poll_ok
+            if not slotted_fast:
+                return
+            slot_pending = policy._pending
+            backlog = policy._backlog
             if polling_fast:
-                poll_ok = slotted_fast and policy._poll_cost is not None
+                names = policy._ring
+                if len(names) != poll_size:
+                    poll_size = len(names)
+                    poll_queues[:] = [policy._queues[name] for name in names]
+                    position = {name: k for k, name in enumerate(names)}
+                    for i in range(n_nodes):
+                        poll_pos[i] = position[node_list[i].name]
+                        slot_bit[i] = 1 << poll_pos[i]
+                poll_ok = policy._poll_cost is not None
                 if poll_ok:
                     poll_cost = policy._poll_cost
-                    names = policy._ring
-                    if len(names) != poll_size:
-                        poll_size = len(names)
-                        poll_queues[:] = [policy._queues[name]
-                                          for name in names]
-                        position = {name: k for k, name in enumerate(names)}
-                        for i in range(n_nodes):
-                            poll_pos[i] = position[node_list[i].name]
                 return
-            ring_ok = (slotted_fast and tdma_fast
-                       and policy._windows is not None and policy._ring_fast)
+            windows = policy._windows
+            if windows is not None and windows is not win_src:
+                # A rebuilt slot table (always a fresh dict) comes with a
+                # rebuilt ring: re-read each node's window and bit.
+                win_src = windows
+                for i in range(n_nodes):
+                    name = node_list[i].name
+                    win_l[i] = windows.get(name)
+                    slot_bit[i] = policy._slot_bits.get(name, 0)
+            ring_ok = windows is not None and policy._ring_fast
             if ring_ok:
                 ring = policy._ring
                 ring_starts = policy._ring_starts
-                if policy._windows is not win_src:
-                    win_src = policy._windows
-                    for i in range(n_nodes):
-                        win_l[i] = win_src.get(node_list[i].name)
 
         if tdma_fast and slotted_fast:
             try:
@@ -1182,6 +1193,7 @@ class BodyNetworkSimulator:
                         if slot_pending < max_queue:
                             node_queues[index].append(packet)
                             slot_pending += 1
+                            backlog |= slot_bit[index]
                             accepted = True
                         else:
                             accepted = False
@@ -1197,12 +1209,13 @@ class BodyNetworkSimulator:
                                     and win_l[index] is not None):
                                 # The bus was idle, so nothing else is
                                 # backlogged: the packet just queued is
-                                # the only one the slot-ring walk could
-                                # grant.  Grant it directly from its own
+                                # the only one the slot-ring grant could
+                                # pick.  Grant it directly from its own
                                 # window (the access arithmetic mirrors
-                                # the ring walk's expressions exactly).
+                                # the ring grant's expressions exactly).
                                 node_queues[index].popleft()
                                 slot_pending = 0
+                                backlog ^= slot_bit[index]
                                 offset, width = win_l[index]
                                 frame_start = (floor_(t / superframe)
                                                * superframe)
@@ -1225,10 +1238,12 @@ class BodyNetworkSimulator:
                                 fifo_queue.popleft()
                                 grant = (packet, 0.0)
                             elif poll_ok and slot_pending == 1:
-                                # Alone on the polling ring: the walk from
-                                # the cursor skips every leaf before it.
+                                # Alone on the polling ring: the polls
+                                # from the cursor skip every leaf before
+                                # it.
                                 node_queues[index].popleft()
                                 slot_pending = 0
+                                backlog ^= slot_bit[index]
                                 cursor = policy._cursor
                                 skipped = (poll_pos[index] - cursor) \
                                     % poll_size
@@ -1238,10 +1253,9 @@ class BodyNetworkSimulator:
                             else:
                                 if slotted_fast:
                                     policy._pending = slot_pending
+                                    policy._backlog = backlog
                                 grant = next_grant(t)
-                                if slotted_fast:
-                                    slot_pending = policy._pending
-                                    _rehoist_rings()
+                                _rehoist_rings()
                             if grant is None:
                                 bus._busy = False
                             else:
@@ -1354,18 +1368,21 @@ class BodyNetworkSimulator:
                                 queue._now = t  # the accounting reads it
                                 if slotted_fast:  # the drain may purge
                                     policy._pending = slot_pending
+                                    policy._backlog = backlog
                                 self._account_attempt(packet, False)
                                 if slotted_fast:
                                     slot_pending = policy._pending
+                                    backlog = policy._backlog
                             if (packet.attempts < max_attempts
                                     and source_name not in purged):
                                 stats.retransmissions += 1
                                 if slotted_fast:
                                     # The source is a known node, so
-                                    # ``enqueue`` reduces to an append
-                                    # and a pending bump.
+                                    # ``enqueue`` reduces to an append,
+                                    # a pending bump and its mask bit.
                                     node_queues[idx].append(packet)
                                     slot_pending += 1
+                                    backlog |= slot_bit[idx]
                                 else:
                                     enqueue(packet)
                             else:
@@ -1389,9 +1406,11 @@ class BodyNetworkSimulator:
                                 queue._now = t  # the accounting reads it
                                 if slotted_fast:  # the ack drain may purge
                                     policy._pending = slot_pending
+                                    policy._backlog = backlog
                                 self._account_attempt(packet, True)
                                 if slotted_fast:
                                     slot_pending = policy._pending
+                                    backlog = policy._backlog
                             hub_ack_acc += hub_ack_e
                             hub_grand += hub_ack_e
                             hub_posts += 1
@@ -1446,9 +1465,11 @@ class BodyNetworkSimulator:
                                 if state.death_seconds is not None:
                                     if slotted_fast:  # the death purges
                                         policy._pending = slot_pending
+                                        policy._backlog = backlog
                                     self._record_death(node)
                                     if slotted_fast:
                                         slot_pending = policy._pending
+                                        backlog = policy._backlog
                     # The hub listened to the frame for its full length,
                     # erased or not.
                     value = bits * rx_e[idx]
@@ -1471,40 +1492,41 @@ class BodyNetworkSimulator:
                             frame_start = floor_(t / superframe) * superframe
                             anchor = bisect_(ring_starts,
                                              t - frame_start) - 1
+                            slot = -1
                             if anchor >= 0:
                                 offset, width, nq = ring[anchor]
                                 if nq and t < frame_start + offset + width:
-                                    slot_pending -= 1
-                                    packet2 = nq.popleft()
-                                    access_delay = \
-                                        max_(t, frame_start + offset) - t
-                            if packet2 is None:
-                                count = len_(ring)
-                                for step in range(1, count + 1):
-                                    offset, width, nq = \
-                                        ring[(anchor + step) % count]
-                                    if nq:
-                                        start = frame_start + offset
-                                        if t < start + width:
-                                            access = t if t > start else start
-                                        else:
-                                            start = (frame_start + superframe
-                                                     + offset)
-                                            if t < start + width:
-                                                access = (t if t > start
-                                                          else start)
-                                            else:
-                                                access = (frame_start
-                                                          + 2.0 * superframe
-                                                          + offset)
-                                        slot_pending -= 1
-                                        packet2 = nq.popleft()
-                                        access_delay = access - t
-                                        break
+                                    slot = anchor  # inside its window
+                            if slot < 0:
+                                # The first backlogged slot after the
+                                # anchor, wrapping to the ring's start.
+                                ahead = backlog >> (anchor + 1)
+                                if ahead:
+                                    slot = anchor + (ahead
+                                                     & -ahead).bit_length()
+                                elif backlog:
+                                    slot = (backlog
+                                            & -backlog).bit_length() - 1
                                 else:
                                     raise SimulationError(
                                         "pending count out of sync "
                                         "with queues")
+                                offset, width, nq = ring[slot]
+                            start = frame_start + offset
+                            if t < start + width:
+                                access = t if t > start else start
+                            else:
+                                start = frame_start + superframe + offset
+                                if t < start + width:
+                                    access = t if t > start else start
+                                else:
+                                    access = (frame_start
+                                              + 2.0 * superframe + offset)
+                            slot_pending -= 1
+                            packet2 = nq.popleft()
+                            if not nq:
+                                backlog ^= 1 << slot
+                            access_delay = access - t
                     elif fifo_fast:
                         fifo_queue = policy._pending
                         if fifo_queue:
@@ -1516,27 +1538,34 @@ class BodyNetworkSimulator:
                         if slot_pending == 0:
                             bus._busy = False
                         else:
+                            # The first backlogged leaf at or after the
+                            # cursor, wrapping to the ring's start; every
+                            # leaf before it is polled empty.
                             cursor = policy._cursor
-                            for skipped in range(poll_size):
-                                nq = poll_queues[(cursor + skipped)
-                                                 % poll_size]
-                                if nq:
-                                    policy._cursor = ((cursor + skipped + 1)
-                                                      % poll_size)
-                                    slot_pending -= 1
-                                    packet2 = nq.popleft()
-                                    access_delay = (skipped + 1) * poll_cost
-                                    break
+                            ahead = backlog >> cursor
+                            if ahead:
+                                slot = cursor + (ahead
+                                                 & -ahead).bit_length() - 1
+                                skipped = slot - cursor
+                            elif backlog:
+                                slot = (backlog & -backlog).bit_length() - 1
+                                skipped = poll_size - cursor + slot
                             else:
                                 raise SimulationError(
                                     "pending count out of sync with queues")
+                            nq = poll_queues[slot]
+                            policy._cursor = (slot + 1) % poll_size
+                            slot_pending -= 1
+                            packet2 = nq.popleft()
+                            if not nq:
+                                backlog ^= 1 << slot
+                            access_delay = (skipped + 1) * poll_cost
                     else:
                         if slotted_fast:
                             policy._pending = slot_pending
+                            policy._backlog = backlog
                         grant = next_grant(t)
-                        if slotted_fast:
-                            slot_pending = policy._pending
-                            _rehoist_rings()
+                        _rehoist_rings()
                         if grant is None:
                             bus._busy = False
                         else:
@@ -1589,14 +1618,13 @@ class BodyNetworkSimulator:
                 queue._now = t  # the clock a queue dispatch would set
                 if slotted_fast:
                     policy._pending = slot_pending
+                    policy._backlog = backlog
                 purges = len_(purged)
                 for i, nd, record in energy_rows:
                     nd.bits_sent = bits_l[i]
                     settle(nd, t, record)
                     stride_l[i] = nd.tx_stride
                 if len_(purged) != purges:
-                    if slotted_fast:
-                        slot_pending = policy._pending
                     _rehoist_rings()
                 t += tick_interval
                 if t <= end_time:
@@ -1620,6 +1648,7 @@ class BodyNetworkSimulator:
                     nd.packets_delivered = deliv_counts[i]
                 if slotted_fast:
                     policy._pending = slot_pending
+                    policy._backlog = backlog
                 runtime.evaluate_cadence(t)
                 stride_l[i] = nd.tx_stride
                 heapreplace_(cadence_heap,
@@ -1637,11 +1666,10 @@ class BodyNetworkSimulator:
                 queue._seq = seq
                 if slotted_fast:
                     policy._pending = slot_pending
+                    policy._backlog = backlog
                 _publish_nodes()
                 queue.step()
                 seq = queue._seq
-                if slotted_fast:
-                    slot_pending = policy._pending
                 _rehoist_rings()
                 _reload_nodes()
                 queue_key = queue.peek_key() or sentinel
@@ -1682,6 +1710,7 @@ class BodyNetworkSimulator:
             hub_ledger._posted_count += hub_posts
         if slotted_fast:
             policy._pending = slot_pending
+            policy._backlog = backlog
         bus._chain = (None if chain_key is sentinel else
                       (chain_key[0], chain_key[1], chain_kind, chain_packet,
                        chain_service))

@@ -19,6 +19,11 @@ arbiters; their energy classes are still subclassed.
 
 A 60-member hybrid cohort on FIFO, TDMA and polling hubs, half of it on
 scaled CR2032 cells, is pinned by digest as well.
+
+Wide TDMA and polling bodies of 72 leaves make the slotted arbiters'
+backlog masks wider than 64 bits, and a TDMA oracle bounds every latency
+of one periodic leaf among idle ones by a superframe plus its service
+time.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro.netsim import (ARQPolicy, BodyNetworkSimulator, LinkReliability,
 from repro.netsim.arbitration import (FIFOArbitration, HubPollingArbitration,
                                       TDMAArbitration)
 from repro.netsim.config import NodeConfig
+from repro.netsim.packet import Packet
 from repro.runner.artifacts import canonical_json
 
 COHORT_SHA256 = \
@@ -259,3 +265,69 @@ def test_hybrid_cohort_pinned():
     assert accumulator.dead_members > 0
     assert sha256_of({"overview": accumulator.overview(),
                       "summary": accumulator.summary_rows()}) == COHORT_SHA256
+
+
+WIDE_LEAVES = 72
+
+
+def build_wide(arbiter: str, *, twin: bool) -> BodyNetworkSimulator:
+    """72 bursty leaves on ARQ: grants skip idle slots, wrap the ring
+    and re-enqueue retries at mask bits above 64."""
+    reliability = LinkReliability(seed=7, arq=ARQPolicy(retry_limit=3))
+    simulator = BodyNetworkSimulator(
+        wir_commercial(), rng=13,
+        arbitration=TWIN_ARBITERS[arbiter]() if twin else arbiter,
+        reliability=reliability)
+    for index in range(WIDE_LEAVES):
+        name = f"leaf{index}"
+        if index % 3:
+            source = PeriodicSource.from_rate(
+                units.kilobit_per_second(8.0 + index % 5),
+                bits_per_packet=1024.0)
+        else:
+            source = PoissonSource(mean_interarrival_seconds=0.05,
+                                   mean_bits_per_packet=2048.0)
+        simulator.attach(NodeConfig(name, source))
+        reliability.set_error_rate(name, 0.1)
+    return simulator
+
+
+@pytest.mark.parametrize("arbiter", ("tdma", "polling"))
+def test_wide_body_inline_paths_match_method_paths(arbiter):
+    stock = build_wide(arbiter, twin=False)
+    twin = build_wide(arbiter, twin=True)
+    stock_result = stock.run(DURATION_SECONDS)
+    twin_result = twin.run(DURATION_SECONDS)
+    policy = stock.bus.policy
+    assert type(policy) is not TWIN_ARBITERS[arbiter]
+    assert len(policy._ring) == WIDE_LEAVES
+    if arbiter == "tdma":
+        assert policy._ring_fast
+    assert stock_result.retransmissions > 0
+    assert_twins_agree(stock, stock_result, twin, twin_result)
+
+
+@pytest.mark.parametrize("twin", (False, True))
+def test_tdma_latency_within_superframe_plus_service(twin):
+    """One periodic leaf backlogged among idle ones waits at most one
+    superframe for its window, then transmits: every latency is at most
+    ``superframe + service``."""
+    simulator = BodyNetworkSimulator(
+        wir_commercial(), rng=2,
+        arbitration=TwinTDMA() if twin else "tdma")
+    for index in range(8):
+        if index == 5:
+            source = PeriodicSource(period_seconds=0.0137,
+                                    bits_per_packet=1024.0)
+        else:
+            source = PeriodicSource(period_seconds=1e6,
+                                    bits_per_packet=1024.0)
+        simulator.attach(NodeConfig(f"leaf{index}", source))
+    result = simulator.run(DURATION_SECONDS)
+    policy = simulator.bus.policy
+    service = simulator.bus.service_time_seconds(
+        Packet("leaf5", 1024.0, 0.0))
+    assert result.delivered_packets >= 700
+    assert policy._ring_fast
+    assert simulator.bus.stats.latency.max_seconds \
+        <= policy.superframe_seconds + service

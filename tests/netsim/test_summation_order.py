@@ -6,13 +6,16 @@ From Python 3.12 on, the builtin ``sum`` of floats is compensated
 model of the 3.12 float loop, is installed as ``builtins.sum`` and
 pins that such sums once reached are re-run on any interpreter: a
 kernel run, a hybrid run's energy books, a hybrid multi-body
-environment and a hybrid cohort whose cells brown out.
+environment and its per-body means, a hybrid cohort whose cells brown
+out, and an oversubscribed TDMA body whose slot shares divide by the
+summed demand.
 """
 
 from __future__ import annotations
 
 import builtins
 import functools
+import hashlib
 import importlib.util
 import math
 import operator
@@ -22,6 +25,12 @@ import pytest
 
 import test_kernel_pins
 import test_ledger_pins
+from repro import units
+from repro.comm.eqs_hbc import wir_commercial
+from repro.netsim import BodyNetworkSimulator, PeriodicSource
+from repro.netsim.config import NodeConfig
+from repro.runner.artifacts import canonical_json
+from repro.scenarios import get_environment
 
 
 def compensated_sum(iterable, /, start=0):
@@ -102,3 +111,44 @@ def test_hybrid_environment_pin(compensated):
 def test_hybrid_battery_cohort_pin(compensated):
     _load("energy/test_battery_pins.py") \
         .test_battery_mix_hybrid_cohort_pinned()
+
+
+#: An E8-style body past capacity: 40 leaves of 64 kb/s x (1 + k/9),
+#: about twice the 4 Mb/s link, so TDMA falls back to rate-proportional
+#: slot shares whose widths divide by the summed demand.  That sum is
+#: one where the compensated loop rounds differently.
+OVERSUBSCRIBED_TDMA_SHA256 = \
+    "9255b31da8a94fe86c69d37e7c06997f11fe782e2299e5cd63136937d6f35fdb"
+
+#: Unweighted means over the ``gym_floor`` hybrid environment's bodies.
+GYM_FLOOR_MEAN_DELIVERED_FRACTION = "0.9775616438356165"
+GYM_FLOOR_MEAN_LEAF_POWER_WATTS = "2.869813557048889e-05"
+
+
+def oversubscribed_tdma_sha256() -> str:
+    simulator = BodyNetworkSimulator(wir_commercial(), rng=0,
+                                     arbitration="tdma")
+    for index in range(40):
+        simulator.attach(NodeConfig(
+            f"leaf{index}",
+            PeriodicSource.from_rate(
+                units.kilobit_per_second(64.0) * (1.0 + index / 9.0)),
+            sensing_power_watts=units.microwatt(30.0)))
+    result = simulator.run(1.0)
+    windows = simulator.bus.policy._slot_table()
+    return hashlib.sha256(canonical_json(
+        {"result": result.to_dict(), "windows": windows}).encode("utf-8")
+    ).hexdigest()
+
+
+def test_oversubscribed_tdma_pin(compensated):
+    assert oversubscribed_tdma_sha256() == OVERSUBSCRIBED_TDMA_SHA256
+
+
+def test_environment_means(compensated):
+    result = get_environment("gym_floor").build(seed=0).run(
+        fast_path="hybrid")
+    assert repr(result.mean_delivered_fraction) \
+        == GYM_FLOOR_MEAN_DELIVERED_FRACTION
+    assert repr(result.mean_leaf_power_watts) \
+        == GYM_FLOOR_MEAN_LEAF_POWER_WATTS
