@@ -355,7 +355,7 @@ def draw_rows(draws: "MemberDraws") -> AnalyticRows:
                                for choice in policies])[policy]
     bits = draws.bits_per_packet
     return AnalyticRows(
-        index=list(range(draws.start, draws.stop)),
+        index=range(draws.start, draws.stop),
         scenario=draws.member_names(),
         arbitration=[policies[choice] for choice in policy.tolist()],
         duration=np.full(count, float(cohort.member_duration_seconds)),

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from ..scenarios.spec import (
 )
 from ..sensors.catalog import SensorModality, modality_spec
 from .distributions import Bernoulli, Categorical, Uniform
-from .streams import StreamBlock, StreamOverrun
+from .streams import StreamBlock
 
 #: Fraction of the population wearing each modality (the "adoption rate").
 #: Video is deliberately absent: first-person video is a hub workload,
@@ -134,6 +134,28 @@ IMPLANT_TECHNOLOGY = "mqs_implant"
 BASELINE_TECHNOLOGY = "wir"
 
 
+class MemberNames(Sequence[str]):
+    """Scenario names of a member index range, each built when read.
+
+    The analytic path carries a block's names along without reading
+    them; only validated or retained members format theirs.
+    """
+
+    __slots__ = ("cohort", "indices")
+
+    def __init__(self, cohort: str, indices: range) -> None:
+        self.cohort = cohort
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return MemberNames(self.cohort, self.indices[position])
+        return f"{self.cohort}-{self.indices[position]:06d}"
+
+
 @dataclass(frozen=True, eq=False)
 class MemberDraws:
     """A contiguous member range drawn into flat arrays.
@@ -148,7 +170,8 @@ class MemberDraws:
 
     cohort: "CohortSpec"
     start: int
-    seeds: tuple[int, ...]
+    #: Member seeds (``uint32``), in range order.
+    seeds: np.ndarray
     kinds: tuple[LeafKind, ...]
     technologies: tuple[str, ...]
     batteries: tuple[str, ...]
@@ -175,11 +198,9 @@ class MemberDraws:
     def stop(self) -> int:
         return self.start + len(self.seeds)
 
-    def member_names(self) -> list[str]:
+    def member_names(self) -> MemberNames:
         """Scenario names of the drawn members, in range order."""
-        name = self.cohort.name
-        return [f"{name}-{index:06d}" for index in range(self.start,
-                                                          self.stop)]
+        return MemberNames(self.cohort.name, range(self.start, self.stop))
 
     def member_at(self, position: int) -> CohortMember:
         """Build the :class:`ScenarioSpec` of the member at *position*."""
@@ -218,7 +239,7 @@ class MemberDraws:
                     at_fraction=awake, action="sleep",
                     node_prefixes=(kind.name,)))
         scenario = ScenarioSpec(
-            name=f"{cohort.name}-{index:06d}",
+            name=self.member_names()[position],
             description=f"sampled member {index} of cohort {cohort.name!r}",
             duration_seconds=cohort.member_duration_seconds,
             nodes=tuple(nodes),
@@ -228,7 +249,7 @@ class MemberDraws:
             per_packet_overhead_seconds=float(
                 self.overhead_seconds[position]),
         )
-        return CohortMember(index=index, seed=self.seeds[position],
+        return CohortMember(index=index, seed=int(self.seeds[position]),
                             scenario=scenario)
 
 
@@ -399,20 +420,10 @@ class CohortSpec:
                 f"[0, {self.population})")
         seeds = derive_seeds(self.seed, f"cohort:{self.name}", "member",
                              range(start, stop))
-        kinds = self.leaf_kinds()
-        # Upper bound on 64-bit words one member consumes (an integer
-        # draw takes at most one); a rejection-sampling redraw can exceed
-        # it, in which case the block is simply re-read wider.
-        width = 5 * (len(kinds) - 2) + 8
-        while True:
-            try:
-                stream = StreamBlock(np.asarray(seeds, dtype=np.uint32),
-                                     width)
-                return self._draw_block(start, tuple(seeds), kinds, stream)
-            except StreamOverrun:
-                width *= 2
+        return self._draw_block(start, seeds, self.leaf_kinds(),
+                                StreamBlock(seeds))
 
-    def _draw_block(self, start: int, seeds: tuple[int, ...],
+    def _draw_block(self, start: int, seeds: np.ndarray,
                     kinds: tuple[LeafKind, ...],
                     stream: StreamBlock) -> MemberDraws:
         size = len(seeds)

@@ -10,17 +10,25 @@ constructing it:
   whole block of 32-bit seeds as ``uint32`` array arithmetic and derives
   each member's initial PCG64 ``(state, increment)`` pair as 64-bit
   high/low ``uint64`` arrays;
-* :func:`raw_words` steps every member's 128-bit LCG side by side as
-  ``uint64`` array arithmetic (the high half of the 64-bit product
+* :class:`StreamBlock` steps every member's 128-bit LCG side by side
+  as ``uint64`` array arithmetic (the high half of the 64-bit product
   built from 32-bit partial products, carries explicit) and emits
-  PCG64's XSL-RR output word per step — no per-member Python work;
-* :class:`StreamBlock` decodes those words exactly as ``Generator``
-  does — ``random()`` from the top 53 bits, ``integers(n)`` by Lemire's
-  bounded multiply on buffered 32-bit halves (with its rejection loop),
-  ``uniform(low, high)`` as ``low + (high - low) * random()`` — with
-  one cursor per member, so a block of members advances draw by draw
-  in vectorised steps while each member still consumes its own stream
-  in its own order.
+  PCG64's XSL-RR output word per step — no per-member Python work.
+  Words are generated lazily, one column for all members at a time and
+  only as deep as the deepest member has drawn, into a column buffer
+  that doubles when it fills; a member that redraws past everyone else
+  (a Lemire rejection) just deepens the block;
+* it decodes those words exactly as ``Generator`` does — ``random()``
+  from the top 53 bits, ``integers(n)`` by Lemire's bounded multiply on
+  buffered 32-bit halves (with its rejection loop), ``uniform(low,
+  high)`` as ``low + (high - low) * random()`` — with one cursor per
+  member, so a block of members advances draw by draw in vectorised
+  steps while each member still consumes its own stream in its own
+  order.
+
+The member seeds themselves come from
+:func:`repro.runner.sweep.derive_seeds`, which hashes one byte template
+per member and returns them as a ``uint32`` array.
 
 ``tests/cohort/test_streams.py`` checks every step against
 ``np.random.default_rng`` itself.
@@ -62,6 +70,9 @@ _U64 = np.uint64(64)
 
 #: ``random()`` scale: 53 random bits to a double in [0, 1).
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
+
+#: Columns a :class:`StreamBlock` buffer holds before its first doubling.
+_INITIAL_DEPTH = 16
 
 
 def _hashmix(values: np.ndarray, hash_const: list[int]) -> np.ndarray:
@@ -135,57 +146,63 @@ def _step(high: np.ndarray, low: np.ndarray, inc_high: np.ndarray,
                    low * _MULT_LOW, inc_high, inc_low)
 
 
-def raw_words(seeds: np.ndarray, width: int) -> np.ndarray:
-    """The first *width* raw 64-bit outputs of each seed's stream.
-
-    All streams step together, one output column at a time: PCG64
-    advances the state, then emits its XSL-RR output
-    ``rotr64(high ^ low, high >> 58)``.
-    """
-    high, low, inc_high, inc_low = seed_states(seeds)
-    # Column-major, so each step writes one contiguous column.
-    words = np.empty((width, len(high)), dtype=np.uint64)
-    for column in range(width):
-        high, low = _step(high, low, inc_high, inc_low)
-        folded = high ^ low
-        rotation = high >> _U58
-        words[column] = (folded >> rotation) | (
-            folded << ((_U64 - rotation) & _U63))
-    return words.T
-
-
-class StreamOverrun(Exception):
-    """A member drew past the words fetched for it (retry wider)."""
-
-
 class StreamBlock:
     """Vectorised ``Generator`` draws over one block of member streams.
 
     Every draw method takes a boolean *mask* of the members that make
     the draw (the others' streams do not move) and returns one value per
     masked member, in member order.
+
+    Raw words are generated lazily: all streams step together, one
+    output column at a time, only as deep as the deepest member has
+    drawn so far, into a column buffer that grows by doubling.
     """
 
-    def __init__(self, seeds: np.ndarray, width: int) -> None:
-        self.words = raw_words(seeds, width)
-        self.width = width
+    def __init__(self, seeds: np.ndarray) -> None:
+        high, low, inc_high, inc_low = seed_states(seeds)
+        self._state = high, low
+        self._increment = inc_high, inc_low
         size = len(seeds)
+        # Column-major, so each step writes one contiguous column.
+        self._words = np.empty((_INITIAL_DEPTH, size), dtype=np.uint64)
+        #: Columns generated so far: the deepest any member has drawn.
+        self.depth = 0
         self.cursor = np.zeros(size, dtype=np.int64)
         #: PCG64's buffered upper 32-bit half (``has_uint32``/``uinteger``).
         self.has_half = np.zeros(size, dtype=bool)
         self.half = np.zeros(size, dtype=np.uint64)
 
+    def _deepen(self) -> None:
+        """Step every stream once and append the output column: PCG64
+        advances the state, then emits its XSL-RR output
+        ``rotr64(high ^ low, high >> 58)``."""
+        if self.depth == len(self._words):
+            grown = np.empty((2 * self.depth, self._words.shape[1]),
+                             dtype=np.uint64)
+            grown[:self.depth] = self._words
+            self._words = grown
+        high, low = self._state = _step(*self._state, *self._increment)
+        folded = high ^ low
+        rotation = high >> _U58
+        self._words[self.depth] = (folded >> rotation) | (
+            folded << ((_U64 - rotation) & _U63))
+        self.depth += 1
+
     def _next64(self, rows: np.ndarray) -> np.ndarray:
         cursor = self.cursor[rows]
-        if len(cursor) and int(cursor.max()) >= self.width:
-            raise StreamOverrun
+        # A cursor never passes the depth, so one column always suffices.
+        if len(cursor) and int(cursor.max()) == self.depth:
+            self._deepen()
         self.cursor[rows] = cursor + 1
-        return self.words[rows, cursor]
+        return self._words[cursor, rows]
+
+    def random_raw(self, mask: np.ndarray) -> np.ndarray:
+        """``PCG64.random_raw()`` for the masked members."""
+        return self._next64(np.flatnonzero(mask))
 
     def random(self, mask: np.ndarray) -> np.ndarray:
         """``Generator.random()`` for the masked members."""
-        rows = np.flatnonzero(mask)
-        return (self._next64(rows) >> np.uint64(11)) * _DOUBLE_SCALE
+        return (self.random_raw(mask) >> np.uint64(11)) * _DOUBLE_SCALE
 
     def uniform(self, mask: np.ndarray, low: float,
                 high: float) -> np.ndarray:

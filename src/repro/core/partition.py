@@ -107,11 +107,6 @@ class PartitionDecision:
     technology: str
 
     @property
-    def runs_fully_on_leaf(self) -> bool:
-        """Whether the optimum keeps the entire model on the leaf."""
-        return self.best.hub_macs == 0
-
-    @property
     def runs_fully_on_hub(self) -> bool:
         """Whether the optimum ships the raw input to the hub."""
         return self.best.leaf_macs == 0

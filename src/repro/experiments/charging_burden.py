@@ -77,10 +77,6 @@ class ChargingBurdenResult:
                 return point
         raise KeyError(device_count)
 
-    def burden_ratio_at(self, device_count: int) -> float:
-        """Conventional / human-inspired charge events at *device_count*."""
-        return self.at(device_count).burden_ratio
-
     def incremental_burden_ratio_at(self, device_count: int) -> float:
         """Burden ratio excluding the hub's daily charge."""
         return self.at(device_count).incremental_burden_ratio

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.survey import (
-    DeviceCategory,
     WEARABLE_SURVEY,
     estimate_battery_life_seconds,
     survey_rows,
@@ -50,12 +49,6 @@ class Fig2Result:
             if row["device"] == device_name:
                 return LifeBand(row["band"])
         raise KeyError(device_name)
-
-    def devices_in_category(self, category: DeviceCategory) -> list[str]:
-        """Device names in one of Fig. 2's columns."""
-        return [
-            row["device"] for row in self.rows if row["category"] == category.value
-        ]
 
 
 def run() -> Fig2Result:

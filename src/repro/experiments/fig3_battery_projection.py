@@ -18,7 +18,6 @@ from ..comm.ble import ble_1m_phy
 from ..comm.eqs_hbc import wir_commercial
 from ..core.battery_life import (
     BatteryLifeProjection,
-    LifeBand,
     battery_life_vs_data_rate,
 )
 from .. import units
@@ -92,13 +91,6 @@ def summarize_bands(result: Fig3Result) -> dict[str, str]:
         str(row["device_class"]): str(row["band"]) for row in result.device_rows()
     }
 
-
-def expected_bands() -> dict[str, LifeBand]:
-    """Device class -> band the paper claims (ground truth for tests)."""
-    return {
-        str(row["device_class"]): LifeBand(str(row["expected_band"]))
-        for row in run(n_points=13).device_rows()
-    }
 
 def _registry_summary(result: Fig3Result) -> list[str]:
     return ["perpetual region extends to "

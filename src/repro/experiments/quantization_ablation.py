@@ -67,14 +67,6 @@ class QuantizationAblationResult:
         ]
         return sorted(matched, key=lambda point: point.activation_bits)
 
-    def leaf_energy_spread(self, workload: str, technology: str) -> float:
-        """Max/min leaf energy across activation widths (sensitivity metric)."""
-        series = self.series(workload, technology)
-        energies = [point.leaf_energy_joules for point in series]
-        if not energies or min(energies) == 0.0:
-            return float("inf")
-        return max(energies) / min(energies)
-
     def rows(self) -> list[dict[str, object]]:
         """Rows for the report table."""
         rows: list[dict[str, object]] = []

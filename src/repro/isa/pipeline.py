@@ -81,11 +81,6 @@ class ISAPipeline:
 
     stages: list[ISAStage] = field(default_factory=list)
 
-    def add_stage(self, stage: ISAStage) -> "ISAPipeline":
-        """Append a stage and return self (builder style)."""
-        self.stages.append(stage)
-        return self
-
     def output_rate_bps(self, input_rate_bps: float) -> float:
         """Data rate leaving the pipeline for a given input rate."""
         rate = input_rate_bps

@@ -28,11 +28,6 @@ class LayerProfile:
     output_elements: int
     output_bits: float
 
-    @property
-    def output_bytes(self) -> float:
-        """Size of the activation leaving this layer in bytes."""
-        return self.output_bits / 8.0
-
 
 @dataclass(frozen=True)
 class ModelProfile:

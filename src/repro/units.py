@@ -283,11 +283,6 @@ def to_days(duration_s: float) -> float:
     return _check_non_negative(duration_s, "duration [s]") / SECONDS_PER_DAY
 
 
-def to_weeks(duration_s: float) -> float:
-    """Convert a duration in seconds to weeks (for reporting)."""
-    return _check_non_negative(duration_s, "duration [s]") / SECONDS_PER_WEEK
-
-
 def to_years(duration_s: float) -> float:
     """Convert a duration in seconds to years (for reporting)."""
     return _check_non_negative(duration_s, "duration [s]") / SECONDS_PER_YEAR
@@ -307,19 +302,9 @@ def centimetre(value: float) -> float:
     return _check_non_negative(value, "distance [cm]") * 0.01
 
 
-def millimetre(value: float) -> float:
-    """Return a distance in millimetres, converted to metres."""
-    return _check_non_negative(value, "distance [mm]") * MILLI
-
-
 # ---------------------------------------------------------------------------
 # Capacitance (used by the EQS-HBC circuit model)
 # ---------------------------------------------------------------------------
-
-def farad(value: float) -> float:
-    """Return a capacitance in farads."""
-    return _check_non_negative(value, "capacitance [F]")
-
 
 def picofarad(value: float) -> float:
     """Return a capacitance in picofarads, converted to farads."""

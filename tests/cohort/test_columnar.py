@@ -26,7 +26,6 @@ from repro.cohort import (
     encode_shard,
     evaluate_members,
 )
-from repro.cohort import spec as cohort_spec
 from repro.cohort.aggregate import MemberColumns
 from repro.cohort.analytic import (
     AnalyticRows,
@@ -34,7 +33,6 @@ from repro.cohort.analytic import (
     evaluate_rows,
     scenario_rows,
 )
-from repro.cohort.streams import StreamBlock
 from repro.errors import ScenarioError, SimulationError
 from repro.netsim.stats import LatencyAccumulator
 from repro.runner.artifacts import canonical_json
@@ -213,20 +211,6 @@ def test_draws_do_not_depend_on_block_bounds():
     assert [cohort.member(i) for i in (0, 76, 77, 199)] == \
         [member for i, member in enumerate(cohort.members()) if i in
          (0, 76, 77, 199)]
-
-
-def test_narrow_stream_block_retries_wider(monkeypatch):
-    cohort = CohortSpec(population=64, seed=5)
-    expected = [cohort.member(index) for index in range(64)]
-    widths: list[int] = []
-
-    def narrow(seeds, width):
-        widths.append(width)
-        return StreamBlock(seeds, width // 8)
-
-    monkeypatch.setattr(cohort_spec, "StreamBlock", narrow)
-    assert list(cohort.members()) == expected
-    assert len(set(widths)) > 1
 
 
 class TestHoistedMemberValidation:

@@ -9,17 +9,11 @@ to the real generator, draw for draw.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cohort import Bernoulli, Categorical, Uniform
-from repro.cohort.streams import (
-    StreamBlock,
-    StreamOverrun,
-    raw_words,
-    seed_states,
-)
+from repro.cohort.streams import StreamBlock, seed_states
 
 SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12)
 
@@ -37,9 +31,19 @@ def test_seed_states_match_pcg64(seeds):
             == (reference["state"], reference["inc"])
 
 
+def raw_columns(seeds, width: int) -> np.ndarray:
+    """*width* raw words per seed from one block, drawn column by column
+    over every member; row *i* is seed *i*'s stream."""
+    block = StreamBlock(np.asarray(seeds, dtype=np.uint32))
+    everyone = np.ones(len(seeds), dtype=bool)
+    columns = [block.random_raw(everyone) for _ in range(width)]
+    assert all(column.dtype == np.uint64 for column in columns)
+    return np.array(columns, dtype=np.uint64).reshape(width, len(seeds)).T
+
+
 def test_raw_words_match_pcg64():
     seeds = np.array([0, 1, 7, 2**31, 2**32 - 1], dtype=np.uint32)
-    words = raw_words(seeds, 16)
+    words = raw_columns(seeds, 16)
     for seed, row in zip(seeds, words):
         assert row.tolist() == \
             np.random.PCG64(int(seed)).random_raw(16).tolist()
@@ -52,10 +56,10 @@ def test_raw_words_match_pcg64():
 @example([0, *range(2**32 - 63, 2**32)], 64)
 @settings(max_examples=60, deadline=None)
 def test_raw_words_match_pcg64_over_seed_and_width_range(seeds, width):
-    """Every row of a block equals that seed's own ``PCG64`` stream,
-    for empty and full blocks, any ``uint32`` seed and widths 1 … 64."""
-    words = raw_words(np.asarray(seeds, dtype=np.uint32), width)
-    assert words.dtype == np.uint64
+    """Every member's words equal that seed's own ``PCG64`` stream, for
+    empty and full blocks, any ``uint32`` seed and depths 1 … 64 (past
+    several doublings of the block's column buffer)."""
+    words = raw_columns(seeds, width)
     assert words.shape == (len(seeds), width)
     for seed, row in zip(seeds, words):
         assert row.tolist() == \
@@ -77,7 +81,7 @@ DRAW = st.tuples(
 def test_block_draws_match_default_rng(seeds, steps):
     """Interleaved draws over a block equal each member's own generator,
     including the buffered 32-bit halves and Lemire rejections."""
-    block = StreamBlock(np.asarray(seeds, dtype=np.uint32), 200)
+    block = StreamBlock(np.asarray(seeds, dtype=np.uint32))
     generators = [np.random.default_rng(seed) for seed in seeds]
     for kind, argument, pattern in steps:
         mask = np.asarray(pattern)
@@ -96,13 +100,27 @@ def test_block_draws_match_default_rng(seeds, steps):
                                 np.asarray(expected).reshape(-1)]
 
 
-def test_overrun_is_signalled():
-    block = StreamBlock(np.array([5], dtype=np.uint32), 2)
-    everyone = np.ones(1, dtype=bool)
-    block.random(everyone)
-    block.random(everyone)
-    with pytest.raises(StreamOverrun):
-        block.random(everyone)
+def test_rejection_heavy_members_deepen_the_block():
+    """``integers(2**31 + 1)`` rejects about half of its draws, so some
+    members redraw far past the 43 words a cohort member takes; each
+    still follows its own generator, and the others' streams do not
+    move while one member alone deepens the block."""
+    seeds = list(range(40))
+    block = StreamBlock(np.asarray(seeds, dtype=np.uint32))
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    everyone = np.ones(len(seeds), dtype=bool)
+    for _ in range(60):
+        got = block.integers(everyone, 2**31 + 1)
+        assert got.tolist() == [generator.integers(2**31 + 1)
+                                for generator in generators]
+    assert block.depth > 43
+    only_first = np.zeros(len(seeds), dtype=bool)
+    only_first[0] = True
+    for _ in range(200):
+        assert block.random(only_first).tolist() == \
+            [generators[0].random()]
+    assert block.random(everyone).tolist() == \
+        [generator.random() for generator in generators]
 
 
 DISTRIBUTIONS = [
@@ -124,7 +142,7 @@ DISTRIBUTIONS = [
 @settings(max_examples=40, deadline=None)
 def test_distribution_draw_matches_sample(seeds, steps):
     """``draw`` over a block consumes each stream exactly like ``sample``."""
-    block = StreamBlock(np.asarray(seeds, dtype=np.uint32), 64)
+    block = StreamBlock(np.asarray(seeds, dtype=np.uint32))
     generators = [np.random.default_rng(seed) for seed in seeds]
     for which, pattern in steps:
         distribution = DISTRIBUTIONS[which]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SweepError
 from repro.runner import SweepRunner, derive_seed, expand_grid
 from repro.runner import resolve as resolve_spec
+from repro.runner.sweep import derive_seeds
 
 #: Small, fast scaling grid used throughout these tests.
 SCALING_GRID = {"seed": [0, 1], "simulated_seconds": [0.25],
@@ -54,6 +58,35 @@ class TestDeriveSeed:
 
     def test_fits_in_32_bits(self):
         assert 0 <= derive_seed(0, "scaling", {}) < 2 ** 32
+
+    @given(base=st.one_of(st.sampled_from([0, 2**32 - 1]),
+                          st.integers(0, 2**32 - 1)),
+           experiment=st.one_of(
+               st.sampled_from(["cohort:cohort", "100%", "%d%%s",
+                                'say "hi"', "{braces}", "wear\u00e9\u2713"]),
+               st.text(max_size=16)),
+           key=st.sampled_from(["member", "x%", 'k"{}\u00e9']),
+           start=st.one_of(st.sampled_from([0, 8, 9, 10, 999_990, 999_999]),
+                           st.integers(-100, 10**7)),
+           length=st.integers(0, 24))
+    @example(base=0, experiment="cohort:cohort", key="member", start=5,
+             length=0)
+    @example(base=2**32 - 1, experiment="50% {\"\u00fc\"}", key="member",
+             start=8, length=4)
+    @example(base=0, experiment="%s%", key="member", start=999_998,
+             length=4)
+    @settings(max_examples=80, deadline=None)
+    def test_block_derivation_equals_one_at_a_time(self, base, experiment,
+                                                   key, start, length):
+        """The byte-template block form equals :func:`derive_seed` per
+        value, across digit-count boundaries (9 -> 10, 999,999 ->
+        1,000,000), empty ranges, extreme bases and experiment names
+        holding ``%``, quotes, braces and non-ASCII characters."""
+        values = range(start, start + length)
+        seeds = derive_seeds(base, experiment, key, values)
+        assert seeds.dtype == np.uint32
+        assert seeds.tolist() == [derive_seed(base, experiment, {key: value})
+                                  for value in values]
 
 
 class TestTaskConstruction:
