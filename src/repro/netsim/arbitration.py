@@ -15,10 +15,12 @@ delegated to an :class:`ArbitrationPolicy`.  Three policies are provided:
   access delay.
 
 Both slotted policies keep a ``_backlog`` int whose bit k is set exactly
-when ring queue k is non-empty, so a grant finds the next backlogged
-slot at or after position s as the lowest set bit of ``backlog >> s``
-(wrapping to the lowest set bit of ``backlog``) instead of walking the
-ring slot by slot.
+when ring queue k is non-empty, so the next backlogged slot at or after
+position s is the lowest set bit of ``backlog >> s`` (wrapping to the
+lowest set bit of ``backlog``), not a walk over the ring slot by slot.
+The polling grant reads it; :meth:`TDMAArbitration.next_grant` is the
+exhaustive earliest-access scan, and the simulator kernel's inline TDMA
+grant reads the mask over the sorted slot ring.
 
 Policies are deterministic (no randomness) and non-preemptive: a grant is
 committed when the medium asks for it, even if a better-placed packet
@@ -28,7 +30,6 @@ arrives before the granted transmission starts.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from typing import Protocol, runtime_checkable
 
@@ -144,12 +145,12 @@ class TDMAArbitration:
         self._queues: dict[str, deque[Packet]] = {}
         self._windows: dict[str, tuple[float, float]] | None = None
         self._pending = 0
-        #: Slot ring for the fast grant path: per-window ``(offset,
-        #: width, queue)`` sorted by offset, plus the parallel offset
-        #: list ``bisect`` searches.  Only valid (``_ring_fast``) when
-        #: the windows are disjoint and fit one superframe; degenerate
-        #: tables (oversubscription bumping ``minimum_width`` into the
-        #: next slot) fall back to the exhaustive scan.
+        #: Slot ring for the simulator kernel's inline grant: per-window
+        #: ``(offset, width, queue)`` sorted by offset, plus the parallel
+        #: offset list ``bisect`` searches.  Only valid (``_ring_fast``)
+        #: when the windows are disjoint and fit one superframe;
+        #: degenerate tables (oversubscription bumping ``minimum_width``
+        #: into the next slot) take :meth:`next_grant`'s scan.
         self._ring: list[tuple[float, float, deque[Packet]]] = []
         self._ring_starts: list[float] = []
         self._ring_fast = False
@@ -262,55 +263,19 @@ class TDMAArbitration:
         return frame_start + 2.0 * superframe + offset
 
     def next_grant(self, now: float) -> Grant | None:
+        """The backlogged node with the earliest access, by an exhaustive
+        scan; ties go to the node registered first.
+
+        With disjoint windows this is the simulator kernel's inline ring
+        grant: the ring read circularly from the window containing (or
+        preceding) *now* is in non-decreasing access order, so its first
+        backlogged slot holds the minimum.
+        """
         if self._pending == 0:
             return None
         windows = self._windows
         if windows is None:
             windows = self._slot_table()
-        if self._ring_fast:
-            # Slot-ring grant: a window bisect and a backlog-mask lookup
-            # instead of scanning every backlogged node.  With disjoint
-            # windows, the ring read circularly from the window after
-            # the one containing ``now`` is in non-decreasing
-            # next-access order, so its first backlogged slot is the
-            # exhaustive scan's minimum.  The access arithmetic mirrors
-            # :meth:`_next_access` exactly (inlined: this runs once per
-            # granted packet).
-            superframe = self.superframe_seconds
-            frame_start = math.floor(now / superframe) * superframe
-            anchor = bisect_right(self._ring_starts, now - frame_start) - 1
-            backlog = self._backlog
-            slot = -1
-            if anchor >= 0:
-                offset, width, queue = self._ring[anchor]
-                if queue and now < frame_start + offset + width:
-                    # Inside (or still ahead of the end of) the anchor's
-                    # window: it transmits first.
-                    slot = anchor
-            if slot < 0:
-                ahead = backlog >> (anchor + 1)
-                if ahead:
-                    slot = anchor + (ahead & -ahead).bit_length()
-                elif backlog:
-                    slot = (backlog & -backlog).bit_length() - 1
-                else:
-                    raise SimulationError(
-                        "pending count out of sync with queues")
-                offset, width, queue = self._ring[slot]
-            start = frame_start + offset
-            if now < start + width:
-                access = now if now > start else start
-            else:
-                start = frame_start + superframe + offset
-                if now < start + width:
-                    access = now if now > start else start
-                else:
-                    access = frame_start + 2.0 * superframe + offset
-            self._pending -= 1
-            packet = queue.popleft()
-            if not queue:
-                self._backlog = backlog ^ (1 << slot)
-            return packet, access - now
         best: tuple[float, str] | None = None
         for name, queue in self._queues.items():
             if not queue:

@@ -784,7 +784,10 @@ class BodyNetworkSimulator:
         that created it: the begin and completion claim the same counter
         values the two-dispatch schedule would have claimed, so the
         merge order is unchanged while the loop runs one iteration per
-        packet instead of two.
+        packet instead of two.  Every grant runs through one block after
+        the dispatch: a completion reaches it with nothing claimed, and
+        a generation that finds the bus idle reaches it having reserved
+        the grant's first claim before its own reschedule.
 
         While the loop runs, shared state lives in locals and flat
         per-node tables: the aggregate counters (delivered packets and
@@ -808,8 +811,7 @@ class BodyNetworkSimulator:
 
         The stock objects' per-event methods run inline, under exact
         type checks, so a subclass keeps the method path: the FIFO,
-        TDMA and polling grants (admission, the idle-bus grant at
-        generation and the re-grant at completion), a stock battery
+        TDMA and polling admission and grant, a stock battery
         node's per-delivery ``NodeEnergyState.drain``, and — through
         :meth:`_settle_energy` with per-node constants hoisted at entry
         — each energy tick's ``NodeEnergyState.advance``.
@@ -851,10 +853,10 @@ class BodyNetworkSimulator:
         policy_type = type(policy)
         fifo_fast = policy_type is FIFOArbitration
         slotted_fast = policy_type in (TDMAArbitration, HubPollingArbitration)
-        # The grants are inlined too, at both grant sites: the FIFO head
-        # pop and the TDMA and polling backlog-mask lookups.  The TDMA
-        # ring and its validity flags are re-read per grant, so a
-        # mid-run slot-table rebuild falls back to the method safely.
+        # The grant is inlined too: the FIFO head pop and the TDMA and
+        # polling backlog-mask lookups.  The TDMA ring and its validity
+        # flag are re-hoisted after every call that can rebuild the
+        # slot table, so a mid-run rebuild falls back to the method.
         tdma_fast = policy_type is TDMAArbitration
         polling_fast = policy_type is HubPollingArbitration
         superframe = policy.superframe_seconds if tdma_fast else 0.0
@@ -970,26 +972,21 @@ class BodyNetworkSimulator:
         # so the first grant already takes the inline path (a missing
         # link rate surfaces identically on that first grant instead).
         # ``slot_bit`` is each kernel node's bit in the mask (its ring
-        # position), 0 while the TDMA ring is not yet built.
+        # position), 0 while the TDMA ring is not yet built;
+        # ``win_src`` is the slot table the TDMA bits were read from, so
+        # a rebuild (always a fresh dict) is detected by identity.
         slot_pending = 0  # both read by the first re-hoist below
         backlog = 0
         slot_bit = [0] * n_nodes
         ring = None
         ring_starts = None
         ring_ok = False
-        # Per-index (offset, width) windows back the idle-bus grant
-        # shortcut; ``win_src`` tracks the dict they were read from, so
-        # a slot-table rebuild (always a fresh dict) is detected by
-        # identity instead of rebuilding the table on every re-hoist.
-        win_l: list[tuple[float, float] | None] = [None] * n_nodes
         win_src = None
-        # The polling ring's queues in ring order, each kernel node's
-        # position in it, and the per-poll cost.  The grant is inline
-        # once the cost is known (the first method grant computes it),
-        # and the ring only ever grows by appending, so its length tells
-        # whether a control event registered a node.
+        # The polling ring's queues in ring order and the per-poll cost.
+        # The grant is inline once the cost is known (the first method
+        # grant computes it), and the ring only ever grows by appending,
+        # so its length tells whether a control event registered a node.
         poll_queues: list = []
-        poll_pos = [0] * n_nodes
         poll_size = 0
         poll_cost = 0.0
         poll_ok = False
@@ -1006,23 +1003,20 @@ class BodyNetworkSimulator:
                 if len(names) != poll_size:
                     poll_size = len(names)
                     poll_queues[:] = [policy._queues[name] for name in names]
-                    position = {name: k for k, name in enumerate(names)}
                     for i in range(n_nodes):
-                        poll_pos[i] = position[node_list[i].name]
-                        slot_bit[i] = 1 << poll_pos[i]
+                        slot_bit[i] = policy._slot_bits[node_list[i].name]
                 poll_ok = policy._poll_cost is not None
                 if poll_ok:
                     poll_cost = policy._poll_cost
                 return
             windows = policy._windows
             if windows is not None and windows is not win_src:
-                # A rebuilt slot table (always a fresh dict) comes with a
-                # rebuilt ring: re-read each node's window and bit.
+                # A rebuilt slot table comes with a rebuilt ring:
+                # re-read each node's bit.
                 win_src = windows
+                bits_of = policy._slot_bits
                 for i in range(n_nodes):
-                    name = node_list[i].name
-                    win_l[i] = windows.get(name)
-                    slot_bit[i] = policy._slot_bits.get(name, 0)
+                    slot_bit[i] = bits_of.get(node_list[i].name, 0)
             ring_ok = windows is not None and policy._ring_fast
             if ring_ok:
                 ring = policy._ring
@@ -1132,22 +1126,17 @@ class BodyNetworkSimulator:
         while True:
             # Generations below the chain/control barrier dispatch in a
             # tight inner loop: nothing a generation does can move the
-            # control stream, and a grant — the only way it arms the
-            # chain — recomputes the barrier in place.  Sequence numbers
-            # are globally unique, so tuple comparison never reaches the
-            # streams' differing trailing elements, and a generation
-            # wins the three-way merge exactly when it sorts below the
-            # minimum of the other two heads.  Generation times never
-            # exceed the horizon (scheduling is gated), so the drain
-            # needs no horizon check.
+            # control stream, and a generation that finds the bus idle
+            # leaves the loop for the grant below, which re-arms the
+            # chain.  Sequence numbers are globally unique, so tuple
+            # comparison never reaches the streams' differing trailing
+            # elements, and a generation wins the three-way merge exactly
+            # when it sorts below the minimum of the other two heads.
+            # Generation times never exceed the horizon (scheduling is
+            # gated), so the drain needs no horizon check.
             barrier = chain_key if chain_key < ctrl_key else ctrl_key
-            while gen_heap:
-                head = gen_heap[0]
-                if head >= barrier:
-                    break
-                t = head[0]
-                heappop_(gen_heap)
-                index = head[2]
+            while gen_heap and gen_heap[0] < barrier:
+                t, _, index = heappop_(gen_heap)
                 node = node_list[index]
                 fast = periodic[index]
                 packet = None
@@ -1175,12 +1164,10 @@ class BodyNetworkSimulator:
                 # The interarrival draw moves ahead of admission relative
                 # to the legacy callback, but no other draw sits between
                 # them, so the rng stream is consumed identically; the
-                # grant below needs the next generation instant for its
-                # begin-fusion check.
+                # node's reschedule below needs the instant.
                 next_time = t + (fast[0] if fast is not None
                                  else node.source.next_interarrival_seconds(
                                      rng))
-                fused = False
                 if packet is not None:
                     if fifo_fast:
                         fifo_queue = policy._pending
@@ -1203,118 +1190,39 @@ class BodyNetworkSimulator:
                     else:
                         accepted = False
                     if accepted:
-                        if not bus._busy:
-                            bus._busy = True
-                            if (ring_ok and slot_pending == 1
-                                    and win_l[index] is not None):
-                                # The bus was idle, so nothing else is
-                                # backlogged: the packet just queued is
-                                # the only one the slot-ring grant could
-                                # pick.  Grant it directly from its own
-                                # window (the access arithmetic mirrors
-                                # the ring grant's expressions exactly).
-                                node_queues[index].popleft()
-                                slot_pending = 0
-                                backlog ^= slot_bit[index]
-                                offset, width = win_l[index]
-                                frame_start = (floor_(t / superframe)
-                                               * superframe)
-                                start = frame_start + offset
-                                if t < start + width:
-                                    access = t if t > start else start
-                                else:
-                                    start = (frame_start + superframe
-                                             + offset)
-                                    if t < start + width:
-                                        access = t if t > start else start
-                                    else:
-                                        access = (frame_start
-                                                  + 2.0 * superframe
-                                                  + offset)
-                                grant = (packet, access - t)
-                            elif fifo_fast and len_(fifo_queue) == 1:
-                                # The packet just queued is alone: the FIFO
-                                # grant pops it with no access delay.
-                                fifo_queue.popleft()
-                                grant = (packet, 0.0)
-                            elif poll_ok and slot_pending == 1:
-                                # Alone on the polling ring: the polls
-                                # from the cursor skip every leaf before
-                                # it.
-                                node_queues[index].popleft()
-                                slot_pending = 0
-                                backlog ^= slot_bit[index]
-                                cursor = policy._cursor
-                                skipped = (poll_pos[index] - cursor) \
-                                    % poll_size
-                                policy._cursor = ((cursor + skipped + 1)
-                                                  % poll_size)
-                                grant = (packet, (skipped + 1) * poll_cost)
-                            else:
-                                if slotted_fast:
-                                    policy._pending = slot_pending
-                                    policy._backlog = backlog
-                                grant = next_grant(t)
-                                _rehoist_rings()
-                            if grant is None:
-                                bus._busy = False
-                            else:
-                                packet2, access_delay = grant
-                                service = packet2._service
-                                if service is None:
-                                    service = service_cache.get(
-                                        (packet2.source, packet2.bits))
-                                    if service is None:
-                                        service = \
-                                            bus.service_time_seconds(packet2)
-                                busy_s += service
-                                chain_packet = packet2
-                                chain_service = service
-                                if access_delay == 0.0:
-                                    chain_key = (t + service, seq)
-                                    chain_kind = 1
-                                    seq += 1
-                                else:
-                                    begin_t = t + access_delay
-                                    # Begin fusion, with one extra claim
-                                    # to account for: this node's own
-                                    # reschedule (pushed below) claims
-                                    # before the begin would dispatch.
-                                    if (begin_t <= end_time
-                                            and ctrl_key[0] > begin_t
-                                            and (gen_heap[0][0] if gen_heap
-                                                 else inf_) > begin_t
-                                            and (next_time > begin_t
-                                                 or next_time > end_time)):
-                                        chain_key = (
-                                            begin_t + service,
-                                            seq + (2 if next_time <= end_time
-                                                   else 1))
-                                        chain_kind = 1
-                                        seq += 1
-                                        fused = True
-                                    else:
-                                        chain_key = (begin_t, seq)
-                                        chain_kind = 0
-                                        seq += 1
-                                barrier = (chain_key
-                                           if chain_key < ctrl_key
-                                           else ctrl_key)
                         sent_counts[index] += 1
                         bits_l[index] += bits
+                        if not bus._busy:
+                            # The bus was idle: the grant's first claim
+                            # (its begin, or its completion when access
+                            # is immediate) comes before this node's
+                            # reschedule, as the two-dispatch schedule
+                            # claims them; the grant follows the loop.
+                            bus._busy = True
+                            first = seq
+                            seq += 1
+                            if next_time <= end_time:
+                                heappush_(gen_heap, (next_time, seq, index))
+                                seq += 1
+                            break
                     else:
                         stats.dropped_packets += 1
                 if next_time <= end_time:
                     heappush_(gen_heap, (next_time, seq, index))
                     seq += 1
-                if fused:
-                    seq += 1  # the fused completion's claim
-            t = barrier[0]
-            if t > end_time:
-                break
-            if barrier is chain_key:
-                chain_key = sentinel
-                if chain_kind:
+            else:
+                t = barrier[0]
+                if t > end_time:
+                    break
+                if barrier is chain_key:
+                    chain_key = sentinel
+                    if not chain_kind:
+                        # Transmission begins: re-arm as its own
+                        # completion.
+                        chain_key = (t + chain_service, seq)
+                        chain_kind = 1
+                        seq += 1
+                        continue
                     # Transmission completes.  Every packet on the medium
                     # was built by this kernel, which set its ``_node``.
                     packet = chain_packet
@@ -1477,206 +1385,209 @@ class BodyNetworkSimulator:
                     hub_grand += value
                     hub_posts += 1
                     hub_trace[hub_bucket] += value
-                    # Grant the next transmission.  The stock grants are
-                    # replicated inline (same expressions, same association
-                    # order as their ``next_grant``); anything else —
-                    # including a TDMA whose slot table was invalidated or
-                    # failed the disjoint-windows check, and a polling
-                    # ring whose poll cost is not yet known — takes the
-                    # method call.
-                    packet2 = None
-                    if ring_ok:
-                        if slot_pending == 0:
-                            bus._busy = False
-                        else:
-                            frame_start = floor_(t / superframe) * superframe
-                            anchor = bisect_(ring_starts,
-                                             t - frame_start) - 1
-                            slot = -1
-                            if anchor >= 0:
-                                offset, width, nq = ring[anchor]
-                                if nq and t < frame_start + offset + width:
-                                    slot = anchor  # inside its window
-                            if slot < 0:
-                                # The first backlogged slot after the
-                                # anchor, wrapping to the ring's start.
-                                ahead = backlog >> (anchor + 1)
-                                if ahead:
-                                    slot = anchor + (ahead
-                                                     & -ahead).bit_length()
-                                elif backlog:
-                                    slot = (backlog
-                                            & -backlog).bit_length() - 1
-                                else:
-                                    raise SimulationError(
-                                        "pending count out of sync "
-                                        "with queues")
-                                offset, width, nq = ring[slot]
-                            start = frame_start + offset
-                            if t < start + width:
-                                access = t if t > start else start
-                            else:
-                                start = frame_start + superframe + offset
-                                if t < start + width:
-                                    access = t if t > start else start
-                                else:
-                                    access = (frame_start
-                                              + 2.0 * superframe + offset)
-                            slot_pending -= 1
-                            packet2 = nq.popleft()
-                            if not nq:
-                                backlog ^= 1 << slot
-                            access_delay = access - t
-                    elif fifo_fast:
-                        fifo_queue = policy._pending
-                        if fifo_queue:
-                            packet2 = fifo_queue.popleft()
-                            access_delay = 0.0
-                        else:
-                            bus._busy = False
-                    elif poll_ok:
-                        if slot_pending == 0:
-                            bus._busy = False
-                        else:
-                            # The first backlogged leaf at or after the
-                            # cursor, wrapping to the ring's start; every
-                            # leaf before it is polled empty.
-                            cursor = policy._cursor
-                            ahead = backlog >> cursor
+                    first = -1
+                elif ctrl_key is tick_key:
+                    # Energy tick: settle every energy node at ``t``.  A
+                    # settle reads only the node's serialised bits and may
+                    # re-stride or kill the node, so only those sync; a
+                    # brownout purges the node's backlog from the arbiter.
+                    queue._now = t  # the clock a queue dispatch would set
+                    if slotted_fast:
+                        policy._pending = slot_pending
+                        policy._backlog = backlog
+                    purges = len_(purged)
+                    for i, nd, record in energy_rows:
+                        nd.bits_sent = bits_l[i]
+                        settle(nd, t, record)
+                        stride_l[i] = nd.tx_stride
+                    if len_(purged) != purges:
+                        _rehoist_rings()
+                    t += tick_interval
+                    if t <= end_time:
+                        tick_key = (t, seq)
+                        seq += 1
+                    else:
+                        tick_key = sentinel
+                    ctrl_key = tick_key if tick_key < queue_key else queue_key
+                    if cad_key < ctrl_key:
+                        ctrl_key = cad_key
+                    continue
+                elif ctrl_key is cad_key:
+                    # Cadence tick: one controller evaluates its node at
+                    # ``t`` and re-arms one cadence later, claiming after the
+                    # evaluation as a queued callback would.
+                    runtime = cad_key[2]
+                    queue._now = t  # the clock a queue dispatch would set
+                    i = node_slot[runtime.node.name]
+                    nd = node_list[i]
+                    nd.bits_sent = bits_l[i]
+                    if fast_flags[i]:
+                        nd.packets_delivered = deliv_counts[i]
+                    if slotted_fast:
+                        policy._pending = slot_pending
+                        policy._backlog = backlog
+                    runtime.evaluate_cadence(t)
+                    stride_l[i] = nd.tx_stride
+                    heapreplace_(cadence_heap,
+                                 (t + runtime.cadence_seconds, seq, runtime))
+                    seq += 1
+                    cad_key = cadence_heap[0]
+                    ctrl_key = tick_key if tick_key < queue_key else queue_key
+                    if cad_key < ctrl_key:
+                        ctrl_key = cad_key
+                    continue
+                else:
+                    # Control callbacks (posture events, a controller attached
+                    # mid-run) see consistent per-node traffic counters and
+                    # may schedule or claim; sync the counters around the
+                    # dispatch.
+                    queue._seq = seq
+                    if slotted_fast:
+                        policy._pending = slot_pending
+                        policy._backlog = backlog
+                    _publish_nodes()
+                    queue.step()
+                    seq = queue._seq
+                    _rehoist_rings()
+                    _reload_nodes()
+                    queue_key = queue.peek_key() or sentinel
+                    cad_key = cadence_heap[0] if cadence_heap else sentinel
+                    ctrl_key = tick_key if tick_key < queue_key else queue_key
+                    if cad_key < ctrl_key:
+                        ctrl_key = cad_key
+                    continue
+            # Grant the next transmission, after a completion or at a
+            # generation that found the bus idle.  The stock grants are
+            # replicated inline (same expressions, same association
+            # order as their ``next_grant``); anything else — including
+            # a TDMA whose slot table was invalidated or failed the
+            # disjoint-windows check, and a polling ring whose poll cost
+            # is not yet known — takes the method call.  The grant
+            # claims only when it grants: a completion has claimed
+            # nothing yet (``first`` is -1), a generation has reserved
+            # its first claim.
+            packet2 = None
+            if ring_ok:
+                if slot_pending == 0:
+                    bus._busy = False
+                else:
+                    frame_start = floor_(t / superframe) * superframe
+                    if slot_pending == 1:
+                        # A lone packet: its slot is the mask's only bit,
+                        # with no window bisect.
+                        slot = (backlog & -backlog).bit_length() - 1
+                        offset, width, nq = ring[slot]
+                    else:
+                        anchor = bisect_(ring_starts, t - frame_start) - 1
+                        slot = -1
+                        if anchor >= 0:
+                            offset, width, nq = ring[anchor]
+                            if nq and t < frame_start + offset + width:
+                                slot = anchor  # inside its window
+                        if slot < 0:
+                            # The first backlogged slot after the anchor,
+                            # wrapping to the ring's start.
+                            ahead = backlog >> (anchor + 1)
                             if ahead:
-                                slot = cursor + (ahead
-                                                 & -ahead).bit_length() - 1
-                                skipped = slot - cursor
+                                slot = anchor + (ahead
+                                                 & -ahead).bit_length()
                             elif backlog:
                                 slot = (backlog & -backlog).bit_length() - 1
-                                skipped = poll_size - cursor + slot
                             else:
                                 raise SimulationError(
                                     "pending count out of sync with queues")
-                            nq = poll_queues[slot]
-                            policy._cursor = (slot + 1) % poll_size
-                            slot_pending -= 1
-                            packet2 = nq.popleft()
-                            if not nq:
-                                backlog ^= 1 << slot
-                            access_delay = (skipped + 1) * poll_cost
+                            offset, width, nq = ring[slot]
+                    start = frame_start + offset
+                    if t < start + width:
+                        access = t if t > start else start
                     else:
-                        if slotted_fast:
-                            policy._pending = slot_pending
-                            policy._backlog = backlog
-                        grant = next_grant(t)
-                        _rehoist_rings()
-                        if grant is None:
-                            bus._busy = False
+                        start = frame_start + superframe + offset
+                        if t < start + width:
+                            access = t if t > start else start
                         else:
-                            packet2, access_delay = grant
-                    if packet2 is not None:
-                        service = packet2._service
-                        if service is None:
-                            service = service_cache.get(
-                                (packet2.source, packet2.bits))
-                            if service is None:
-                                service = bus.service_time_seconds(packet2)
-                        busy_s += service
-                        chain_packet = packet2
-                        chain_service = service
-                        if access_delay == 0.0:
-                            chain_key = (t + service, seq)
-                            chain_kind = 1
-                            seq += 1
-                        else:
-                            begin_t = t + access_delay
-                            # Begin fusion: if no generation or control
-                            # event can dispatch at or before the begin
-                            # instant (and the horizon does not cross
-                            # it), nothing can claim a sequence between
-                            # the grant and the begin dispatch — the
-                            # begin claims now and the completion claims
-                            # the very next number, exactly the values
-                            # the two-dispatch schedule yields.
-                            if (begin_t <= end_time
-                                    and ctrl_key[0] > begin_t
-                                    and (gen_heap[0][0] if gen_heap
-                                         else inf_) > begin_t):
-                                chain_key = (begin_t + service, seq + 1)
-                                chain_kind = 1
-                                seq += 2
-                            else:
-                                chain_key = (begin_t, seq)
-                                chain_kind = 0
-                                seq += 1
+                            access = frame_start + 2.0 * superframe + offset
+                    slot_pending -= 1
+                    packet2 = nq.popleft()
+                    if not nq:
+                        backlog ^= 1 << slot
+                    access_delay = access - t
+            elif fifo_fast:
+                fifo_queue = policy._pending
+                if fifo_queue:
+                    packet2 = fifo_queue.popleft()
+                    access_delay = 0.0
                 else:
-                    # Transmission begins: re-arm as its own completion.
-                    chain_key = (t + chain_service, seq)
-                    chain_kind = 1
-                    seq += 1
-            elif ctrl_key is tick_key:
-                # Energy tick: settle every energy node at ``t``.  A
-                # settle reads only the node's serialised bits and may
-                # re-stride or kill the node, so only those sync; a
-                # brownout purges the node's backlog from the arbiter.
-                queue._now = t  # the clock a queue dispatch would set
-                if slotted_fast:
-                    policy._pending = slot_pending
-                    policy._backlog = backlog
-                purges = len_(purged)
-                for i, nd, record in energy_rows:
-                    nd.bits_sent = bits_l[i]
-                    settle(nd, t, record)
-                    stride_l[i] = nd.tx_stride
-                if len_(purged) != purges:
-                    _rehoist_rings()
-                t += tick_interval
-                if t <= end_time:
-                    tick_key = (t, seq)
-                    seq += 1
+                    bus._busy = False
+            elif poll_ok:
+                if slot_pending == 0:
+                    bus._busy = False
                 else:
-                    tick_key = sentinel
-                ctrl_key = tick_key if tick_key < queue_key else queue_key
-                if cad_key < ctrl_key:
-                    ctrl_key = cad_key
-            elif ctrl_key is cad_key:
-                # Cadence tick: one controller evaluates its node at
-                # ``t`` and re-arms one cadence later, claiming after the
-                # evaluation as a queued callback would.
-                runtime = cad_key[2]
-                queue._now = t  # the clock a queue dispatch would set
-                i = node_slot[runtime.node.name]
-                nd = node_list[i]
-                nd.bits_sent = bits_l[i]
-                if fast_flags[i]:
-                    nd.packets_delivered = deliv_counts[i]
-                if slotted_fast:
-                    policy._pending = slot_pending
-                    policy._backlog = backlog
-                runtime.evaluate_cadence(t)
-                stride_l[i] = nd.tx_stride
-                heapreplace_(cadence_heap,
-                             (t + runtime.cadence_seconds, seq, runtime))
-                seq += 1
-                cad_key = cadence_heap[0]
-                ctrl_key = tick_key if tick_key < queue_key else queue_key
-                if cad_key < ctrl_key:
-                    ctrl_key = cad_key
+                    # The first backlogged leaf at or after the cursor,
+                    # wrapping to the ring's start; every leaf before it
+                    # is polled empty.
+                    cursor = policy._cursor
+                    ahead = backlog >> cursor
+                    if ahead:
+                        slot = cursor + (ahead & -ahead).bit_length() - 1
+                        skipped = slot - cursor
+                    elif backlog:
+                        slot = (backlog & -backlog).bit_length() - 1
+                        skipped = poll_size - cursor + slot
+                    else:
+                        raise SimulationError(
+                            "pending count out of sync with queues")
+                    nq = poll_queues[slot]
+                    policy._cursor = (slot + 1) % poll_size
+                    slot_pending -= 1
+                    packet2 = nq.popleft()
+                    if not nq:
+                        backlog ^= 1 << slot
+                    access_delay = (skipped + 1) * poll_cost
             else:
-                # Control callbacks (posture events, a controller attached
-                # mid-run) see consistent per-node traffic counters and
-                # may schedule or claim; sync the counters around the
-                # dispatch.
-                queue._seq = seq
                 if slotted_fast:
                     policy._pending = slot_pending
                     policy._backlog = backlog
-                _publish_nodes()
-                queue.step()
-                seq = queue._seq
+                grant = next_grant(t)
                 _rehoist_rings()
-                _reload_nodes()
-                queue_key = queue.peek_key() or sentinel
-                cad_key = cadence_heap[0] if cadence_heap else sentinel
-                ctrl_key = tick_key if tick_key < queue_key else queue_key
-                if cad_key < ctrl_key:
-                    ctrl_key = cad_key
+                if grant is None:
+                    bus._busy = False
+                else:
+                    packet2, access_delay = grant
+            if packet2 is not None:
+                service = packet2._service
+                if service is None:
+                    service = service_cache.get((packet2.source,
+                                                 packet2.bits))
+                    if service is None:
+                        service = bus.service_time_seconds(packet2)
+                busy_s += service
+                chain_packet = packet2
+                chain_service = service
+                if first < 0:
+                    first = seq
+                    seq += 1
+                if access_delay == 0.0:
+                    chain_key = (t + service, first)
+                    chain_kind = 1
+                else:
+                    begin_t = t + access_delay
+                    # Begin fusion: if no generation or control event can
+                    # dispatch at or before the begin instant (and the
+                    # horizon does not cross it), nothing can claim a
+                    # sequence between the begin's claim and its
+                    # dispatch — the completion claims the counter's next
+                    # value now, exactly the value the two-dispatch
+                    # schedule yields.  A generation's own reschedule is
+                    # already on the heap.
+                    if (begin_t <= end_time and ctrl_key[0] > begin_t
+                            and (gen_heap[0][0] if gen_heap
+                                 else inf_) > begin_t):
+                        chain_key = (begin_t + service, seq)
+                        chain_kind = 1
+                        seq += 1
+                    else:
+                        chain_key = (begin_t, first)
+                        chain_kind = 0
 
         stats.delivered_packets = delivered_cnt
         stats.delivered_bits = delivered_bits_sum

@@ -46,6 +46,31 @@ def _window_array(samples: list[float]) -> np.ndarray:
     return np.fromiter(samples, dtype=np.float64, count=len(samples))
 
 
+def _window_percentile(window: np.ndarray, percentile: float,
+                       top: float) -> float:
+    """``np.percentile`` of an exact window whose largest sample is *top*.
+
+    numpy interpolates between the two order statistics around the rank,
+    which reads ``nan`` when one of them is ``+inf`` (``inf - inf``, or
+    ``inf * 0`` when the rank lands exactly on a sample).  A window
+    holding ``+inf`` therefore reads the order statistic the rank lands
+    on, or ``inf`` when interpolating toward ``inf``; a finite window
+    reads exactly what ``np.percentile`` reads, and a NaN sample NaN.
+    """
+    if top != math.inf:
+        return float(np.percentile(window, percentile))
+    if np.isnan(window).any():
+        return math.nan
+    ordered = np.sort(window)
+    rank = (len(ordered) - 1) * (percentile / 100.0)
+    low = math.floor(rank)
+    if rank == low:
+        return float(ordered[low])
+    if ordered[low + 1] == math.inf:
+        return math.inf
+    return float(np.percentile(window, percentile))
+
+
 def _require_finite(values) -> None:
     finite = np.isfinite(values)
     if not finite.all():
@@ -361,7 +386,7 @@ class LatencyAccumulator:
             raise SimulationError("percentile must be in [0, 100]")
         window = _window_array(samples)
         return (float(np.mean(window)),
-                float(np.percentile(window, percentile)))
+                _window_percentile(window, percentile, self._max))
 
     def percentile(self, percentile: float) -> float:
         """Latency percentile; exact before the spill, sketch after."""
@@ -369,8 +394,8 @@ class LatencyAccumulator:
         if not 0.0 <= percentile <= 100.0:
             raise SimulationError("percentile must be in [0, 100]")
         if self._samples is not None:
-            return float(np.percentile(_window_array(self._samples),
-                                       percentile))
+            return _window_percentile(_window_array(self._samples),
+                                      percentile, self._max)
         estimate = self._sketch.percentile(percentile)
         return float(min(max(estimate, self._min), self._max))
 

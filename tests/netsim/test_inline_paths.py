@@ -5,8 +5,11 @@ node's per-packet drain and per-tick settlement inline, gated on exact
 types.  Each case here runs one body twice: once stock, and once as a
 *twin* whose arbiter, :class:`~repro.energy.battery.Battery` and
 :class:`~repro.energy.runtime.NodeEnergyState` are trivial subclasses,
-which sends every grant, drain and settlement through the methods.  The
-two runs must agree bit for bit: the sha256 of
+which sends every grant, drain and settlement through the methods.  A
+TDMA twin thereby checks the kernel's ring grant (a window bisect and a
+backlog-mask lookup) against :meth:`TDMAArbitration.next_grant`, the
+exhaustive earliest-access scan.  The two runs must agree bit for bit:
+the sha256 of
 ``canonical_json(result.to_dict())``, and every node's and the hub's
 ledger totals, power trace and post count.
 

@@ -1,13 +1,17 @@
-"""The slotted arbiters' backlog mask against a linear-scan reference.
+"""The slotted arbiters' grants and backlog masks against reference walks.
 
-:class:`TDMAArbitration` and :class:`HubPollingArbitration` find the
-next backlogged ring slot as the lowest set bit of their ``_backlog``
-mask.  Here random register / enqueue / purge / grant sequences drive
-each arbiter next to a model that keeps its own per-node FIFOs and
-grants by walking the ring slot by slot.  Every grant must be the same
-packet with the same access delay, and after every operation bit k of
-``_backlog`` must equal ``bool(queue k)`` for ring position k.  Up to
-80 nodes make the mask wider than 64 bits; a late ``register`` on TDMA
+:class:`HubPollingArbitration` finds the next backlogged ring slot as the
+lowest set bit of its ``_backlog`` mask.  :meth:`TDMAArbitration.next_grant`
+is the exhaustive earliest-access scan; the simulator kernel's inline
+TDMA grant instead reads the mask over the sorted slot ring, so here the
+scan is held to a slot-by-slot ring walk, the order the kernel's grant
+follows (``tests/netsim/test_inline_paths.py`` checks the kernel itself
+against the scan).  Random register / enqueue / purge / grant sequences
+drive each arbiter next to a model that keeps its own per-node FIFOs.
+Every grant must be the same packet with the same access delay, and
+after every operation bit k of ``_backlog`` must equal ``bool(queue k)``
+for ring position k: the TDMA mask is kept for the kernel.  Up to 80
+nodes make the mask wider than 64 bits; a late ``register`` on TDMA
 invalidates the slot table, so the next grant rebuilds the ring.
 """
 
@@ -148,6 +152,7 @@ def drive(policy, initial_rates: list[float], operations) -> None:
 @settings(max_examples=40, deadline=None)
 @given(initial_rates=INITIAL_RATES, operations=OPERATIONS)
 def test_tdma_grants_match_ring_walk(initial_rates, operations):
+    """The exhaustive scan grants what the ring walk grants."""
     drive(TDMAArbitration(link_rate_bps=LINK_RATE_BPS), initial_rates,
           operations)
 
@@ -160,7 +165,9 @@ def test_polling_grants_match_ring_walk(initial_rates, operations):
 
 
 def test_wide_tdma_mask_grants_past_bit_64():
-    """70 backlogged slots: the lookup reaches bits above 64 and wraps."""
+    """70 slots, two backlogged: the scan grants the window that comes
+    next, at ring bits above 64 and across the frame wrap, and clears
+    both mask bits."""
     policy = TDMAArbitration(link_rate_bps=LINK_RATE_BPS)
     names = [f"n{k}" for k in range(70)]
     for name in names:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,65 @@ class TestExactWindow:
         accumulator.add(0.5)
         with pytest.raises(SimulationError):
             accumulator.percentile(101.0)
+
+
+class TestInfiniteExactWindow:
+    """An exact window holding ``+inf`` (a member that never delivered)
+    reads order statistics, where ``np.percentile`` reads ``nan``."""
+
+    @staticmethod
+    def window(values, *, batch: bool = False) -> LatencyAccumulator:
+        accumulator = LatencyAccumulator()
+        if batch:
+            accumulator.add_many(np.array(values))
+        else:
+            for value in values:
+                accumulator.add(value)
+        return accumulator
+
+    @pytest.mark.parametrize("batch", (False, True))
+    def test_all_infinite_reads_inf(self, batch):
+        accumulator = self.window([math.inf] * 3, batch=batch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for percentile in (0.0, 50.0, 99.0, 100.0):
+                assert accumulator.percentile(percentile) == math.inf
+                assert accumulator.mean_and_percentile(percentile) == (
+                    math.inf, math.inf)
+        assert accumulator.max_seconds == math.inf
+
+    @pytest.mark.parametrize(("values", "expected"), [
+        ([1.0, 2.0, math.inf],
+         {0.0: 1.0, 25.0: 1.5, 50.0: 2.0, 75.0: math.inf, 100.0: math.inf}),
+        ([1.0, math.inf, math.inf],
+         {0.0: 1.0, 25.0: math.inf, 50.0: math.inf, 100.0: math.inf}),
+        ([math.inf, 3.0, 0.0, 4.0, 5.0],
+         {0.0: 0.0, 25.0: 3.0, 60.0: 4.4, 75.0: 5.0, 80.0: math.inf}),
+    ])
+    def test_rank_on_a_sample_reads_it_and_toward_inf_reads_inf(
+            self, values, expected):
+        accumulator = self.window(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for percentile, value in expected.items():
+                assert accumulator.percentile(percentile) == value
+                assert accumulator.mean_and_percentile(percentile)[1] == value
+
+    def test_nan_sample_still_reads_nan(self):
+        for values in ([1.0, math.nan, math.inf], [1.0, math.nan]):
+            accumulator = self.window(values)
+            assert math.isnan(accumulator.percentile(50.0))
+            assert math.isnan(accumulator.mean_and_percentile(50.0)[1])
+
+    def test_finite_window_reads_numpy_bit_for_bit(self):
+        values = [0.0, -0.0, 1e-300, 0.25, 0.75, 2.0 ** 60]
+        accumulator = self.window(values)
+        for percentile in (0.0, 10.0, 20.0, 33.3, 50.0, 99.0, 100.0):
+            expected = float(np.percentile(np.array(values), percentile))
+            observed = accumulator.percentile(percentile)
+            assert observed == expected
+            assert math.copysign(1.0, observed) == \
+                math.copysign(1.0, expected)
 
 
 class TestStreamingSpill:

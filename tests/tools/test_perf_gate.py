@@ -219,3 +219,62 @@ def test_json_record_marks_a_failing_gate(monkeypatch, tmp_path):
 def test_worsening_follows_the_metric_direction(parent, change, better,
                                                 expected):
     assert perf_gate.worsening(parent, change, better) == expected
+
+
+def committed(*numbers: int) -> list[dict]:
+    return [json.loads((REPO_ROOT / f"BENCH_{number}.json").read_text())
+            for number in numbers]
+
+
+@pytest.mark.parametrize("numbers, expected", [
+    ((27, 28, 29, 30), {"dense_exact": 0.865, "crowd_hybrid": 1.009,
+                        "cohort_analytic": 0.909, "cohort_hybrid": 1.010}),
+    ((27, 28, 29, 30, 31), {"dense_exact": 0.867, "crowd_hybrid": 1.035,
+                            "cohort_analytic": 0.788,
+                            "cohort_hybrid": 0.995}),
+])
+def test_trajectory_chains_the_committed_records(numbers, expected):
+    chained = perf_gate.trajectory(committed(*numbers))
+    for workload, ratio in expected.items():
+        value, low, high, count = chained[(workload, "wall_s")]
+        assert round(value, 3) == ratio
+        assert low <= high
+        assert count == len(numbers)
+
+
+def gate_record(parent: list[float], change: list[float],
+                metric: str = "wall_s") -> dict:
+    return {"findings": [
+        {"workload": "dense_exact", "metric": metric,
+         "parent_median": perf_gate.statistics.median(parent),
+         "change_median": perf_gate.statistics.median(change),
+         "parent_values": parent, "change_values": change},
+        {"workload": "dense_exact", "metric": "missing_one",
+         "parent_median": None, "change_median": None},
+        {"workload": "dense_exact", "metric": "zero",
+         "parent_median": 0.0, "change_median": 0.0,
+         "parent_values": [0.0], "change_values": [0.0]}]}
+
+
+def test_trajectory_multiplies_ratios_and_pair_quartiles():
+    first = gate_record([1.0, 2.0, 2.0, 4.0, 1.0], [0.5, 2.0, 1.0, 4.0, 1.0])
+    second = gate_record([2.0, 2.0, 2.0], [3.0, 1.0, 2.0])
+    chained = perf_gate.trajectory([first, second])
+    assert set(chained) == {("dense_exact", "wall_s")}
+    value, low, high, count = chained[("dense_exact", "wall_s")]
+    assert value == (1.0 / 2.0) * (2.0 / 2.0)
+    first_q = perf_gate.statistics.quantiles([0.5, 1.0, 0.5, 1.0, 1.0], n=4)
+    second_q = perf_gate.statistics.quantiles([1.5, 0.5, 1.0], n=4)
+    assert (low, high) == (first_q[0] * second_q[0], first_q[2] * second_q[2])
+    assert count == 2
+
+
+def test_trajectory_command_prints_each_chain(capsys):
+    paths = [str(REPO_ROOT / f"BENCH_{number}.json")
+             for number in (27, 28, 29, 30, 31)]
+    assert perf_gate.main(["trajectory", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    wall = [line.split() for line in lines if " wall_s " in line]
+    assert [(fields[0], fields[2], fields[4]) for fields in wall] == [
+        ("dense_exact", "0.867", "5/5"), ("crowd_hybrid", "1.035", "5/5"),
+        ("cohort_analytic", "0.788", "5/5"), ("cohort_hybrid", "0.995", "5/5")]

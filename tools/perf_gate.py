@@ -5,6 +5,7 @@ Usage (from anywhere)::
     python3 tools/perf_gate.py PARENT CHANGE
     python3 tools/perf_gate.py PARENT CHANGE --json BENCH_<pr>.json
     python3 tools/perf_gate.py . . --slow-layer netsim.run
+    python3 tools/perf_gate.py trajectory BENCH_*.json [more.json]
 
 PARENT and CHANGE are two checkouts.  The gate runs ten pairs of
 ``perfbench/run.py --workload all --seed 1 --seconds <run_seconds>
@@ -32,6 +33,13 @@ workload and metric the parent and change medians, both sides' relative
 spreads, the number of pairs the change read better in, every run's
 value and the verdict.  A PR commits that record as its
 ``BENCH_<pr>.json``, so the trajectory of every metric is data.
+
+``trajectory RECORD...`` reads such records and prints, per workload
+and metric, the product of each record's change/parent median ratio:
+the change since the first record's parent.  Raw medians drift between
+records of the same tree, so only the ratios chain.  The band beside it
+chains each record's per-pair ratios (change over parent, pair by pair)
+at their lower and upper quartiles.
 """
 
 from __future__ import annotations
@@ -190,7 +198,52 @@ def summary(findings: list[Finding], slow_layer: str | None) -> dict:
     }
 
 
+def trajectory(records: list[dict]) -> dict[tuple[str, str], tuple]:
+    """``(chained ratio, band low, band high, records chained)`` per
+    ``(workload, metric)``, over the findings that hold both medians.
+
+    A finding with a zero parent median has no ratio and is skipped.
+    """
+    chains: dict[tuple[str, str], list[float]] = {}
+    for record in records:
+        for finding in record["findings"]:
+            parent = finding.get("parent_median")
+            change = finding.get("change_median")
+            if parent is None or change is None or parent == 0.0:
+                continue
+            pairs = [c / p for p, c in zip(finding["parent_values"],
+                                           finding["change_values"])
+                     if p != 0.0]
+            q1, _, q3 = (statistics.quantiles(pairs, n=4)
+                         if len(pairs) > 1 else pairs * 3)
+            chain = chains.setdefault(
+                (finding["workload"], finding["metric"]), [1.0, 1.0, 1.0, 0])
+            chain[0] *= change / parent
+            chain[1] *= q1
+            chain[2] *= q3
+            chain[3] += 1
+    return {key: tuple(chain) for key, chain in chains.items()}
+
+
+def print_trajectory(paths: list[Path]) -> int:
+    records = [json.loads(path.read_text()) for path in paths]
+    print(f"{'workload':<16} {'metric':<26} {'chained':>8} "
+          f"{'pair-ratio band':>17} records")
+    for (workload, metric), (ratio, low, high, count) in \
+            trajectory(records).items():
+        print(f"{workload:<16} {metric:<26} {ratio:>8.3f} "
+              f"{low:>8.3f}..{high:<7.3f} {count}/{len(records)}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["trajectory"]:
+        parser = argparse.ArgumentParser(
+            prog="perf_gate.py trajectory",
+            description="chain gate records' change/parent ratios")
+        parser.add_argument("records", type=Path, nargs="+")
+        return print_trajectory(parser.parse_args(argv[1:]).records)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
