@@ -29,11 +29,13 @@ answers overview queries without ever touching member columns.
 Sections:
 
 ``aggregates``
-    The faithful :meth:`LatencyAccumulator.to_state` of every member
-    metric plus the packet-latency distribution: raw ``float64`` columns
-    while an accumulator is still exact, quantile-sketch levels after the
-    spill.  Decoding and merging these is bit-identical to merging the
-    in-memory accumulators.
+    The faithful :meth:`LatencyAccumulator.raw_state` of every member
+    metric plus the packet-latency distribution: while an accumulator is
+    still exact, its window of raw doubles as one little-endian byte run
+    (written from and read into an ``array("d")``, no Python float per
+    sample); quantile-sketch levels after the spill.  Decoding and
+    merging these is bit-identical to merging the in-memory
+    accumulators.
 ``validations``
     Columnar analytic-vs-DES validation records (delta+zigzag varint
     index column, dictionary-coded strings, raw ``float64`` columns).
@@ -53,7 +55,9 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -116,6 +120,9 @@ _VALIDATION_FLOAT_FIELDS = (
 _ACCUMULATOR_MODES = {"exact": 0, "sketch": 2}
 _ACCUMULATOR_MODE_NAMES = {value: key
                            for key, value in _ACCUMULATOR_MODES.items()}
+
+#: Whether this host's doubles need a byteswap to or from the wire.
+_BIG_ENDIAN_HOST = sys.byteorder == "big"
 
 
 def _zstd_module():
@@ -202,6 +209,15 @@ class _Writer:
         self.varint(len(values))
         self._buffer.write(struct.pack(f"<{len(values)}d", *values))
 
+    def f64_array(self, values: array) -> None:
+        """:meth:`f64_column`'s bytes for the raw doubles *values*,
+        written as one run (byteswapped on a big-endian host)."""
+        self.varint(len(values))
+        if _BIG_ENDIAN_HOST:
+            values = array("d", values)
+            values.byteswap()
+        self._buffer.write(values)
+
     def delta_column(self, values: Sequence[int]) -> None:
         """Zigzag-delta varint integer column."""
         self.varint(len(values))
@@ -276,6 +292,15 @@ class _Reader:
         length = self.varint()
         return list(struct.unpack(f"<{length}d", self._take(8 * length)))
 
+    def f64_array(self) -> array:
+        """An :meth:`f64_column` read as raw doubles in one run."""
+        length = self.varint()
+        values = array("d")
+        values.frombytes(self._take(8 * length))
+        if _BIG_ENDIAN_HOST:
+            values.byteswap()
+        return values
+
     def delta_column(self) -> list[int]:
         length = self.varint()
         values = []
@@ -313,7 +338,7 @@ class _Reader:
 
 def _write_accumulator(writer: _Writer,
                        accumulator: LatencyAccumulator) -> None:
-    state = accumulator.to_state()
+    state = accumulator.raw_state()
     mode = str(state["mode"])
     writer.varint(_ACCUMULATOR_MODES[mode])
     writer.varint(int(state["exact_capacity"]))
@@ -321,7 +346,7 @@ def _write_accumulator(writer: _Writer,
     writer.f64(float(state["min"]))
     writer.f64(float(state["max"]))
     if mode == "exact":
-        writer.f64_column(state["samples"])
+        writer.f64_array(state["samples"])
         return
     writer.f64(float(state["total"]))
     sketch = state["sketch"]
@@ -350,7 +375,7 @@ def _read_accumulator(reader: _Reader) -> LatencyAccumulator:
         "max": reader.f64(),
     }
     if mode == "exact":
-        state["samples"] = reader.f64_column()
+        state["samples"] = reader.f64_array()
         return _accumulator_from_state(state)
     state["total"] = reader.f64()
     sketch: dict[str, object] = {

@@ -1775,8 +1775,8 @@ class BodyNetworkSimulator:
                                    max(duration_seconds - rx_busy, 0.0),
                                    timestamp_seconds=duration_seconds)
         if stats.latency.count:
-            mean_latency, p99_latency = \
-                stats.latency.mean_and_percentile(99.0)
+            mean_latency = stats.latency.mean
+            p99_latency = stats.latency.percentile(99.0)
         else:
             mean_latency = 0.0
             p99_latency = 0.0

@@ -18,13 +18,21 @@ as a batch through :meth:`LatencyAccumulator.add_many` (the simulator
 kernel hands over its deliveries in batches); both leave the
 accumulator in the same state, so batching never shows in the results.
 
-Memory is bounded by ``exact_capacity`` samples plus the sketch's fixed
-state regardless of how long the simulation runs.
+The exact window is one ``array("d")`` of raw doubles, the type of the
+kernel's latency batch: batches are copied in as bytes, and the
+finiteness checks, queries, spill, merges and the shard codec read it
+through the buffer protocol, with no Python float per sample.  It holds
+the same doubles the historical list held, bit for bit (``-0.0`` and
+NaN payloads included).
+
+Memory is bounded by ``exact_capacity`` samples (8 bytes each) plus the
+sketch's fixed state regardless of how long the simulation runs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Mapping
 
 import numpy as np
@@ -36,14 +44,14 @@ from ..errors import SimulationError
 #: to the pre-streaming implementation), small enough to bound memory.
 DEFAULT_EXACT_CAPACITY = 65_536
 
-#: Samples per batch in which a spilling window reaches the sketch.
-SPILL_BATCH = 4096
 
+def _window_array(samples: array) -> np.ndarray:
+    """A float64 copy of the exact window (one memcpy).
 
-def _window_array(samples: list[float]) -> np.ndarray:
-    """The exact window as a float64 array: the array ``np.asarray``
-    builds, without first scanning the list for a common type."""
-    return np.fromiter(samples, dtype=np.float64, count=len(samples))
+    A copy, not a view: an ``array("d")`` that exports its buffer
+    refuses to grow, so no numpy view of the window may outlive a call.
+    """
+    return np.array(samples, dtype=np.float64)
 
 
 def _window_percentile(window: np.ndarray, percentile: float,
@@ -87,8 +95,9 @@ class LatencyAccumulator:
     exact_capacity:
         Number of samples retained exactly.  While under this bound the
         accumulator behaves identically to keeping a list (``mean`` uses
-        ``np.mean``, ``percentile`` uses ``np.percentile``).  Beyond it,
-        the samples are folded into a quantile sketch.
+        ``np.mean``, ``percentile`` uses ``np.percentile``), though the
+        window is held as raw doubles.  Beyond it, the samples are
+        folded into a quantile sketch.
     """
 
     def __init__(self, exact_capacity: int = DEFAULT_EXACT_CAPACITY) -> None:
@@ -96,7 +105,8 @@ class LatencyAccumulator:
             raise SimulationError("exact capacity must be positive")
         self.exact_capacity = exact_capacity
         self.count = 0
-        self._samples: list[float] | None = []
+        #: The exact window as raw doubles; ``None`` after the spill.
+        self._samples: array | None = array("d")
         self._total = 0.0
         self._min = math.inf
         self._max = -math.inf
@@ -114,6 +124,7 @@ class LatencyAccumulator:
         with many samples (the simulator kernel) hands them to
         :meth:`add_many` in batches instead.
         """
+        value = float(value)
         if value < 0:
             raise SimulationError(f"latency must be non-negative: {value}")
         # Only a sample that spills the window, or a non-finite one after
@@ -144,34 +155,37 @@ class LatencyAccumulator:
         reaches the sketch in arrival order (running total by sequential
         float additions, sketch by
         :meth:`~repro.cohort.sketch.QuantileSketch.add_many`).  The
-        samples become one float64 array, checked once before any is
-        recorded: negative ones always, non-finite ones whenever they (or
-        the window they spill) would reach the sketch.
+        samples become one contiguous float64 array (a view of an
+        ``array("d")`` batch such as the kernel's), checked once before
+        any is recorded: negative ones always, non-finite ones whenever
+        they (or the window they spill) would reach the sketch.  The part
+        that fits the window is copied in as bytes.
         """
-        array = np.asarray(values, dtype=np.float64)
-        if not array.size:
+        batch = np.ascontiguousarray(values, dtype=np.float64)
+        if not batch.size:
             return
-        negative = array < 0.0
+        negative = batch < 0.0
         if negative.any():
             raise SimulationError(
                 "latency must be non-negative: "
-                f"{float(array[negative.argmax()])}")
-        self._refuse_non_finite(array)
-        if self._samples is not None:
-            space = self.exact_capacity + 1 - len(self._samples)
-            head, array = array[:space], array[space:]
+                f"{float(batch[negative.argmax()])}")
+        self._refuse_non_finite(batch)
+        samples = self._samples
+        if samples is not None:
+            space = self.exact_capacity + 1 - len(samples)
+            head, batch = batch[:space], batch[space:]
             self._record(head)
-            self._samples.extend(head.tolist())
-            if len(self._samples) > self.exact_capacity:
+            samples.frombytes(memoryview(head).cast("B"))
+            if len(samples) > self.exact_capacity:
                 self._spill()
-            if not array.size:
+            if not batch.size:
                 return
-        self._record(array)
+        self._record(batch)
         # ``accumulate`` adds in sequence: bit for bit the loop of
         # ``total += value`` that :meth:`add` runs.
         self._total = float(np.add.accumulate(
-            np.concatenate(((self._total,), array)))[-1])
-        self._sketch.add_many(array)
+            np.concatenate(((self._total,), batch)))[-1])
+        self._sketch.add_many(batch)
 
     def _refuse_non_finite(self, values, added: int | None = None) -> None:
         """Raise, before anything is recorded, if this call would hand
@@ -224,11 +238,14 @@ class LatencyAccumulator:
         O(distinct values) instead of O(total weight).  The macro-tick
         fast path ingests a whole steady-state segment's latencies this
         way.  The batch is checked like :meth:`add_many`'s before any of
-        it is recorded.
+        it is recorded, and so are the counts: each must be a whole
+        number (a Python or numpy integer, or an integral float such as
+        ``2.0``).
         """
         if len(values) != len(counts):
             raise SimulationError(
                 "add_batch needs equally many values and counts")
+        whole_counts = []
         for value, count in zip(values, counts):
             if value < 0:
                 raise SimulationError(
@@ -236,12 +253,19 @@ class LatencyAccumulator:
             if count < 0:
                 raise SimulationError(
                     f"count must be non-negative: {count}")
+            try:
+                whole = int(count)
+            except (ValueError, OverflowError):
+                whole = None
+            if whole is None or whole != count:
+                raise SimulationError(
+                    f"count must be a whole number: {count}")
+            whole_counts.append(whole)
         self._refuse_non_finite(
-            [value for value, count in zip(values, counts) if int(count)],
-            sum(int(count) for count in counts))
+            [value for value, count in zip(values, whole_counts) if count],
+            sum(whole_counts))
         spilled: list[tuple[float, int]] = []
-        for value, count in zip(values, counts):
-            count = int(count)
+        for value, count in zip(values, whole_counts):
             if count == 0:
                 continue
             value = float(value)
@@ -250,14 +274,16 @@ class LatencyAccumulator:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if self._samples is not None:
+            samples = self._samples
+            if samples is not None:
                 # Mirror add()'s trigger: the window spills on the
                 # sample that pushes it past capacity.
-                space = self.exact_capacity + 1 - len(self._samples)
+                space = self.exact_capacity + 1 - len(samples)
+                run = array("d", (value,))
                 if count < space:
-                    self._samples.extend([value] * count)
+                    samples.extend(run * count)
                     continue
-                self._samples.extend([value] * space)
+                samples.extend(run * space)
                 self._spill()
                 count -= space
                 if count == 0:
@@ -272,17 +298,17 @@ class LatencyAccumulator:
     def _spill(self) -> None:
         """Fold the exact window into a new sketch and drop it.
 
-        The window reaches the sketch in batches of :data:`SPILL_BATCH`
-        samples, so the spill never holds an array copy of the whole
-        window; the sketch's state does not depend on the batching.
+        The sketch reads the whole window through the buffer protocol in
+        one :meth:`~repro.cohort.sketch.QuantileSketch.add_many` call
+        (its state does not depend on how a stream is batched), and the
+        running total starts as the window's ``math.fsum``.
         """
         from ..cohort.sketch import QuantileSketch
         samples = self._samples
         assert samples is not None
         self._total = math.fsum(samples)
         self._sketch = QuantileSketch()
-        for start in range(0, len(samples), SPILL_BATCH):
-            self._sketch.add_many(samples[start:start + SPILL_BATCH])
+        self._sketch.add_many(samples)
         self._samples = None
 
     # -- merging -----------------------------------------------------------
@@ -298,24 +324,29 @@ class LatencyAccumulator:
         either side streams into this accumulator's sketch and a foreign
         sketch merges into it losslessly, level by level.  A merge that
         would hand the sketch a non-finite sample is refused before
-        anything is recorded.
+        anything is recorded.  *other* may be this accumulator: the merge
+        then folds a snapshot, as merging a copy would.
         """
         if other.count == 0:
             return
-        if (self._samples is not None and other._samples is not None
+        samples, window = self._samples, other._samples
+        if (samples is not None and window is not None
                 and self.count + other.count <= self.exact_capacity):
-            self._samples.extend(other._samples)
+            # ``array.extend`` reads the length of *window* first, so a
+            # self-merge appends exactly one copy of the window.
+            samples.extend(window)
             self.count += other.count
             self._min = min(self._min, other._min)
             self._max = max(self._max, other._max)
             return
         # Every exact sample on either side reaches the sketch from here
         # on: refuse a non-finite one before anything is recorded.
-        if self._samples:
-            _require_finite(self._samples)
-        window = None
-        if other._samples is not None:
-            window = _window_array(other._samples)
+        if samples:
+            _require_finite(samples)
+        if window is not None:
+            # Copied before anything moves: in a self-merge, the spill
+            # below empties the window this one is read from.
+            window = array("d", window)
             _require_finite(window)
             if self.count == 0:
                 # Nothing locally yet: replay other's window, bit for bit
@@ -332,11 +363,11 @@ class LatencyAccumulator:
             self._total = other._total
             self.count = other.count
             return
-        if self._samples is not None:
+        if samples is not None:
             self._spill()
         self.count += other.count
         if window is not None:
-            self._total += math.fsum(other._samples)
+            self._total += math.fsum(window)
             self._sketch.add_many(window)
             return
         self._total += other._total
@@ -372,22 +403,6 @@ class LatencyAccumulator:
             return float(np.mean(_window_array(self._samples)))
         return self._total / self.count
 
-    def mean_and_percentile(self, percentile: float) -> tuple[float, float]:
-        """``(mean, percentile(percentile))``, converting an exact window
-        to an array once for both.
-
-        That conversion is most of a short run's result queries.
-        """
-        samples = self._samples
-        if samples is None:
-            return self.mean, self.percentile(percentile)
-        self._require_data()
-        if not 0.0 <= percentile <= 100.0:
-            raise SimulationError("percentile must be in [0, 100]")
-        window = _window_array(samples)
-        return (float(np.mean(window)),
-                _window_percentile(window, percentile, self._max))
-
     def percentile(self, percentile: float) -> float:
         """Latency percentile; exact before the spill, sketch after."""
         self._require_data()
@@ -408,11 +423,20 @@ class LatencyAccumulator:
     def to_state(self) -> dict[str, object]:
         """Faithful plain-data snapshot of this accumulator.
 
-        Everything the binary shard codec needs to reconstruct the
-        accumulator *bit-exactly* on the other side of a process or file
-        boundary: the exact window while exact, the sketch state after
-        the spill.
+        Everything needed to reconstruct the accumulator *bit-exactly*
+        on the other side of a process or file boundary: the exact
+        window (a plain list of floats, so the snapshot is JSON data)
+        while exact, the sketch state after the spill.
         """
+        state = self.raw_state()
+        if state["mode"] == "exact":
+            state["samples"] = state["samples"].tolist()
+        return state
+
+    def raw_state(self) -> dict[str, object]:
+        """:meth:`to_state` with the exact window as a copy of its raw
+        doubles (an ``array("d")``) in place of a list: the snapshot the
+        binary shard codec writes, the window as one byte run."""
         state: dict[str, object] = {
             "exact_capacity": self.exact_capacity,
             "count": self.count,
@@ -421,7 +445,7 @@ class LatencyAccumulator:
         }
         if self._samples is not None:
             state["mode"] = "exact"
-            state["samples"] = list(self._samples)
+            state["samples"] = array("d", self._samples)
             return state
         state["mode"] = "sketch"
         state["total"] = self._total
@@ -430,14 +454,18 @@ class LatencyAccumulator:
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "LatencyAccumulator":
-        """Rebuild an accumulator exactly from :meth:`to_state` output."""
+        """Rebuild an accumulator exactly from :meth:`to_state` output.
+
+        ``samples`` may be any sequence of floats; an ``array("d")`` (the
+        shard codec decodes the window as one) is copied as bytes.
+        """
         accumulator = cls(exact_capacity=int(state["exact_capacity"]))
         accumulator.count = int(state["count"])
         accumulator._min = float(state["min"])
         accumulator._max = float(state["max"])
         mode = state["mode"]
         if mode == "exact":
-            accumulator._samples = list(map(float, state["samples"]))
+            accumulator._samples = array("d", state["samples"])
             if len(accumulator._samples) != accumulator.count:
                 raise SimulationError(
                     "accumulator state sample count mismatch")

@@ -2,18 +2,40 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import struct
 import warnings
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cohort.sketch import QuantileSketch
 from repro.errors import SimulationError
-from repro.netsim.stats import LatencyAccumulator
+from repro.netsim.stats import LatencyAccumulator, _window_percentile
 from repro.scenarios import get_scenario
+
+
+def plain_bytes(value) -> bytes:
+    """Plain state data with every float as its IEEE-754 bytes, so NaN
+    compares by bit pattern and ``-0.0`` differs from ``0.0``."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return b"{" + b";".join(key.encode() + b"=" + plain_bytes(item)
+                                for key, item in sorted(value.items())) + b"}"
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(map(plain_bytes, value)) + b"]"
+    return repr(value).encode()
+
+
+def state_bytes(accumulator: LatencyAccumulator) -> bytes:
+    """``to_state()`` compared by bytes."""
+    return plain_bytes(accumulator.to_state())
 
 
 class TestExactWindow:
@@ -33,18 +55,31 @@ class TestExactWindow:
     @pytest.mark.parametrize("size", (1, 500, 1500),
                              ids=lambda size: f"{size}-sketch")
     def test_mean_and_percentile_match_the_separate_queries(self, size):
+        """``mean`` and ``percentile``, the queries a run's result reads,
+        read the window as numpy does, or the running total and the
+        clamped sketch after the spill."""
         # 1500 samples spill the 1000-sample window into the sketch.
         accumulator = LatencyAccumulator(exact_capacity=1000)
         rng = np.random.default_rng(1)
-        for sample in rng.exponential(0.01, size=size).tolist():
+        samples = rng.exponential(0.01, size=size).tolist()
+        for sample in samples:
             accumulator.add(sample)
         for percentile in (0.0, 50.0, 99.0, 100.0):
-            assert accumulator.mean_and_percentile(percentile) == (
-                accumulator.mean, accumulator.percentile(percentile))
+            if size <= 1000:
+                expected = (float(np.mean(samples)),
+                            float(np.percentile(samples, percentile)))
+            else:
+                expected = (accumulator._total / size, min(max(
+                    accumulator._sketch.percentile(percentile),
+                    min(samples)), max(samples)))
+            assert (accumulator.mean,
+                    accumulator.percentile(percentile)) == expected
         with pytest.raises(SimulationError):
-            accumulator.mean_and_percentile(101.0)
+            accumulator.percentile(101.0)
         with pytest.raises(SimulationError):
-            LatencyAccumulator().mean_and_percentile(50.0)
+            _ = LatencyAccumulator().mean
+        with pytest.raises(SimulationError):
+            LatencyAccumulator().percentile(50.0)
 
     def test_min_max_tracked(self):
         accumulator = LatencyAccumulator()
@@ -92,7 +127,8 @@ class TestInfiniteExactWindow:
             warnings.simplefilter("error")
             for percentile in (0.0, 50.0, 99.0, 100.0):
                 assert accumulator.percentile(percentile) == math.inf
-                assert accumulator.mean_and_percentile(percentile) == (
+                assert (accumulator.mean,
+                        accumulator.percentile(percentile)) == (
                     math.inf, math.inf)
         assert accumulator.max_seconds == math.inf
 
@@ -111,13 +147,13 @@ class TestInfiniteExactWindow:
             warnings.simplefilter("error")
             for percentile, value in expected.items():
                 assert accumulator.percentile(percentile) == value
-                assert accumulator.mean_and_percentile(percentile)[1] == value
+                assert accumulator.mean == float(np.mean(values))
 
     def test_nan_sample_still_reads_nan(self):
         for values in ([1.0, math.nan, math.inf], [1.0, math.nan]):
             accumulator = self.window(values)
             assert math.isnan(accumulator.percentile(50.0))
-            assert math.isnan(accumulator.mean_and_percentile(50.0)[1])
+            assert math.isnan(accumulator.mean)
 
     def test_finite_window_reads_numpy_bit_for_bit(self):
         values = [0.0, -0.0, 1e-300, 0.25, 0.75, 2.0 ** 60]
@@ -326,6 +362,23 @@ class TestMerge:
         target.add(1.0)
         assert spilled.count == 2000
 
+    @pytest.mark.parametrize("values", (
+        [1.0, -0.0],
+        [1.0, 2.0, 3.0],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 0.5],
+    ), ids=("union-fits", "union-spills", "both-spilled"))
+    def test_self_merge_folds_a_snapshot(self, values):
+        """``a.merge(a)`` leaves what merging a copy of *a* leaves."""
+        accumulator = LatencyAccumulator(exact_capacity=4)
+        accumulator.add_many(values)
+        expected = LatencyAccumulator.from_state(accumulator.to_state())
+        expected.merge(LatencyAccumulator.from_state(accumulator.to_state()))
+        accumulator.merge(accumulator)
+        assert accumulator.count == 2 * len(values)
+        assert accumulator.is_exact == (2 * len(values) <= 4)
+        assert state_bytes(accumulator) == state_bytes(expected)
+        assert accumulator._total == expected._total
+
 
 class TestZeroLatencySamples:
     """Exact zeros survive the spill: queries keep reporting them as
@@ -420,8 +473,9 @@ class TestSketchBackend:
 
     @staticmethod
     def snapshot(accumulator: LatencyAccumulator) -> tuple:
+        # The state by bytes: a NaN in the window compares by its bits.
         return (accumulator.count, accumulator._total, accumulator._min,
-                accumulator._max, accumulator.to_state())
+                accumulator._max, state_bytes(accumulator))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_after_spill_rejected_before_recording(
@@ -669,3 +723,245 @@ class TestAddBatch:
         accumulator = LatencyAccumulator()
         with pytest.raises(SimulationError):
             accumulator.add_batch([-0.1], [1])
+
+    @pytest.mark.parametrize("count", (2.5, np.float64(0.5), math.nan,
+                                       math.inf))
+    @pytest.mark.parametrize("spilled", (False, True))
+    def test_counts_that_are_not_whole_rejected_before_recording(
+            self, count, spilled):
+        accumulator = LatencyAccumulator(exact_capacity=4)
+        accumulator.add_many([0.1] * (6 if spilled else 1))
+        before = state_bytes(accumulator), accumulator._total
+        with pytest.raises(SimulationError, match="whole number"):
+            accumulator.add_batch([0.2, 0.3], [3, count])
+        assert (state_bytes(accumulator), accumulator._total) == before
+
+    @pytest.mark.parametrize("counts", (
+        [2, 3, 0],
+        [np.int64(2), np.int32(3), np.uint8(0)],
+        [2.0, np.float64(3.0), -0.0],
+        np.bincount([0, 0, 1, 1, 1]).tolist() + [0],
+        np.array([2, 3, 0]),
+    ), ids=("int", "numpy-int", "integral-float", "bincount", "array"))
+    def test_whole_counts_match_the_add_loop(self, counts):
+        values = [0.25, 0.5, 7.0]
+        for capacity in (8, 4):  # stays exact; spills mid-batch
+            batched = LatencyAccumulator(exact_capacity=capacity)
+            batched.add_batch(values, counts)
+            reference = self.loop_reference(
+                zip(values, (2, 3, 0)), capacity)
+            assert batched.count == reference.count == 5
+            assert batched.is_exact == (capacity == 8)
+            if batched.is_exact:
+                assert state_bytes(batched) == state_bytes(reference)
+
+
+class ListWindow:
+    """Reference model: the accumulator with its historical list window.
+
+    Written for clarity, not speed: one sample at a time into a list,
+    which spills into a sketch one sample at a time (the sketch's state
+    does not depend on batching).  An operation that would hand the
+    sketch a non-finite sample raises from the sketch, and the caller
+    keeps the model from before the operation.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.count = 0
+        self.window: list[float] | None = []
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.sketch: QuantileSketch | None = None
+
+    def _extrema(self, value: float) -> None:
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def _spill(self) -> None:
+        self.total = math.fsum(self.window)
+        self.sketch = QuantileSketch()
+        for value in self.window:
+            self.sketch.add(value)
+        self.window = None
+
+    def add(self, value) -> None:
+        value = float(value)
+        if value < 0:
+            raise SimulationError("negative")
+        self.count += 1
+        self._extrema(value)
+        if self.window is not None:
+            self.window.append(value)
+            if len(self.window) > self.capacity:
+                self._spill()
+            return
+        self.total += value
+        self.sketch.add(value)
+
+    def add_many(self, values) -> None:
+        for value in values:
+            self.add(value)
+
+    def add_batch(self, values, counts) -> None:
+        if any(value < 0 for value in values):
+            raise SimulationError("negative")
+        for value, count in zip(values, counts):
+            while count and self.window is not None:
+                self.add(value)
+                count -= 1
+            if count:
+                self.count += count
+                self._extrema(float(value))
+                self.total += float(value) * count
+                self.sketch.add_repeated(float(value), count)
+
+    def merge(self, other: "ListWindow") -> None:
+        if other.count == 0:
+            return
+        if (self.window is not None and other.window is not None
+                and self.count + other.count <= self.capacity):
+            self.window.extend(other.window)
+            self.count += other.count
+            self.min = min(self.min, other.min)
+            self.max = max(self.max, other.max)
+            return
+        if other.window is not None and self.count == 0:
+            self.add_many(other.window)
+            return
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        if self.count == 0:
+            self.window = None
+            self.sketch = copy.deepcopy(other.sketch)
+            self.total = other.total
+            self.count = other.count
+            return
+        if self.window is not None:
+            self._spill()
+        self.count += other.count
+        if other.window is not None:
+            self.total += math.fsum(other.window)
+            for value in other.window:
+                self.sketch.add(value)
+            return
+        self.total += other.total
+        self.sketch.merge(other.sketch)
+
+    def mean(self) -> float:
+        if self.window is not None:
+            return float(np.mean(np.array(self.window, dtype=np.float64)))
+        return self.total / self.count
+
+    def percentile(self, percentile: float) -> float:
+        if self.window is not None:
+            return _window_percentile(
+                np.array(self.window, dtype=np.float64), percentile, self.max)
+        return float(min(max(self.sketch.percentile(percentile), self.min),
+                         self.max))
+
+
+#: A quiet NaN with a payload other than ``float("nan")``'s.
+NAN_PAYLOAD = struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0]
+
+MODEL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 0.25, 1.0, 3.0, math.nan,
+                     NAN_PAYLOAD, math.inf, -math.inf]),
+    st.floats(min_value=0.0, max_value=10.0))
+
+MODEL_OPS = st.one_of(
+    st.tuples(st.just("add"), MODEL_VALUES),
+    st.tuples(st.just("add_many"), st.lists(MODEL_VALUES, max_size=6),
+              st.booleans()),
+    st.tuples(st.just("add_batch"),
+              st.lists(st.tuples(MODEL_VALUES, st.integers(0, 5)),
+                       max_size=4)),
+    st.tuples(st.just("merge"), st.lists(MODEL_VALUES, max_size=9),
+              st.sampled_from([2, 3, 5])),
+    st.tuples(st.just("merge_self")),
+)
+
+
+class TestRawWindowMatchesListModel:
+    """The raw-double window against the list-window model, by bytes."""
+
+    @staticmethod
+    def apply(accumulator, model, op):
+        """Run *op* on both; they must agree on refusing it.  Returns the
+        model to go on with (the one from before a refused op)."""
+        name, *args = op
+        if name == "merge":
+            values, capacity = args
+            other = LatencyAccumulator(exact_capacity=capacity)
+            other_model = ListWindow(capacity)
+            for value in values:
+                other_model = TestRawWindowMatchesListModel.apply(
+                    other, other_model, ("add", value))
+
+        def run(target, real: bool) -> None:
+            if name == "add":
+                target.add(args[0])
+            elif name == "add_many":
+                values, as_array = args
+                # The kernel hands over an ``array("d")`` batch.
+                target.add_many(array("d", values) if real and as_array
+                                else values)
+            elif name == "add_batch":
+                target.add_batch([value for value, _ in args[0]],
+                                 [count for _, count in args[0]])
+            elif name == "merge":
+                target.merge(other if real else other_model)
+            else:
+                target.merge(target if real else copy.deepcopy(target))
+
+        trial = copy.deepcopy(model)
+        try:
+            run(trial, False)
+        except SimulationError:
+            trial = None
+        try:
+            run(accumulator, True)
+        except SimulationError:
+            assert trial is None, op
+            return model
+        assert trial is not None, op
+        return trial
+
+    @staticmethod
+    def assert_same(accumulator: LatencyAccumulator, model: ListWindow):
+        pack = struct.Struct("<d").pack
+        assert accumulator.count == model.count
+        assert pack(accumulator._min) == pack(model.min)
+        assert pack(accumulator._max) == pack(model.max)
+        assert pack(accumulator._total) == pack(model.total)
+        assert accumulator.is_exact == (model.window is not None)
+        if model.window is not None:
+            assert isinstance(accumulator._samples, array)
+            assert accumulator._samples.tobytes() == np.array(
+                model.window, dtype=np.float64).tobytes()
+        else:
+            assert accumulator._samples is None
+            assert plain_bytes(accumulator._sketch.to_state()) == \
+                plain_bytes(model.sketch.to_state())
+        if not model.count:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert pack(accumulator.mean) == pack(model.mean())
+            for percentile in (0.0, 25.0, 50.0, 99.0, 100.0):
+                assert pack(accumulator.percentile(percentile)) == \
+                    pack(model.percentile(percentile))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.lists(MODEL_OPS, max_size=12))
+    def test_op_sequences_match_the_list_window(self, capacity, ops):
+        accumulator = LatencyAccumulator(exact_capacity=capacity)
+        model = ListWindow(capacity)
+        for op in ops:
+            model = self.apply(accumulator, model, op)
+            self.assert_same(accumulator, model)
+        restored = LatencyAccumulator.from_state(accumulator.to_state())
+        self.assert_same(restored, model)
