@@ -29,11 +29,11 @@ answers overview queries without ever touching member columns.
 Sections:
 
 ``aggregates``
-    The faithful :meth:`LatencyAccumulator.raw_state` of every member
-    metric plus the packet-latency distribution: while an accumulator is
-    still exact, its window of raw doubles as one little-endian byte run
-    (written from and read into an ``array("d")``, no Python float per
-    sample); quantile-sketch levels after the spill.  Decoding and
+    The faithful state of every member metric plus the packet-latency
+    distribution: while an accumulator is still exact, its window of raw
+    doubles as one float column (written from and read into an
+    ``array("d")``, no Python float per sample); quantile-sketch levels
+    after the spill.  Decoding and
     merging these is bit-identical to merging the in-memory
     accumulators.
 ``validations``
@@ -45,8 +45,9 @@ Sections:
     metric columns.
 
 Integer columns use unsigned LEB128 varints with zigzag delta coding;
-float columns are raw IEEE-754 binary64, so every value — zeros,
-denormals, infinities — round-trips bit-exactly.  zlib (stdlib) is the
+float columns are a varint count and one run of little-endian IEEE-754
+binary64 (byteswapped on a big-endian host), so every value — zeros,
+denormals, infinities, NaN payloads — round-trips bit-exactly.  zlib (stdlib) is the
 default outer compression; zstd is optional behind the ``zstd`` extra
 and degrades to a clear error when the package is absent.
 """
@@ -206,15 +207,13 @@ class _Writer:
         self._buffer.write(struct.pack("<d", value))
 
     def f64_column(self, values: Sequence[float]) -> None:
+        """A varint count, then *values* as one run of little-endian
+        doubles (an ``array("d")`` is written from its buffer as is;
+        byteswapped on a big-endian host)."""
         self.varint(len(values))
-        self._buffer.write(struct.pack(f"<{len(values)}d", *values))
-
-    def f64_array(self, values: array) -> None:
-        """:meth:`f64_column`'s bytes for the raw doubles *values*,
-        written as one run (byteswapped on a big-endian host)."""
-        self.varint(len(values))
-        if _BIG_ENDIAN_HOST:
+        if _BIG_ENDIAN_HOST or not isinstance(values, array):
             values = array("d", values)
+        if _BIG_ENDIAN_HOST:
             values.byteswap()
         self._buffer.write(values)
 
@@ -288,12 +287,8 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
 
-    def f64_column(self) -> list[float]:
-        length = self.varint()
-        return list(struct.unpack(f"<{length}d", self._take(8 * length)))
-
-    def f64_array(self) -> array:
-        """An :meth:`f64_column` read as raw doubles in one run."""
+    def f64_column(self) -> array:
+        """An :meth:`_Writer.f64_column` read as raw doubles in one run."""
         length = self.varint()
         values = array("d")
         values.frombytes(self._take(8 * length))
@@ -338,7 +333,7 @@ class _Reader:
 
 def _write_accumulator(writer: _Writer,
                        accumulator: LatencyAccumulator) -> None:
-    state = accumulator.raw_state()
+    state = accumulator._raw_state()
     mode = str(state["mode"])
     writer.varint(_ACCUMULATOR_MODES[mode])
     writer.varint(int(state["exact_capacity"]))
@@ -346,7 +341,7 @@ def _write_accumulator(writer: _Writer,
     writer.f64(float(state["min"]))
     writer.f64(float(state["max"]))
     if mode == "exact":
-        writer.f64_array(state["samples"])
+        writer.f64_column(state["samples"])
         return
     writer.f64(float(state["total"]))
     sketch = state["sketch"]
@@ -375,7 +370,7 @@ def _read_accumulator(reader: _Reader) -> LatencyAccumulator:
         "max": reader.f64(),
     }
     if mode == "exact":
-        state["samples"] = reader.f64_array()
+        state["samples"] = reader.f64_column()
         return _accumulator_from_state(state)
     state["total"] = reader.f64()
     sketch: dict[str, object] = {
@@ -384,7 +379,7 @@ def _read_accumulator(reader: _Reader) -> LatencyAccumulator:
         "min": reader.f64(),
         "max": reader.f64(),
     }
-    levels: list[list[float]] = []
+    levels: list[array] = []
     flips: list[bool] = []
     for _ in range(reader.varint()):
         flips.append(bool(reader.varint()))

@@ -428,15 +428,18 @@ class LatencyAccumulator:
         window (a plain list of floats, so the snapshot is JSON data)
         while exact, the sketch state after the spill.
         """
-        state = self.raw_state()
+        state = self._raw_state()
         if state["mode"] == "exact":
             state["samples"] = state["samples"].tolist()
         return state
 
-    def raw_state(self) -> dict[str, object]:
-        """:meth:`to_state` with the exact window as a copy of its raw
-        doubles (an ``array("d")``) in place of a list: the snapshot the
-        binary shard codec writes, the window as one byte run."""
+    def _raw_state(self) -> dict[str, object]:
+        """:meth:`to_state` with the live exact window (the accumulator's
+        own ``array("d")``, not a copy) in place of a list.
+
+        For :meth:`to_state` and the shard codec only, which consume the
+        window before the accumulator can change again.
+        """
         state: dict[str, object] = {
             "exact_capacity": self.exact_capacity,
             "count": self.count,
@@ -445,7 +448,7 @@ class LatencyAccumulator:
         }
         if self._samples is not None:
             state["mode"] = "exact"
-            state["samples"] = array("d", self._samples)
+            state["samples"] = self._samples
             return state
         state["mode"] = "sketch"
         state["total"] = self._total

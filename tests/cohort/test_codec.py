@@ -218,39 +218,48 @@ class TestRoundTrip:
 
 
 class TestExactWindowRun:
-    """An exact window crosses the frame as one run of raw doubles: the
-    bytes ``struct.pack("<...d")`` writes for the same floats."""
+    """A float column, an exact window included, crosses the frame as
+    one run of raw doubles: the bytes ``struct.pack("<...d")`` writes
+    for the same floats."""
 
     WINDOW = (-0.0, 0.0, struct.unpack("<d", b"\x01\0\0\0\0\0\xf8\x7f")[0],
               math.nan, math.inf, 5e-324, 1.5, 2.0 ** 60)
 
     @staticmethod
-    def column_bytes(values) -> bytes:
-        writer = codec._Writer()
-        writer.f64_column(list(values))
-        return writer.getvalue()
+    def packed(values) -> bytes:
+        return bytes([len(values)]) + struct.pack(f"<{len(values)}d",
+                                                  *values)
 
-    def test_run_writes_the_column_bytes_and_reads_them_back(self):
-        window = array("d", self.WINDOW)
+    @pytest.mark.parametrize("kind", [list, tuple, array])
+    def test_column_writes_the_packed_bytes_and_reads_them_back(
+            self, kind):
+        values = array("d", self.WINDOW) if kind is array \
+            else kind(self.WINDOW)
         writer = codec._Writer()
-        writer.f64_array(window)
+        writer.f64_column(values)
         blob = writer.getvalue()
-        assert blob == self.column_bytes(self.WINDOW)
-        restored = codec._Reader(blob).f64_array()
+        assert blob == self.packed(self.WINDOW)
+        restored = codec._Reader(blob).f64_column()
         assert isinstance(restored, array)
-        assert restored.tobytes() == window.tobytes()
+        assert restored.tobytes() == array("d", self.WINDOW).tobytes()
 
+    @pytest.mark.parametrize("kind", [list, array])
     def test_big_endian_host_byteswaps_to_and_from_the_wire(
-            self, monkeypatch):
-        # A big-endian host holds each double's bytes reversed.
+            self, monkeypatch, kind):
+        # A big-endian host holds each double's bytes reversed; emulate
+        # it by reversing them here and flagging the host.
         host = array("d", self.WINDOW)
         host.byteswap()
+        before = host.tobytes()
+        values = host if kind is array else host.tolist()
         monkeypatch.setattr(codec, "_BIG_ENDIAN_HOST", True)
         writer = codec._Writer()
-        writer.f64_array(host)
+        writer.f64_column(values)
         blob = writer.getvalue()
-        assert blob == self.column_bytes(self.WINDOW)
-        assert codec._Reader(blob).f64_array().tobytes() == host.tobytes()
+        assert blob == self.packed(self.WINDOW)
+        assert codec._Reader(blob).f64_column().tobytes() == host.tobytes()
+        # Writing swaps a copy, never the caller's window.
+        assert host.tobytes() == before
 
     def test_decoded_window_is_raw_doubles(self):
         accumulator = CohortAccumulator()
