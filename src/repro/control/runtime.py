@@ -194,8 +194,7 @@ class ControllerRuntime:
             return
         self._settle_premium()
         if self._premium_joules > 0.0:
-            node.ledger.post(TX_BOOST_COMPONENT, self._premium_joules,
-                             timestamp_seconds=duration_seconds)
+            node.ledger.post(TX_BOOST_COMPONENT, self._premium_joules)
 
     @property
     def tx_boost_energy_joules(self) -> float:

@@ -178,11 +178,11 @@ class NodeEnergyState:
             return 0.0
         battery = self.battery
         if battery is None:
-            self.ledger.post_fast(component, energy_joules, timestamp_seconds)
+            self.ledger.post_fast(component, energy_joules)
             return energy_joules
         delivered = battery.drain_fast(energy_joules)
         if delivered > 0.0:
-            self.ledger.post_fast(component, delivered, timestamp_seconds)
+            self.ledger.post_fast(component, delivered)
         # ``battery.is_empty``, without the property call.
         if (battery.state_of_charge_joules
                 <= battery.spec.empty_threshold_joules):
@@ -228,9 +228,9 @@ class NodeEnergyState:
             sustained = battery.run_fast(
                 load + self.leakage_power_watts, duration_seconds, harvest)
         self.harvested_joules += harvest * sustained
-        stamp = end_timestamp_seconds - duration_seconds + sustained
-        self.ledger.post_powers_fast(loads_watts, sustained, stamp)
+        self.ledger.post_powers_fast(loads_watts, sustained)
         if (battery is not None and battery.state_of_charge_joules
                 <= battery.spec.empty_threshold_joules):
-            self.death_seconds = stamp
+            self.death_seconds = (end_timestamp_seconds - duration_seconds
+                                  + sustained)
         return sustained

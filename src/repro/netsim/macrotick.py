@@ -8,8 +8,8 @@ erased / retransmitted packet counts come from the truncated-geometric
 ARQ process, latencies from the closed forms the cohort analytic path
 shares (:mod:`repro.netsim.steady`) through the weighted batch-add API
 on :class:`~repro.netsim.stats.LatencyAccumulator`, and energy lands in
-the streaming :class:`~repro.energy.ledger.EnergyLedger` as one
-interval post per component.
+each :class:`~repro.energy.ledger.EnergyLedger` as one post per
+component per leap.
 
 The engine is a *fast path*, not a new model: the hybrid driver in
 ``BodyNetworkSimulator._run_hybrid`` alternates exact kernel chunks with
@@ -402,7 +402,7 @@ class MacroTickEngine:
             state = node.energy
             if state is None:
                 for component, energy in posts:
-                    node.ledger.post_interval(component, energy, start, end)
+                    node.ledger.post(component, energy)
             else:
                 was_alive = state.alive
                 for component, energy in posts:
@@ -421,9 +421,9 @@ class MacroTickEngine:
             stats.latency.add_batch(lat_values, lat_counts)
         hub_ledger = sim.hub_ledger
         if hub_rx_energy:
-            hub_ledger.post_interval("wir_rx", hub_rx_energy, start, end)
+            hub_ledger.post("wir_rx", hub_rx_energy)
         if hub_ack_energy:
-            hub_ledger.post_interval("ack_tx", hub_ack_energy, start, end)
+            hub_ledger.post("ack_tx", hub_ack_energy)
 
         # Settle static/sleep/harvest energy and threshold checks for
         # every battery node (the leap's stand-in for the per-minute

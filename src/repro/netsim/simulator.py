@@ -684,42 +684,29 @@ class BodyNetworkSimulator:
                         sustained = soc / net
             if harvester is not None:
                 state.harvested_joules += harvest * sustained
-            stamp = now - elapsed + sustained
-            # ``EnergyLedger.post_powers_fast``: one trace bucket, and
-            # every total, the grand total and the bucket take the
-            # loads' energies in order.
-            bucket = int(stamp / ledger.trace_bucket_seconds)
-            if bucket >= ledger.trace_buckets:
-                bucket = ledger.trace_buckets - 1
-            elif bucket < 0:
-                bucket = 0
+            # ``EnergyLedger.post_powers_fast``: every total and the
+            # grand total take the loads' energies in order.
             totals = ledger._totals
-            trace = ledger._trace
             energy = sensing * sustained
             totals["sensing"] = totals.get("sensing", 0.0) + energy
             grand = ledger._grand_total + energy
-            cell = trace[bucket] + energy
             energy = isa * sustained
             totals["isa"] = totals.get("isa", 0.0) + energy
             grand += energy
-            cell += energy
             energy = sleep * sustained
             totals["wir_sleep"] = totals.get("wir_sleep", 0.0) + energy
             grand += energy
-            cell += energy
             posts = 3
             if coding > 0.0:
                 energy = coding * sustained
                 totals["coding"] = totals.get("coding", 0.0) + energy
                 grand += energy
-                cell += energy
                 posts = 4
             ledger._grand_total = grand
-            trace[bucket] = cell
             ledger._posted_count += posts
             if (battery is not None
                     and battery.state_of_charge_joules <= empty):
-                state.death_seconds = stamp
+                state.death_seconds = now - elapsed + sustained
         else:
             # Loads or harvest that fail the check make ``advance`` raise.
             loads = {"sensing": sensing, "isa": isa, "wir_sleep": sleep}
@@ -863,7 +850,6 @@ class BodyNetworkSimulator:
         floor_ = math.floor
         bisect_ = bisect_right
         new_packet = Packet.__new__
-        int_ = int
         len_ = len
         heappop_ = heappop
         heappush_ = heappush
@@ -901,9 +887,6 @@ class BodyNetworkSimulator:
         retx_posts_l: list[int] = []
         ack_posts_l: list[int] = []
         ack_e_l: list[float] = []
-        trace_l: list = []
-        trace_w_l: list[float] = []
-        trace_last_l: list[int] = []
         gen_counts: list[int] = []
         sent_counts: list[int] = []
         bits_l: list[float] = []
@@ -935,9 +918,6 @@ class BodyNetworkSimulator:
             tx_posts_l.append(0)
             retx_posts_l.append(0)
             ack_posts_l.append(0)
-            trace_l.append(ledger._trace)
-            trace_w_l.append(ledger.trace_bucket_seconds)
-            trace_last_l.append(ledger.trace_buckets - 1)
             gen_counts.append(node.generated_count)
             sent_counts.append(node.packets_sent)
             bits_l.append(node.bits_sent)
@@ -1056,15 +1036,6 @@ class BodyNetworkSimulator:
         hub_grand = hub_ledger._grand_total
         hub_posts = 0
         hub_ack_posts = 0
-        hub_trace = hub_ledger._trace
-        hub_w = hub_ledger.trace_bucket_seconds
-        hub_last = hub_ledger.trace_buckets - 1
-        # Completion times are nondecreasing, so the hub's trace bucket
-        # only ever moves forward: cache it and recompute (once per
-        # completion) only when the time crosses the cached bucket's
-        # upper edge.
-        hub_bucket = 0
-        hub_limit = 0.0
 
         delivered_cnt = stats.delivered_packets
         delivered_bits_sum = stats.delivered_bits
@@ -1228,15 +1199,6 @@ class BodyNetworkSimulator:
                     packet = chain_packet
                     idx = packet._node
                     bits = packet.bits
-                    # One bucket serves every hub post at ``t``.
-                    q = t / hub_w
-                    if q >= hub_limit:
-                        hub_bucket = int_(q)
-                        if hub_bucket >= hub_last:
-                            hub_bucket = hub_last
-                            hub_limit = inf_
-                        else:
-                            hub_limit = hub_bucket + 1.0
                     erased = False
                     if reliability is not None:
                         packet.attempts += 1
@@ -1268,10 +1230,6 @@ class BodyNetworkSimulator:
                                 retx_acc[idx] += value
                                 grand_acc[idx] += value
                                 retx_posts_l[idx] += 1
-                                bucket = int_(t / trace_w_l[idx])
-                                last = trace_last_l[idx]
-                                trace_l[idx][bucket if bucket < last
-                                             else last] += value
                             else:
                                 queue._now = t  # the accounting reads it
                                 if slotted_fast:  # the drain may purge
@@ -1306,10 +1264,6 @@ class BodyNetworkSimulator:
                                 ack_acc[idx] += value
                                 grand_acc[idx] += value
                                 ack_posts_l[idx] += 1
-                                bucket = int_(t / trace_w_l[idx])
-                                last = trace_last_l[idx]
-                                trace_l[idx][bucket if bucket < last
-                                             else last] += value
                             else:
                                 queue._now = t  # the accounting reads it
                                 if slotted_fast:  # the ack drain may purge
@@ -1323,7 +1277,6 @@ class BodyNetworkSimulator:
                             hub_grand += hub_ack_e
                             hub_posts += 1
                             hub_ack_posts += 1
-                            hub_trace[hub_bucket] += hub_ack_e
                     if not erased:
                         delivered_cnt += 1
                         delivered_bits_sum += bits
@@ -1336,10 +1289,6 @@ class BodyNetworkSimulator:
                             wir_acc[idx] += tx_energy
                             grand_acc[idx] += tx_energy
                             tx_posts_l[idx] += 1
-                            bucket = int_(t / trace_w_l[idx])
-                            last = trace_last_l[idx]
-                            trace_l[idx][bucket if bucket < last else last] \
-                                += tx_energy
                             deliv_counts[idx] += 1
                         else:
                             node = node_list[idx]
@@ -1364,8 +1313,7 @@ class BodyNetworkSimulator:
                                         soc = 0.0
                                     battery.state_of_charge_joules = soc
                                     if delivered > 0.0:
-                                        cell[1].post_fast("wir_tx", delivered,
-                                                          t)
+                                        cell[1].post_fast("wir_tx", delivered)
                                     if soc <= cell[2]:
                                         state.death_seconds = t
                                 else:
@@ -1384,7 +1332,6 @@ class BodyNetworkSimulator:
                     hub_rx_acc += value
                     hub_grand += value
                     hub_posts += 1
-                    hub_trace[hub_bucket] += value
                     first = -1
                 elif ctrl_key is tick_key:
                     # Energy tick: settle every energy node at ``t``.  A
@@ -1772,8 +1719,7 @@ class BodyNetworkSimulator:
         # idle second of a duty-cycled day.
         rx_busy = min(stats.busy_seconds, duration_seconds)
         self.hub_ledger.post_power("wir_sleep", self.technology.sleep_power(),
-                                   max(duration_seconds - rx_busy, 0.0),
-                                   timestamp_seconds=duration_seconds)
+                                   max(duration_seconds - rx_busy, 0.0))
         if stats.latency.count:
             mean_latency = stats.latency.mean
             p99_latency = stats.latency.percentile(99.0)

@@ -240,12 +240,12 @@ class TestLedgerModeEquivalence:
                                                operations):
         """Property: every drain or advance grows the books by exactly
         what it posts.  A drain adds the delivered energy to its
-        component, the grand total and the trace bucket at its stamp; an
-        advance adds ``watts * sustained`` per load, in the loads'
-        order, at the sustained interval's end.  ``posted_count`` grows
-        by the number of posts.  A ~1 J cell browns out mid-interval
+        component and the grand total; an advance adds
+        ``watts * sustained`` per load, in the loads' order, and a
+        brownout stamps the sustained interval's end.  ``posted_count``
+        grows by the number of posts.  A ~1 J cell browns out mid-interval
         under 0.05 W loads."""
-        ledger = EnergyLedger(trace_bucket_seconds=10.0, trace_buckets=8)
+        ledger = EnergyLedger()
         state = NodeEnergyState.from_spec(
             battery=(None if battery is None else BatterySpec(
                 name="prop", capacity_mah=battery,
@@ -258,47 +258,34 @@ class TestLedgerModeEquivalence:
             alive = state.death_seconds is None
             totals = ledger.breakdown()
             grand = ledger.total_energy()
-            trace = ledger.trace_energy_joules().tolist()
             posted = ledger.posted_count
             if kind == "drain":
                 now += gap
                 delivered = state.drain(what, amount, now)
                 posts = {what: delivered} if alive and (
                     battery is None or delivered > 0.0) else {}
-                stamp = now
             else:
                 now += amount
                 sustained = state.advance(what, amount, now)
                 posts = ({component: watts * sustained
                           for component, watts in what.items()}
                          if alive and amount != 0.0 else {})
-                stamp = now - amount + sustained
                 if alive and state.death_seconds is not None:
-                    assert state.death_seconds == stamp
-            bucket = min(max(int(stamp / 10.0), 0), 7)
+                    assert state.death_seconds == now - amount + sustained
             for component, energy in posts.items():
                 totals[component] = totals.get(component, 0.0) + energy
                 grand += energy
-                trace[bucket] += energy
             assert ledger.breakdown() == totals
             assert ledger.total_energy() == grand
-            assert ledger.trace_energy_joules().tolist() == trace
             assert ledger.posted_count == posted + len(posts)
         if state.battery is not None:
             assert 0.0 <= state.state_of_charge_fraction <= 1.0
 
     def test_brownout_mid_interval_keeps_sustained_duration(self):
         state = NodeEnergyState.from_spec(
-            battery=tiny_cell(0.1),
-            ledger=EnergyLedger(trace_bucket_seconds=10.0, trace_buckets=4))
+            battery=tiny_cell(0.1))
         state.drain("wir_tx", 0.5, 2.0)  # of 1.08 J
         sustained = state.advance({"sensing": 0.1}, 100.0, 110.0)
         assert 0.0 < sustained < 100.0
         assert state.death_seconds == 10.0 + sustained
         assert state.ledger.total_energy("sensing") == 0.1 * sustained
-        # The sustained load lands in the bucket of the death time, not
-        # the interval's nominal end.
-        bucket = int(state.death_seconds / 10.0)
-        assert bucket == 1
-        assert state.ledger.trace_energy_joules().tolist() == [
-            0.5, 0.1 * sustained, 0.0, 0.0]

@@ -11,7 +11,7 @@ backlog-mask lookup) against :meth:`TDMAArbitration.next_grant`, the
 exhaustive earliest-access scan.  The two runs must agree bit for bit:
 the sha256 of
 ``canonical_json(result.to_dict())``, and every node's and the hub's
-ledger totals, power trace and post count.
+ledger totals and post count.
 
 The bodies mix batteryless nodes, a cell that browns out mid-run (its
 backlog is purged from the arbiter), a cell that crosses its
@@ -179,7 +179,6 @@ def ledger_books(simulator: BodyNetworkSimulator) -> dict[str, object]:
     ledgers = {name: node.ledger for name, node in simulator.nodes.items()}
     ledgers["<hub>"] = simulator.hub_ledger
     return {name: (ledger.breakdown(), ledger.total_energy(),
-                   ledger.trace_energy_joules().tolist(),
                    ledger.posted_count)
             for name, ledger in ledgers.items()}
 

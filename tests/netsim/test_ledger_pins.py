@@ -3,8 +3,7 @@
 Each case pins, as sha256 digests of ``canonical_json``, every leaf's
 books, the hub's books and ``result.to_dict()``.  A ledger's books are
 its ``breakdown()``, ``total_energy()`` and ``posted_count``, down to
-float addition order; ``TRACE_PINS`` pins the same books with each
-ledger's ``trace_energy_joules()`` added.  The cases
+float addition order.  The cases
 re-enter the kernel with ledgers that already hold posts:
 
 * ``dense_50_leaf`` for 150 s, split across three uneven
@@ -70,35 +69,6 @@ LEDGER_PINS = {
         "c55d414844ffe0afd77b473799bef97be5c2491c9146c9442d3088d7dcc384ff",
         "98d08e301c27cd69e821ba6fc67e7e0beef903555daaf8b83228ef44619475f0",
         "764e984315c3bef81e4cb32f3a81c2bbf5b53320f2439f33f29282bb083906bb"),
-}
-
-#: ``(leaf books sha256, hub books sha256)`` with each ledger's
-#: ``trace_energy_joules()`` among its books.
-TRACE_PINS = {
-    "dense/fifo/chunked": (
-        "916b1c56e2a4a0206607fb7e6ce3784d5f0651b884956f6aadf6839400ec5cff",
-        "cc137fdb7d2efedb6243f056cd99eb3d7778e474a8bc18d7a7c959d987e80b44"),
-    "dense/tdma/chunked": (
-        "916b1c56e2a4a0206607fb7e6ce3784d5f0651b884956f6aadf6839400ec5cff",
-        "cc137fdb7d2efedb6243f056cd99eb3d7778e474a8bc18d7a7c959d987e80b44"),
-    "dense/polling/chunked": (
-        "916b1c56e2a4a0206607fb7e6ce3784d5f0651b884956f6aadf6839400ec5cff",
-        "cc137fdb7d2efedb6243f056cd99eb3d7778e474a8bc18d7a7c959d987e80b44"),
-    "lossy_arq/chunked": (
-        "2fe770cb281274dec563fc2f9bce9fb35c1c77c37853175da678df115860be21",
-        "407316610f12ebfc3d12cabf9b53afe41274dd25fb0da2fb8ca19d8614ce04ee"),
-    "mixed/single": (
-        "8e0e406ef60afc9cd0e146d8f50c020b29c4b40fff60fee75ab03ec243b01d67",
-        "3b7964906da63ef3706d3ade6969cd75fbaeed8b78e68ef06407a78656707f4e"),
-    "mixed/chunked": (
-        "fa4323d6a3dc34803c8182cc2f8a250e641216f025be0ce9432beeae25709a84",
-        "0414362b30774774da0fc5d69780d6a226c0b91c72d88d7c6307f05bfa986f2e"),
-    "sleep_night/hybrid": (
-        "3f26cc8847ecaf4fd71f7ec4839158c6a5c0c354cb3b0a77ff7d7c7d832a9be2",
-        "9d8dae5e0c331c61cecee130cd3f6297df818b01c266d8bf3b72587bf606347e"),
-    "commute_walk/hybrid": (
-        "cc0c4c934d094fff8ab8f9ac6961410d87f2a38af277d7121348086c7448bcf5",
-        "7cf13691fc18db40a68cf1615162af9ba3a6f917c442a3c9c88f027a4d834ed8"),
 }
 
 DENSE_SECONDS = 150.0
@@ -171,13 +141,10 @@ def run_case(case: str):
     return simulator, simulator.run(HYBRID_SECONDS, fast_path="hybrid")
 
 
-def books(ledger, trace: bool = False) -> dict:
-    entry = {"breakdown": ledger.breakdown(),
-             "total_energy": ledger.total_energy(),
-             "posted_count": ledger.posted_count}
-    if trace:
-        entry["trace_energy_joules"] = ledger.trace_energy_joules().tolist()
-    return entry
+def books(ledger) -> dict:
+    return {"breakdown": ledger.breakdown(),
+            "total_energy": ledger.total_energy(),
+            "posted_count": ledger.posted_count}
 
 
 def digest(value: object) -> str:
@@ -195,15 +162,6 @@ def observe(case: str) -> tuple[str, str, str]:
 @pytest.mark.parametrize("case", sorted(LEDGER_PINS))
 def test_ledger_books_pinned(case):
     assert observe(case) == LEDGER_PINS[case]
-
-
-@pytest.mark.parametrize("case", sorted(TRACE_PINS))
-def test_ledger_trace_pinned(case):
-    simulator, _ = run_case(case)
-    leaves = {name: books(node.ledger, trace=True)
-              for name, node in simulator.nodes.items()}
-    assert (digest(leaves), digest(books(simulator.hub_ledger, trace=True))) \
-        == TRACE_PINS[case]
 
 
 def test_mixed_body_exercises_every_energy_path():
