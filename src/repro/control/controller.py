@@ -118,9 +118,9 @@ class Controller(Protocol):
 class ControllerSpec:
     """Declarative, hashable description of a controller.
 
-    Scenario and environment specs carry this record (they must stay
-    hashable for the compile cache), and :meth:`build` instantiates the
-    stateful controller at simulator-build time.  ``kind`` selects the
+    Scenario and environment specs carry this frozen record, and
+    :meth:`build` instantiates the stateful controller at simulator-build
+    time.  ``kind`` selects the
     policy:
 
     * ``"static"`` — :class:`~repro.control.controllers.StaticController`

@@ -120,11 +120,6 @@ class Medium:
         self._node_rates: dict[str, float] = {}
         self._busy = False
         self._purged_nodes: set[str] = set()
-        #: Memoised service times keyed by ``(source, bits)`` — the rate,
-        #: MAC overhead and ack terms are all fixed for the duration of a
-        #: run, so the serialisation math is computed once per distinct
-        #: packet shape instead of once per packet.
-        self._service_cache: dict[tuple[str, float], float] = {}
         #: The in-flight medium event a kernel run handed over across its
         #: horizon, as a ``(time, sequence, kind, packet, service)``
         #: tuple: ``kind`` is 0 for a transmission begin, 1 for a
@@ -142,7 +137,6 @@ class Medium:
         self.policy.register_node(name, offered_rate_bps)
         if link_rate_bps is not None:
             self._node_rates[name] = link_rate_bps
-        self._service_cache.clear()
 
     def purge_node(self, name: str) -> int:
         """Drop one node's queued packets (brownout).  Returns how many
@@ -163,19 +157,10 @@ class Medium:
         attempt additionally occupies the medium for the hub's ack frame
         (serialised at the medium rate) plus the turnaround.
         """
-        key = (packet.source, packet.bits)
-        cached = self._service_cache.get(key)
-        if cached is not None:
-            return cached
         rate = self._node_rates.get(packet.source, self.link_rate_bps)
         service = packet.bits / rate + self.per_packet_overhead_seconds
         arq = self.reliability.arq if self.reliability is not None else None
         if arq is not None:
             service += (arq.ack_bits / self.link_rate_bps
                         + arq.ack_turnaround_seconds)
-        # Bound the memo against pathological size-jittered sources that
-        # never repeat a packet length.
-        if len(self._service_cache) >= 4096:
-            self._service_cache.clear()
-        self._service_cache[key] = service
         return service

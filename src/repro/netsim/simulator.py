@@ -828,7 +828,6 @@ class BodyNetworkSimulator:
         pending_count = policy.pending_count
         enqueue = policy.enqueue
         next_grant = policy.next_grant
-        service_cache = bus._service_cache
         purged = bus._purged_nodes
         inf_ = math.inf
 
@@ -1503,10 +1502,7 @@ class BodyNetworkSimulator:
             if packet2 is not None:
                 service = packet2._service
                 if service is None:
-                    service = service_cache.get((packet2.source,
-                                                 packet2.bits))
-                    if service is None:
-                        service = bus.service_time_seconds(packet2)
+                    service = bus.service_time_seconds(packet2)
                 busy_s += service
                 chain_packet = packet2
                 chain_service = service

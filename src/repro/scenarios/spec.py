@@ -52,10 +52,9 @@ from ..energy.harvester import (
 )
 from ..coding import CodingSpec
 from ..errors import ScenarioError
-from ..netsim.arbitration import POLICY_FACTORIES, TDMAArbitration
+from ..netsim.arbitration import POLICY_FACTORIES
 from ..netsim.reliability import DEFAULT_ACK_BITS, ARQPolicy, LinkReliability
 from ..netsim.config import NodeConfig
-from ..netsim.packet import Packet
 from ..netsim.simulator import BodyNetworkSimulator, SimulationResult
 from ..netsim.traffic import PeriodicSource, PoissonSource, TrafficSource
 from ..sensors.catalog import SensorModality, modality_spec
@@ -92,20 +91,6 @@ HARVESTER_FACTORIES: dict[str, Callable[[], EnergyHarvester]] = {
 ENVIRONMENTS: dict[str, HarvestingEnvironment] = {
     environment.value: environment for environment in HarvestingEnvironment
 }
-
-
-#: Process-local cache of compiled per-spec tables (serialisation times
-#: and TDMA slot windows), keyed on the spec itself — specs are frozen,
-#: hashable dataclasses, so equal specs share one compilation.  Sweep
-#: grid points that vary only seed or runtime knobs re-derive nothing;
-#: pool workers warm it once per topology and reuse it for every task
-#: they execute.  The cached floats are exactly the ones a cold build
-#: would compute, so warmed simulators stay bit-identical.
-_COMPILE_CACHE: dict["ScenarioSpec", dict[str, object]] = {}
-
-#: Cache bound; a sweep rarely spans more distinct topologies than this,
-#: and the whole cache is dropped rather than LRU-tracked when exceeded.
-_COMPILE_CACHE_LIMIT = 128
 
 
 def technology_for(key: str) -> CommTechnology:
@@ -843,7 +828,6 @@ class ScenarioSpec:
                     link_reliability.set_error_rate(
                         concrete,
                         self.reliability.node_error_rate(node))
-        self._warm_compiled_tables(simulator)
         for event in self.events:
             targets = [name for name in simulator.nodes
                        if any(name.startswith(prefix)
@@ -866,40 +850,6 @@ class ScenarioSpec:
                 ],
             )
         return simulator
-
-    def _warm_compiled_tables(self,
-                              simulator: BodyNetworkSimulator) -> None:
-        """Reuse (or compile and cache) the spec's derived tables.
-
-        Service times and TDMA slot windows depend only on the spec's
-        topology, never on seed or duration, so repeated builds of an
-        equal spec — every sweep grid point sharing a topology — copy
-        them from :data:`_COMPILE_CACHE` instead of re-deriving them.
-        """
-        try:
-            cached = _COMPILE_CACHE.get(self)
-        except TypeError:  # unhashable spec subclass: skip caching
-            return
-        bus = simulator.bus
-        policy = bus.policy
-        if cached is not None:
-            bus._service_cache.update(cached["service"])
-            windows = cached["windows"]
-            if windows is not None and isinstance(policy, TDMAArbitration):
-                policy._windows = dict(windows)
-                policy._build_ring(policy._windows)
-            return
-        for name, node in simulator.nodes.items():
-            bits = getattr(node.source, "bits_per_packet", None)
-            if bits is not None:
-                bus.service_time_seconds(Packet(name, bits, 0.0))
-        windows = None
-        if isinstance(policy, TDMAArbitration):
-            windows = dict(policy._slot_table())
-        if len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
-            _COMPILE_CACHE.clear()
-        _COMPILE_CACHE[self] = {"service": dict(bus._service_cache),
-                                "windows": windows}
 
     def run(self, seed: int = 0,
             duration_seconds: float | None = None,

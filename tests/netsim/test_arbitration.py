@@ -15,6 +15,7 @@ from repro.netsim.arbitration import (
 )
 from repro.netsim.bus import Medium
 from repro.netsim.packet import Packet
+from repro.netsim.reliability import ARQPolicy, LinkReliability
 from repro.netsim.simulator import BodyNetworkSimulator
 from repro.netsim.traffic import PeriodicSource
 from repro.netsim.config import NodeConfig
@@ -168,6 +169,28 @@ class TestMixedTechnologies:
         slow = make_packet("slow", bits=1e6)
         assert medium.service_time_seconds(slow) == \
             pytest.approx(4 * medium.service_time_seconds(fast), rel=0.01)
+
+    @pytest.mark.parametrize("arq", [
+        None, ARQPolicy(ack_bits=96.0, ack_turnaround_seconds=37e-6)])
+    def test_service_time_is_the_formula_exactly(self, arq):
+        """``bits / rate + overhead``, plus the ack frame at the medium
+        rate and the turnaround under ARQ, to the last bit; a repeated
+        call returns the same float."""
+        reliability = None if arq is None else LinkReliability(arq=arq)
+        medium = Medium(link_rate_bps=4.1e6,
+                        per_packet_overhead_seconds=123e-6,
+                        reliability=reliability)
+        medium.register_node("own", 64e3, link_rate_bps=0.7e6)
+        medium.register_node("shared", 64e3)
+        for source, rate in (("own", 0.7e6), ("shared", 4.1e6)):
+            bits = 1234.5
+            expected = bits / rate + 123e-6
+            if arq is not None:
+                expected += arq.ack_bits / 4.1e6 + arq.ack_turnaround_seconds
+            service = medium.service_time_seconds(make_packet(source, bits))
+            assert service == expected
+            assert medium.service_time_seconds(
+                make_packet(source, bits)) == service
 
     def test_mixed_simulation_accounts_energy_per_technology(self):
         simulator = BodyNetworkSimulator(wir_commercial(), rng=0)
