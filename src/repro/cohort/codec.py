@@ -48,8 +48,9 @@ Integer columns use unsigned LEB128 varints with zigzag delta coding;
 float columns are a varint count and one run of little-endian IEEE-754
 binary64 (byteswapped on a big-endian host), so every value — zeros,
 denormals, infinities, NaN payloads — round-trips bit-exactly.  zlib (stdlib) is the
-default outer compression; zstd is optional behind the ``zstd`` extra
-and degrades to a clear error when the package is absent.
+default outer compression; zstd needs the optional ``zstandard``
+package (``pip install zstandard``) and degrades to a clear error when
+it is absent.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _zstd_module():
     except ImportError:
         raise CodecError(
             "zstd compression requires the optional 'zstandard' package "
-            "(pip install repro[zstd]); use compression='zlib' otherwise"
+            "(pip install zstandard); use compression='zlib' otherwise"
         ) from None
     return zstandard
 
@@ -322,10 +323,6 @@ class _Reader:
 
     def string_int_map(self) -> dict[str, int]:
         return {self.string(): self.varint() for _ in range(self.varint())}
-
-    @property
-    def exhausted(self) -> bool:
-        return self._offset == len(self._view)
 
 
 # -- accumulator state <-> bytes -------------------------------------------
