@@ -42,7 +42,7 @@ from .codec import (
     split_frames,
     write_frames,
 )
-from .distributions import Bernoulli, Categorical, LogUniform, Uniform
+from .distributions import Bernoulli, Categorical, Uniform
 from .engine import (
     CohortResult,
     run_cohort,
@@ -61,7 +61,6 @@ __all__ = [
     "CohortMember",
     "CohortResult",
     "CohortSpec",
-    "LogUniform",
     "MemberColumns",
     "MemberDraws",
     "MemberMetrics",

@@ -102,31 +102,6 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class LogUniform:
-    """A log-uniform draw from ``[low, high]`` (both strictly positive).
-
-    The natural distribution for scale-like quantities (data rates,
-    packet sizes) where "2x either way" should be equally likely.
-    """
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if self.low <= 0 or self.high <= 0:
-            raise ScenarioError("log-uniform bounds must be positive")
-        if self.high < self.low:
-            raise ScenarioError(
-                f"log-uniform bounds inverted: [{self.low}, {self.high}]")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.high == self.low:
-            return self.low
-        return float(math.exp(rng.uniform(math.log(self.low),
-                                          math.log(self.high))))
-
-
-@dataclass(frozen=True)
 class Bernoulli:
     """A biased coin: True with the given probability."""
 

@@ -9,7 +9,6 @@ from repro.cohort import (
     Bernoulli,
     Categorical,
     CohortSpec,
-    LogUniform,
     Uniform,
 )
 from repro.cohort.spec import DUTY_CYCLED_MODALITIES
@@ -44,14 +43,6 @@ class TestDistributions:
         assert Uniform(5.0, 5.0).sample(rng) == 5.0
         with pytest.raises(ScenarioError):
             Uniform(3.0, 2.0)
-
-    def test_log_uniform_spans_decades(self):
-        rng = np.random.default_rng(2)
-        dist = LogUniform(1e-3, 1e3)
-        values = [dist.sample(rng) for _ in range(200)]
-        assert min(values) < 1e-1 and max(values) > 1e1
-        with pytest.raises(ScenarioError):
-            LogUniform(0.0, 1.0)
 
     def test_bernoulli_extremes(self):
         rng = np.random.default_rng(3)
