@@ -5,27 +5,37 @@ breaks a README example without failing anything. These checks make the
 drift loud by dry-running every documented ``repro ...`` invocation
 against the real argparse tree (``cli.build_parser()`` — parse only,
 nothing executes), resolving every relative markdown link against
-the working tree, and requiring every Markdown file that a comment or
-docstring of the Python sources cites to exist.
+the working tree, requiring every Markdown file that a comment or
+docstring of the Python sources cites to exist, and resolving every
+Python name the docs cite in backticks: a dotted ``repro.…`` path, or a
+``Class.attribute`` whose class a ``repro`` module defines.
 
 Setting ``REPRO_DOCS_SYNTHETIC_BREAK=1`` injects one deliberately
-broken command, one dangling link and one dangling citation, proving in
-CI that the checks actually fail on drift (as
-``tools/perf_gate.py --slow-layer`` proves the perf gate can fail).
+broken command, one dangling link, one dangling citation and one Python
+name that does not resolve, proving in CI that the checks actually fail
+on drift (as ``tools/perf_gate.py --slow-layer`` proves the perf gate
+can fail).
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import re
 import shlex
+import textwrap
 import tokenize
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -39,6 +49,9 @@ CODE_DIRS = ("src", "tests", "tools", "examples")
 _FENCE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _MARKDOWN_NAME = re.compile(r"[\w./-]*\w\.md\b")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_DOTTED_NAME = re.compile(r"repro(?:\.\w+)+(?:\(\))?")
+_CLASS_ATTRIBUTE = re.compile(r"([A-Z]\w*)\.(\w+)(?:\(\))?")
 
 _SYNTHETIC_BREAK = bool(os.environ.get("REPRO_DOCS_SYNTHETIC_BREAK"))
 
@@ -125,6 +138,93 @@ def code_citations() -> list[tuple[str, str]]:
     return found
 
 
+@functools.cache
+def repro_classes() -> dict[str, list[type]]:
+    """Every class a ``repro`` module defines, by name."""
+    found: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if inspect.isclass(value) and value.__module__ == info.name:
+                found.setdefault(name, []).append(value)
+    return found
+
+
+def doc_python_names() -> list[tuple[str, str]]:
+    """``(doc, name)`` of every Python name cited in a backticked span.
+
+    A name is a dotted ``repro.…`` path or a ``Class.attribute`` whose
+    class a ``repro`` module defines; a trailing ``()`` is dropped.
+    Fenced blocks are skipped: they hold commands, not citations.
+    """
+    classes = repro_classes()
+    found = []
+    for path in DOC_FILES:
+        text = _FENCE.sub("", path.read_text(encoding="utf-8"))
+        source = path.relative_to(REPO_ROOT).as_posix()
+        for span in _CODE_SPAN.findall(text):
+            match = _CLASS_ATTRIBUTE.fullmatch(span)
+            if _DOTTED_NAME.fullmatch(span) or (
+                    match is not None and match.group(1) in classes):
+                name = span.removesuffix("()")
+                if (source, name) not in found:
+                    found.append((source, name))
+    if _SYNTHETIC_BREAK:
+        found.append(("REPRO_DOCS_SYNTHETIC_BREAK",
+                      "repro.netsim.NoSuchName"))
+    return found
+
+
+def dotted_name_resolves(name: str) -> bool:
+    """Import the longest module prefix of *name*, then walk attributes."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for part in parts[split:]:
+            if not hasattr(value, part):
+                return False
+            value = getattr(value, part)
+        return True
+    return False
+
+
+def self_assigned(cls: type) -> set[str]:
+    """Attributes the class body assigns on ``self``."""
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    except (OSError, TypeError):
+        return set()
+    names = set()
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target]
+                   if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        names.update(target.attr for target in targets
+                     if isinstance(target, ast.Attribute)
+                     and isinstance(target.value, ast.Name)
+                     and target.value.id == "self")
+    return names
+
+
+def class_attribute_resolves(cls: type, attribute: str) -> bool:
+    """A class attribute, dataclass field, ``__slots__`` entry or an
+    attribute the body of the class (or a base) assigns on ``self``."""
+    if hasattr(cls, attribute):
+        return True
+    if dataclasses.is_dataclass(cls) and attribute in {
+            field.name for field in dataclasses.fields(cls)}:
+        return True
+    return any(attribute in getattr(base, "__slots__", ())
+               or attribute in self_assigned(base)
+               for base in cls.__mro__)
+
+
 def test_docs_actually_contain_repro_commands():
     # The checks below are vacuous if extraction silently breaks.
     commands = doc_commands()
@@ -181,4 +281,27 @@ def test_cited_markdown_file_exists(source, name):
     if not any((base / name).exists() for base in bases):
         pytest.fail(
             f"{source}: cites `{name}`, which does not exist "
+            f"(drift, or REPRO_DOCS_SYNTHETIC_BREAK is set)")
+
+
+def test_docs_actually_cite_python_names():
+    # The resolution check below is vacuous if extraction silently breaks.
+    names = [name for _, name in doc_python_names()]
+    assert sum(name.startswith("repro.") for name in names) >= 10
+    assert sum(not name.startswith("repro.") for name in names) >= 10
+
+
+@pytest.mark.parametrize(("source", "name"),
+                         doc_python_names(),
+                         ids=lambda value: str(value))
+def test_cited_python_name_resolves(source, name):
+    if name.startswith("repro."):
+        resolved = dotted_name_resolves(name)
+    else:
+        class_name, attribute = name.split(".")
+        resolved = any(class_attribute_resolves(cls, attribute)
+                       for cls in repro_classes()[class_name])
+    if not resolved:
+        pytest.fail(
+            f"{source}: cites `{name}`, which does not resolve "
             f"(drift, or REPRO_DOCS_SYNTHETIC_BREAK is set)")
