@@ -32,7 +32,7 @@ class Packet:
         #: it, so there it stays 0.
         self.attempts = 0
         #: Serialisation time pre-resolved by the simulator kernel for
-        #: fixed-size sources; ``None`` means look it up on the medium.
+        #: fixed-size sources; ``None`` means the medium computes it.
         self._service: float | None = None
         #: Source node's index in the kernel's per-node tables, set by the
         #: kernel on every packet it generates; ``None`` on a probe.
