@@ -747,8 +747,18 @@ class BodyNetworkSimulator:
 
         The kernel merges five event streams by ``(time, sequence)``:
 
-        * **generation** — one heap entry per node holding its next
-          packet-generation instant;
+        * **generation** — a heap of ``(time, sequence, node)`` with one
+          entry per generation group.  A group is the plain periodic
+          nodes that share one period float, in node order (every other
+          node is a group of one): its members share every instant of
+          the entry, and the entry is the key of the member that
+          dispatches next.  Each member still claims its own reschedule
+          at its own dispatch.  After a member, the next one dispatches
+          with no heap operation while its key sorts below both the
+          barrier (a chain event a grant claimed between two members'
+          keys) and the heap top (another group whose claims interleave
+          with this one's at an instant both share); otherwise the
+          group goes back on the heap at that member's key;
         * **transmission chain** — the medium's single in-flight begin or
           completion (the medium serialises, so at most one exists),
           carried in plain locals while the loop runs;
@@ -866,7 +876,17 @@ class BodyNetworkSimulator:
         # their draws consume no randomness and every packet serialises
         # in the same time, so both lookups can be skipped outright.
         periodic: list[tuple[float, float, float, str] | None] = []
-        gen_heap: list[tuple[float, int, int]] = []
+        # The generation heap never empties: an entry above every key
+        # (and above the ``(inf, inf)`` sentinel below) stays at its
+        # bottom, so its top is read without an emptiness test.
+        gen_heap: list[tuple[float, float, int]] = [(inf_, inf_, -1)]
+        # Generation groups (see the docstring), by period float:
+        # ``after[i]`` is the member after node ``i`` (the group's first
+        # after its last), -1 for a group of one; ``member_seq[i]`` is
+        # the sequence number of node ``i``'s key.
+        groups: dict[float, list[int]] = {}
+        after = [-1] * n_nodes
+        member_seq = [0] * n_nodes
         node_queues: list = []
         tx_e: list[float] = []
         rx_e: list[float] = []
@@ -934,13 +954,23 @@ class BodyNetworkSimulator:
                 periodic.append((source.period_seconds, bits,
                                  bus.service_time_seconds(probe),
                                  node.name))
+                members = groups.setdefault(source.period_seconds, [])
+                members.append(index)
+                head = len(members) == 1
             else:
                 periodic.append(None)
+                head = True
             node_queues.append(policy._queues.get(node.name)
                                if slotted_fast else None)
             next_time = queue._now + source.next_interarrival_seconds(rng)
             if next_time <= end_time:
-                gen_heap.append((next_time, claim(), index))
+                member_seq[index] = claim()
+                if head:
+                    gen_heap.append((next_time, member_seq[index], index))
+        for members in groups.values():
+            if len(members) > 1:
+                for k in range(len(members)):
+                    after[members[k - 1]] = members[k]
         heapify(gen_heap)
         if slotted_fast and any(entry is None for entry in node_queues):
             slotted_fast = False
@@ -1015,6 +1045,9 @@ class BodyNetworkSimulator:
         # past.  At a cold start ``now`` is 0.0 and ``0.0 + interval ==
         # interval`` exactly.
         sentinel = (inf_, inf_)
+        # Below every key: a generation that finds the bus idle makes it
+        # the barrier, which ends the drain (see the grant).
+        granting = (-inf_, -1)
         energy_rows = []
         for i in range(n_nodes):
             if node_list[i].energy is not None:
@@ -1105,81 +1138,109 @@ class BodyNetworkSimulator:
             # Generation times never exceed the horizon (scheduling is
             # gated), so the drain needs no horizon check.
             barrier = chain_key if chain_key < ctrl_key else ctrl_key
-            while gen_heap and gen_heap[0] < barrier:
+            while gen_heap[0] < barrier:
                 t, _, index = heappop_(gen_heap)
-                node = node_list[index]
-                fast = periodic[index]
-                packet = None
-                if node.active:
-                    opportunity = gen_counts[index]
-                    gen_counts[index] = opportunity + 1
-                    if opportunity % stride_l[index] == 0:
-                        if fast is not None:
-                            # Periodic fast path: build the packet by
-                            # direct slot assignment — ``__init__``'s
-                            # guards are vacuous here (bits and t are
-                            # validated / non-negative by construction).
-                            bits = fast[1]
-                            packet = new_packet(Packet)
-                            packet.source = fast[3]
-                            packet.bits = bits
-                            packet.created_at = t
-                            packet.attempts = 0
-                            packet._service = fast[2]
-                            packet._node = index
-                        else:
-                            bits = node.source.packet_bits(rng)
-                            packet = Packet(node.name, bits, t)
-                            packet._node = index
-                # The interarrival draw moves ahead of admission relative
-                # to the legacy callback, but no other draw sits between
-                # them, so the rng stream is consumed identically; the
-                # node's reschedule below needs the instant.
-                next_time = t + (fast[0] if fast is not None
-                                 else node.source.next_interarrival_seconds(
-                                     rng))
-                if packet is not None:
-                    if fifo_fast:
-                        fifo_queue = policy._pending
-                        if len_(fifo_queue) < max_queue:
-                            fifo_queue.append(packet)
+                while True:
+                    node = node_list[index]
+                    fast = periodic[index]
+                    packet = None
+                    if node.active:
+                        opportunity = gen_counts[index]
+                        gen_counts[index] = opportunity + 1
+                        if opportunity % stride_l[index] == 0:
+                            if fast is not None:
+                                # Periodic fast path: build the packet
+                                # by direct slot assignment — the guards
+                                # of ``__init__`` are vacuous here (bits
+                                # and t are validated / non-negative by
+                                # construction).
+                                bits = fast[1]
+                                packet = new_packet(Packet)
+                                packet.source = fast[3]
+                                packet.bits = bits
+                                packet.created_at = t
+                                packet.attempts = 0
+                                packet._service = fast[2]
+                                packet._node = index
+                            else:
+                                bits = node.source.packet_bits(rng)
+                                packet = Packet(node.name, bits, t)
+                                packet._node = index
+                    # The interarrival draw moves ahead of admission
+                    # relative to the legacy callback, but no other draw
+                    # sits between them, so the rng stream is consumed
+                    # identically; the node's reschedule below needs the
+                    # instant.
+                    next_time = t + (
+                        fast[0] if fast is not None
+                        else node.source.next_interarrival_seconds(rng))
+                    if packet is not None:
+                        if fifo_fast:
+                            fifo_queue = policy._pending
+                            if len_(fifo_queue) < max_queue:
+                                fifo_queue.append(packet)
+                                accepted = True
+                            else:
+                                accepted = False
+                        elif slotted_fast:
+                            if slot_pending < max_queue:
+                                node_queues[index].append(packet)
+                                slot_pending += 1
+                                backlog |= slot_bit[index]
+                                accepted = True
+                            else:
+                                accepted = False
+                        elif pending_count() < max_queue:
+                            enqueue(packet)
                             accepted = True
                         else:
                             accepted = False
-                    elif slotted_fast:
-                        if slot_pending < max_queue:
-                            node_queues[index].append(packet)
-                            slot_pending += 1
-                            backlog |= slot_bit[index]
-                            accepted = True
-                        else:
-                            accepted = False
-                    elif pending_count() < max_queue:
-                        enqueue(packet)
-                        accepted = True
-                    else:
-                        accepted = False
-                    if accepted:
-                        sent_counts[index] += 1
-                        bits_l[index] += bits
-                        if not bus._busy:
-                            # The bus was idle: the grant's first claim
-                            # (its begin, or its completion when access
-                            # is immediate) comes before this node's
-                            # reschedule, as the two-dispatch schedule
-                            # claims them; the grant follows the loop.
-                            bus._busy = True
-                            first = seq
-                            seq += 1
-                            if next_time <= end_time:
-                                heappush_(gen_heap, (next_time, seq, index))
+                        if accepted:
+                            sent_counts[index] += 1
+                            bits_l[index] += bits
+                            if not bus._busy:
+                                # The bus was idle: the grant's first
+                                # claim (its begin, or its completion
+                                # when access is immediate) comes before
+                                # this node's reschedule, as the
+                                # two-dispatch schedule claims them.
+                                # ``granting`` sorts below every key, so
+                                # the group's next member goes back on
+                                # the heap and the grant follows the loop.
+                                bus._busy = True
+                                first = seq
                                 seq += 1
+                                barrier = granting
+                        else:
+                            stats.dropped_packets += 1
+                    # The reschedule: a group of one pushes its next
+                    # instant; a member claims its key, and the next
+                    # member dispatches at once while its key sorts
+                    # below both the barrier and the heap top.
+                    nxt = after[index]
+                    if nxt < 0:
+                        if next_time <= end_time:
+                            heappush_(gen_heap, (next_time, seq, index))
+                            seq += 1
+                        break
+                    if next_time <= end_time:
+                        member_seq[index] = seq
+                        seq += 1
+                        if nxt < index:
+                            # The last member: the group's next instant.
+                            heappush_(gen_heap,
+                                      (next_time, member_seq[nxt], nxt))
                             break
-                    else:
-                        stats.dropped_packets += 1
-                if next_time <= end_time:
-                    heappush_(gen_heap, (next_time, seq, index))
-                    seq += 1
+                    elif nxt < index:
+                        break
+                    key = (t, member_seq[nxt], nxt)
+                    if key < barrier and key < gen_heap[0]:
+                        index = nxt
+                        continue
+                    heappush_(gen_heap, key)
+                    break
+                if barrier is granting:
+                    break
             else:
                 t = barrier[0]
                 if t > end_time:
@@ -1523,8 +1584,7 @@ class BodyNetworkSimulator:
                     # schedule yields.  A generation's own reschedule is
                     # already on the heap.
                     if (begin_t <= end_time and ctrl_key[0] > begin_t
-                            and (gen_heap[0][0] if gen_heap
-                                 else inf_) > begin_t):
+                            and gen_heap[0][0] > begin_t):
                         chain_key = (begin_t + service, seq)
                         chain_kind = 1
                         seq += 1
