@@ -64,6 +64,17 @@ DEFAULT_ENERGY_UPDATE_INTERVAL_SECONDS = 1.0
 #: (the rest go at kernel exit).  Any batch size gives the same results.
 LATENCY_BATCH = 4096
 
+#: Fewest equal-period periodic nodes that share one generation-heap
+#: entry in the exact kernel.  A group of n pops the heap once an
+#: instant, plus once where a member finds the bus idle and the grant's
+#: claim sends the group back on the heap (a split), against n pops for
+#: n entries, and it pays its bookkeeping at every member.  A pair
+#: splits too often to pay: at seed 1, commuter_train's pairs of shoes
+#: split at 70% of their instants and the cohort's pairs at 49-58%, so
+#: a pair saves under half a pop an instant.  Any size gives the same
+#: results.
+GENERATION_GROUP_MIN = 3
+
 #: The implicit low-battery policy of every energy node that has no
 #: controller attached: the historical 1-in-``low_battery_stride``
 #: throttle, now expressed as the default
@@ -748,13 +759,14 @@ class BodyNetworkSimulator:
         The kernel merges five event streams by ``(time, sequence)``:
 
         * **generation** — a heap of ``(time, sequence, node)`` with one
-          entry per generation group.  A group is the plain periodic
-          nodes that share one period float, in node order (every other
-          node is a group of one): its members share every instant of
-          the entry, and the entry is the key of the member that
-          dispatches next.  Each member still claims its own reschedule
-          at its own dispatch.  After a member, the next one dispatches
-          with no heap operation while its key sorts below both the
+          entry per generation group.  A group is at least
+          ``GENERATION_GROUP_MIN`` plain periodic nodes that share one
+          period float, in node order (every other node keeps an entry
+          of its own): its members share every instant of the entry,
+          and the entry is the key of the member that dispatches next.
+          Each member still claims its own reschedule at its own
+          dispatch.  After a member, the next one dispatches with no
+          heap operation while its key sorts below both the
           barrier (a chain event a grant claimed between two members'
           keys) and the heap top (another group whose claims interleave
           with this one's at an instant both share); otherwise the
@@ -882,8 +894,8 @@ class BodyNetworkSimulator:
         gen_heap: list[tuple[float, float, int]] = [(inf_, inf_, -1)]
         # Generation groups (see the docstring), by period float:
         # ``after[i]`` is the member after node ``i`` (the group's first
-        # after its last), -1 for a group of one; ``member_seq[i]`` is
-        # the sequence number of node ``i``'s key.
+        # after its last), -1 for a node outside every group;
+        # ``member_seq[i]`` is the sequence number of node ``i``'s key.
         groups: dict[float, list[int]] = {}
         after = [-1] * n_nodes
         member_seq = [0] * n_nodes
@@ -954,23 +966,26 @@ class BodyNetworkSimulator:
                 periodic.append((source.period_seconds, bits,
                                  bus.service_time_seconds(probe),
                                  node.name))
-                members = groups.setdefault(source.period_seconds, [])
-                members.append(index)
-                head = len(members) == 1
+                groups.setdefault(source.period_seconds, []).append(index)
             else:
                 periodic.append(None)
-                head = True
             node_queues.append(policy._queues.get(node.name)
                                if slotted_fast else None)
             next_time = queue._now + source.next_interarrival_seconds(rng)
             if next_time <= end_time:
                 member_seq[index] = claim()
-                if head:
-                    gen_heap.append((next_time, member_seq[index], index))
+                gen_heap.append((next_time, member_seq[index], index))
+        # Only the first member of a group keeps its heap entry (its
+        # members share every instant, so they share the horizon test).
+        joined: set[int] = set()
         for members in groups.values():
-            if len(members) > 1:
+            if len(members) >= GENERATION_GROUP_MIN:
+                joined.update(members[1:])
                 for k in range(len(members)):
                     after[members[k - 1]] = members[k]
+        if joined:
+            gen_heap = [entry for entry in gen_heap
+                        if entry[2] not in joined]
         heapify(gen_heap)
         if slotted_fast and any(entry is None for entry in node_queues):
             slotted_fast = False
@@ -1213,16 +1228,16 @@ class BodyNetworkSimulator:
                                 barrier = granting
                         else:
                             stats.dropped_packets += 1
-                    # The reschedule: a group of one pushes its next
-                    # instant; a member claims its key, and the next
-                    # member dispatches at once while its key sorts
+                    # The reschedule: a node outside every group pushes
+                    # its next instant; a member claims its key, and the
+                    # next member dispatches at once while its key sorts
                     # below both the barrier and the heap top.
-                    nxt = after[index]
-                    if nxt < 0:
+                    if after[index] < 0:
                         if next_time <= end_time:
                             heappush_(gen_heap, (next_time, seq, index))
                             seq += 1
                         break
+                    nxt = after[index]
                     if next_time <= end_time:
                         member_seq[index] = seq
                         seq += 1

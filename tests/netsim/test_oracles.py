@@ -21,7 +21,8 @@ from repro.netsim import BodyNetworkSimulator, PeriodicSource
 from repro.netsim.config import NodeConfig
 
 #: ``(name, period in seconds, bits per packet)`` in node order: two
-#: groups of one period each (``a``, ``b``) and one lone node (``c``).
+#: sets of equal-period nodes (``a``, three that share one heap entry;
+#: ``b``, a pair that does not) and one lone node (``c``).
 LINDLEY_NODES = (
     ("a1", 0.0137, 2048.0),
     ("b1", 0.0211, 8192.0),
